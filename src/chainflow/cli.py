@@ -78,6 +78,10 @@ def _parse_ideal(doc: dict) -> MonomialIdeal:
     except (KeyError, TypeError):
         raise InputError(
             'ideal JSON needs "variables" and "generators" fields')
+    if not isinstance(names, list) or not all(
+            isinstance(n, str) for n in names):
+        raise InputError(
+            f'"variables" must be a list of strings, got {names!r}')
     return MonomialIdeal(names, gens)
 
 

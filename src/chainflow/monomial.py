@@ -87,12 +87,24 @@ class MonomialIdeal:
             raise InputError("variable names must be distinct")
         gens = []
         for g in generators:
-            t = tuple(int(e) for e in g)
+            if not isinstance(g, (list, tuple)):
+                raise InputError(
+                    f"a generator must be a list of exponents, got {g!r}")
+            for e in g:
+                # bool is an int subclass; JSON true must not pass as 1
+                if not isinstance(e, int) or isinstance(e, bool):
+                    raise InputError(
+                        f"generator exponents must be integers, got {e!r}")
+            t = tuple(g)
             if len(t) != len(self.names):
                 raise InputError(
                     "generator length does not match the variable count")
             if any(e < 0 for e in t):
                 raise InputError("generator exponents must be nonnegative")
+            if not any(t):
+                raise InputError(
+                    "a generator with all exponents zero gives the unit "
+                    "ideal, which has no minimal resolution to compute")
             gens.append(t)
         minimal = []
         dropped = 0

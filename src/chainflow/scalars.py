@@ -24,8 +24,11 @@ machinery is division-free by construction).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from heapq import heapify, heappop, heappush
+from operator import or_
 
-from .errors import InputError
+from .errors import InputError, InternalError
 
 YBITS = 8  # bits per variable in packed exponent keys
 YMASK = (1 << YBITS) - 1
@@ -188,6 +191,12 @@ class FunctionField:
     monomial denominators are cleared, single-variable gcds are cancelled,
     denominators are made monic); equality always cross-multiplies, so the
     partial normalisation never affects correctness.
+
+    Each variable's exponent lives in a ``YBITS``-bit field, so it ranges
+    over [0, YMASK] = [0, 255].  A product whose exponent would leave that
+    range raises ``InternalError`` (``pd_mul``, ``pd_mul_acc``) instead of
+    carrying into the next variable; ``pd_parse`` rejects such exponents
+    with ``InputError``.
     """
 
     def __init__(self, p, names, label=""):
@@ -208,6 +217,10 @@ class FunctionField:
         # by 1 minus the sum of the others).  Maps name -> polynomial dict in
         # the free variables.
         self.eliminations = {}
+        # The top bit of every exponent field: operands whose keys OR-fold to
+        # no guard bit have all exponents below 2**(YBITS-1), so no product
+        # of them can overflow a field.
+        self._guard = sum(1 << (YBITS * i + YBITS - 1) for i in range(self.nvars))
 
     # -- raw polynomial layer ------------------------------------------------
 
@@ -260,6 +273,7 @@ class FunctionField:
     def pd_mul(self, a, b):
         if not a or not b:
             return {}
+        self._check_product(a, b)
         if len(a) > len(b):
             a, b = b, a
         p = self.p
@@ -283,6 +297,7 @@ class FunctionField:
         """
         if not a or not b:
             return
+        self._check_product(a, b)
         if len(a) > len(b):
             a, b = b, a
         get = acc.get
@@ -299,6 +314,19 @@ class FunctionField:
                     acc[k] %= p
                 get = acc.get
 
+    def _check_product(self, a, b):
+        """Raise InternalError if some exponent of a*b would exceed YMASK."""
+        if not ((reduce(or_, a, 0) | reduce(or_, b, 0)) & self._guard):
+            return
+        for i, nm in enumerate(self.names):
+            shift = YBITS * i
+            ea = max((k >> shift) & YMASK for k in a)
+            eb = max((k >> shift) & YMASK for k in b)
+            if ea + eb > YMASK:
+                raise InternalError(
+                    f"exponent overflow: {nm}^{ea} * {nm}^{eb} exceeds the "
+                    f"packed range [0, {YMASK}]")
+
     def pd_reduce(self, acc):
         p = self.p
         return {k: v % p for k, v in acc.items() if v % p}
@@ -311,13 +339,13 @@ class FunctionField:
 
     def pd_vars_used(self, a):
         used = set()
-        for k in a:
-            i = 0
-            while k:
-                if k & YMASK:
-                    used.add(i)
-                k >>= YBITS
-                i += 1
+        k = reduce(or_, a, 0)
+        i = 0
+        while k:
+            if k & YMASK:
+                used.add(i)
+            k >>= YBITS
+            i += 1
         return used
 
     def pd_render(self, a):
@@ -349,22 +377,32 @@ class FunctionField:
         out = {}
         for term in s.split(" + "):
             coeff = 1
-            key = 0
+            exps = {}
             for factor in term.strip().split("*"):
                 factor = factor.strip()
                 if not factor:
                     raise InputError(f"malformed polynomial term {term!r}")
-                if factor[0].isdigit() or factor[0] == "-":
-                    coeff = (coeff * int(factor)) % self.p
-                    continue
-                if "^" in factor:
-                    nm, _, e = factor.rpartition("^")
-                    exp = int(e)
-                else:
-                    nm, exp = factor, 1
+                try:
+                    if factor[0].isdigit() or factor[0] == "-":
+                        coeff = (coeff * int(factor)) % self.p
+                        continue
+                    if "^" in factor:
+                        nm, _, e = factor.rpartition("^")
+                        exp = int(e)
+                    else:
+                        nm, exp = factor, 1
+                except ValueError:
+                    raise InputError(f"malformed polynomial factor {factor!r}")
                 i = self.index.get(nm)
                 if i is None:
                     raise InputError(f"unknown transcendental {nm!r}")
+                exps[i] = exps.get(i, 0) + exp
+            key = 0
+            for i, exp in exps.items():
+                if not 0 <= exp <= YMASK:
+                    raise InputError(
+                        f"exponent {exp} of {self.names[i]!r} outside the "
+                        f"packed range [0, {YMASK}] in term {term!r}")
                 key += exp << (YBITS * i)
             v = (out.get(key, 0) + coeff) % self.p
             if v:
@@ -450,23 +488,41 @@ class FunctionField:
         p = self.p
         lk = max(den)
         inv_lc = pow(den[lk], p - 2, p)
+        # The leading term of the divisor always cancels the leading term of
+        # the remainder, so only the rest of the divisor is subtracted.
+        tail = [(kb, cb) for kb, cb in den.items() if kb != lk]
         rem = dict(num)
+        get = rem.get
+        # Max-heap of remainder keys (negated), with lazy deletion: a key is
+        # pushed when it enters ``rem`` and skipped when popped after leaving
+        # it.  Leading keys strictly decrease, so a popped key never returns.
+        heap = [-k for k in rem]
+        heapify(heap)
         quot = {}
-        dpairs = den.items()
+        key_divides = self._key_divides
         while rem:
-            rk = max(rem)
-            if not self._key_divides(lk, rk):
+            rk = -heappop(heap)
+            rc = get(rk)
+            if rc is None:
+                continue
+            if not key_divides(lk, rk):
                 return None
+            del rem[rk]
             qk = rk - lk
-            qc = (rem[rk] * inv_lc) % p
+            qc = (rc * inv_lc) % p
             quot[qk] = qc
-            for kb, cb in dpairs:
+            for kb, cb in tail:
                 k = qk + kb
-                v = (rem.get(k, 0) - qc * cb) % p
-                if v:
-                    rem[k] = v
-                elif k in rem:
-                    del rem[k]
+                old = get(k)
+                if old is None:
+                    rem[k] = (-qc * cb) % p
+                    heappush(heap, -k)
+                else:
+                    v = (old - qc * cb) % p
+                    if v:
+                        rem[k] = v
+                    else:
+                        del rem[k]
         return quot
 
     def _normalize(self, num, den):
@@ -604,11 +660,24 @@ class FunctionField:
                 dens.append(den)
         if not dens:
             return list(vec)
-        mult = {0: 1}
+        # The multiple is the product of the distinct denominators; each
+        # numerator is multiplied by its cofactor, the product of the other
+        # distinct denominators, so no division is needed.
+        n = len(dens)
+        prefix = [{0: 1}]
         for d in dens:
-            mult = self.pd_mul(mult, d)
-        boxed = (mult, None)
-        return [self.mul(v, boxed) for v in vec]
+            prefix.append(self.pd_mul(prefix[-1], d))
+        cofactors = [None] * n
+        suffix = {0: 1}
+        for j in range(n - 1, -1, -1):
+            cofactors[j] = self.pd_mul(prefix[j], suffix)
+            suffix = self.pd_mul(dens[j], suffix)
+        mult = prefix[n]
+        out = []
+        for num, den in vec:
+            cof = mult if den is None else cofactors[dens.index(den)]
+            out.append((self.pd_mul(num, cof), None))
+        return out
 
     # -- variable substitution ------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, artifact shapes and
 byte-level determinism."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -14,6 +15,8 @@ from chainflow.cli import main
 import golden_data as G
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+BENCH_REFERENCE = (Path(__file__).resolve().parent.parent / "bench"
+                   / "reference.json")
 
 
 def run(argv, capsys):
@@ -102,6 +105,25 @@ class TestResolve:
         assert "input error" in err
 
 
+class TestCriticalResolve:
+    """End-to-end resolves over F_p(y), where p divides a matroidal count."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_cycle3_taylor(self, p, tmp_path, capsys):
+        job = f"resolve --fixture cycle3 --char {p} --start taylor"
+        path = tmp_path / "art.json"
+        rc = main(job.split() + ["--out", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 0, err
+        data = path.read_bytes()
+        rep = json.loads(data)["report"]
+        assert rep["verification"]["minimal"] is True
+        assert rep["verification"]["exact"] is True
+        assert "transcendentals" in rep["field"]
+        expected = json.loads(BENCH_REFERENCE.read_text())[job]
+        assert hashlib.sha256(data).hexdigest() == expected
+
+
 class TestMatroidal:
     def test_char0(self, capsys):
         art, err = run_json(["matroidal", "--fixture", "cycle3"], capsys)
@@ -186,6 +208,37 @@ class TestCounterexample:
 
 
 class TestInputHandling:
+    def run_doc(self, doc, tmp_path, capsys, cmd="lattice"):
+        f = tmp_path / "ideal.json"
+        f.write_text(json.dumps(doc))
+        return run([cmd, "--in", str(f)], capsys)
+
+    @pytest.mark.parametrize("bad, shown", [
+        (1.5, "1.5"),      # was silently truncated to 1
+        ("a", "'a'"),      # was an uncaught ValueError, exit 1
+        (True, "True"),    # JSON true was read as 1
+    ])
+    def test_non_integer_exponent(self, bad, shown, tmp_path, capsys):
+        doc = {"variables": ["x", "y"], "generators": [[bad, 0], [0, 2]]}
+        rc, out, err = self.run_doc(doc, tmp_path, capsys)
+        assert rc == 2
+        assert out == ""
+        assert f"generator exponents must be integers, got {shown}" in err
+
+    def test_unit_ideal_rejected(self, tmp_path, capsys):
+        doc = {"variables": ["x", "y"], "generators": [[0, 0]]}
+        rc, out, err = self.run_doc(doc, tmp_path, capsys, cmd="resolve")
+        assert rc == 2
+        assert out == ""
+        assert "unit ideal" in err
+
+    def test_variables_must_be_a_list(self, tmp_path, capsys):
+        doc = {"variables": "xy", "generators": [[1, 0], [0, 1]]}
+        rc, out, err = self.run_doc(doc, tmp_path, capsys)
+        assert rc == 2
+        assert out == ""
+        assert '"variables" must be a list of strings' in err
+
     def test_unknown_fixture(self, capsys):
         rc, _, err = run(["lattice", "--fixture", "nonesuch"], capsys)
         assert rc == 2

@@ -34,6 +34,10 @@ class TestMonomialIdeal:
             MonomialIdeal(["x"], [[1, 0]])
         with pytest.raises(InputError):
             MonomialIdeal(["x"], [[-1]])
+        with pytest.raises(InputError, match="list of exponents"):
+            MonomialIdeal(["x"], [1])
+        with pytest.raises(InputError, match="unit ideal"):
+            MonomialIdeal(["x", "y"], [[1, 0], [0, 0]])
 
     def test_render(self):
         assert render_monomial(["x", "y"], (2, 1)) == "x^2*y"

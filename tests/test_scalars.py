@@ -1,14 +1,67 @@
 """Field arithmetic: rationals, prime fields, rational function fields."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from chainflow.errors import InputError
+from chainflow.errors import InputError, InternalError
 from chainflow.scalars import (
-    GF, QQ, FunctionField, field_descriptor, field_from_descriptor,
+    GF, QQ, YBITS, FunctionField, field_descriptor, field_from_descriptor,
     pack_exponents, unpack_exponents,
 )
+
+
+def divexact_oracle(F, num, den):
+    """Exact division by repeated ``max`` leading-term search: the quadratic
+    reference that ``FunctionField._pd_divexact`` must agree with."""
+    p = F.p
+    lk = max(den)
+    inv_lc = pow(den[lk], p - 2, p)
+    rem = dict(num)
+    quot = {}
+    while rem:
+        rk = max(rem)
+        if not F._key_divides(lk, rk):
+            return None
+        qk = rk - lk
+        qc = (rem[rk] * inv_lc) % p
+        quot[qk] = qc
+        for kb, cb in den.items():
+            k = qk + kb
+            v = (rem.get(k, 0) - qc * cb) % p
+            if v:
+                rem[k] = v
+            elif k in rem:
+                del rem[k]
+    return quot
+
+
+def clear_oracle(F, vec):
+    """Scale by the product of the distinct denominators through the field
+    multiplication, dividing each denominator back out."""
+    dens = []
+    for _, den in vec:
+        if den is not None and den not in dens:
+            dens.append(den)
+    if not dens:
+        return list(vec)
+    mult = {0: 1}
+    for d in dens:
+        mult = F.pd_mul(mult, d)
+    return [F.mul(v, (mult, None)) for v in vec]
+
+
+def random_poly(F, rng, terms, max_exp, constant=True):
+    """A random nonzero polynomial dict; with ``constant=False`` it has a
+    term of positive degree."""
+    while True:
+        out = {}
+        for _ in range(terms):
+            exps = [rng.randint(0, max_exp) for _ in range(F.nvars)]
+            out[pack_exponents(exps)] = rng.randrange(1, F.p)
+        if constant or any(out.keys() - {0}):
+            return out
 
 
 class TestRationals:
@@ -132,6 +185,96 @@ class TestFunctionField:
         val = (self.poly("y1 + y2"), None)
         out = F.substitute(val, {0: self.poly("y2")})
         assert out == (self.poly("2*y2"), None)
+
+
+class TestExactDivision:
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_matches_oracle(self, p):
+        F = FunctionField(p, ["y1", "y2", "y3", "y4"])
+        rng = random.Random(p)
+        for _ in range(150):
+            a = random_poly(F, rng, rng.randint(1, 8), 4)
+            b = random_poly(F, rng, rng.randint(1, 6), 3, constant=False)
+            prod = F.pd_mul(a, b)
+            q = F._pd_divexact(prod, b)
+            assert q == a
+            # same leading-term sequence, hence the same insertion order
+            assert list(q.items()) == list(
+                divexact_oracle(F, prod, b).items())
+            # b is not a unit, so b cannot divide a*b + c for a constant c
+            inexact = F.pd_add(prod, F.pd_const(rng.randrange(1, p)))
+            assert divexact_oracle(F, inexact, b) is None
+            assert F._pd_divexact(inexact, b) is None
+            # an unrelated pair: both agree, exact or not
+            c = random_poly(F, rng, rng.randint(1, 6), 3)
+            assert F._pd_divexact(c, b) == divexact_oracle(F, c, b)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_clear_vector_denominators_matches_oracle(self, p):
+        F = FunctionField(p, ["y1", "y2", "y3"])
+        rng = random.Random(100 + p)
+        for _ in range(60):
+            dens = [random_poly(F, rng, rng.randint(1, 3), 2, constant=False)
+                    for _ in range(rng.randint(1, 3))]
+            vec = []
+            for _ in range(rng.randint(1, 6)):
+                num = random_poly(F, rng, rng.randint(1, 4), 2)
+                roll = rng.random()
+                if roll < 0.2:
+                    vec.append(F.zero)
+                elif roll < 0.4:
+                    vec.append((num, None))
+                else:
+                    # a fresh copy: equal denominators are distinct objects
+                    vec.append(F._normalize(num, dict(rng.choice(dens))))
+            cleared = F.clear_vector_denominators(vec)
+            assert cleared == clear_oracle(F, vec)
+            assert all(den is None for _, den in cleared)
+
+    def test_equal_denominators_counted_once(self):
+        F = FunctionField(3, ["y1", "y2"])
+        d1, d2 = F.pd_parse("y1 + y2"), F.pd_parse("y1 + y2")
+        assert d1 is not d2
+        vec = [(F.pd_parse("y1"), d1), (F.pd_parse("y2"), d2),
+               (F.pd_parse("1"), None)]
+        cleared = F.clear_vector_denominators(vec)
+        assert cleared == [(F.pd_parse("y1"), None),
+                           (F.pd_parse("y2"), None),
+                           (F.pd_parse("y2 + y1"), None)]
+        assert cleared == clear_oracle(F, vec)
+
+
+class TestExponentOverflow:
+    def setup_method(self):
+        self.F = FunctionField(3, ["a", "b"])
+
+    def test_product_overflow_raises(self):
+        F = self.F
+        with pytest.raises(InternalError, match="exponent overflow"):
+            F.pd_mul(F.pd_var(0, 200), F.pd_var(0, 100))
+        with pytest.raises(InternalError, match="exponent overflow"):
+            F.pd_mul_acc({}, F.pd_var(0, 200), F.pd_var(0, 100))
+
+    def test_guard_bits_without_overflow(self):
+        F = self.F
+        # both operands set guard bits, but in different variables
+        assert F.pd_mul(F.pd_var(0, 200), F.pd_var(1, 100)) == \
+            {200 | (100 << YBITS): 1}
+        assert F.pd_render(F.pd_mul(F.pd_parse("a^200 + b"),
+                                    F.pd_parse("a^55"))) == "a^55*b + a^255"
+        acc = {}
+        F.pd_mul_acc(acc, F.pd_var(0, 128), F.pd_var(0, 127))
+        assert F.pd_reduce(acc) == F.pd_var(0, 255)
+
+    def test_parse_rejects_out_of_range_exponent(self):
+        F = self.F
+        with pytest.raises(InputError, match="exponent 300"):
+            F.pd_parse("a^300")
+        with pytest.raises(InputError, match="exponent 256"):
+            F.pd_parse("a^200*a^56")
+        with pytest.raises(InputError, match="malformed"):
+            F.pd_parse("a^x")
+        assert F.pd_parse("a^255") == F.pd_var(0, 255)
 
 
 class TestFieldDescriptors:
