@@ -40,7 +40,9 @@ from .splittings import (
     build_stratum_splitting,
     critical_analysis,
     enumerate_matroidal,
+    matroidal_average,
     matroidal_count,
+    matroidal_options,
     stratum_core,
 )
 from .monomial import (

@@ -25,12 +25,11 @@ from importlib import resources
 from .errors import InputError, InternalError, VerificationError
 from .scalars import field_descriptor
 from .monomial import (
+    _STARTS,
     MonomialIdeal,
     lcm_lattice,
-    order_complex_resolution,
     render_monomial,
     resolve_minimal,
-    taylor_resolution,
 )
 from .splittings import critical_analysis, matroidal_count
 from .toric import BettiCategoryData, resolve_toric
@@ -169,8 +168,7 @@ def cmd_matroidal(args) -> int:
     field_char = args.char
     from .scalars import QQ, GF
     base = QQ if field_char == 0 else GF(field_char)
-    starts = {"lcm": order_complex_resolution, "taylor": taylor_resolution}
-    s = starts[args.start](I, base)
+    s = _STARTS[args.start](I, base)
     poset = s.poset
     counts = {}
     for ai in s.occupied():

@@ -208,20 +208,6 @@ class BasedComplex:
                                 break
         return issues
 
-    def euler_characteristic(self):
-        return sum((-1) ** n * self.rank(n) for n in range(self.top + 1))
-
-    def multigraded_euler(self):
-        """Alternating count of basis elements per multidegree."""
-        out = {}
-        for n, degs in enumerate(self.multidegrees):
-            for m in degs:
-                if m is None:
-                    raise InputError("complex is not multigraded")
-                key = tuple(m)
-                out[key] = out.get(key, 0) + (-1) ** n
-        return {k: v for k, v in out.items() if v}
-
     def map_coefficients(self, new_ring, fn):
         """Transport the complex along a coefficient map (e.g. F_p -> F_p(Y))."""
         diffs = []

@@ -275,10 +275,6 @@ class RingMatrix:
         return cls(ring, [[ring.const(c) for c in row] for row in srows],
                    ncols=ncols)
 
-    @classmethod
-    def from_int_rows(cls, ring, irows):
-        return cls(ring, [[ring.from_int(n) for n in row] for row in irows])
-
     @property
     def shape(self):
         return (self.nrows, self.ncols)
@@ -340,11 +336,6 @@ class RingMatrix:
             return False
         return all(a.eq(b) for r1, r2 in zip(self.rows, other.rows) for a, b in zip(r1, r2))
 
-    def map_entries(self, fn):
-        rows = [[fn(a) for a in r] for r in self.rows]
-        ring = rows[0][0].ring if rows and rows[0] else self.ring
-        return RingMatrix(ring, rows, ncols=self.ncols)
-
     def is_scalar(self):
         return all(a.is_constant() for r in self.rows for a in r)
 
@@ -352,9 +343,6 @@ class RingMatrix:
         if not self.is_scalar():
             raise InternalError("matrix has non-constant entries")
         return [[a.constant_term() for a in r] for r in self.rows]
-
-    def render_rows(self):
-        return [[a.render() for a in r] for r in self.rows]
 
     def __repr__(self):
         return f"RingMatrix({self.nrows}x{self.ncols})"
@@ -375,16 +363,8 @@ def s_identity(field, n):
     return m
 
 
-def s_add(field, a, b):
-    return [[field.add(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
 def s_sub(field, a, b):
     return [[field.sub(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def s_neg(field, a):
-    return [[field.neg(x) for x in r] for r in a]
 
 
 def s_scale(field, a, c):

@@ -13,7 +13,6 @@ strand-exactness at every lattice degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, VerificationError
@@ -29,7 +28,6 @@ from .complexes import (
 )
 from .flows import (
     Homotopy,
-    affine_combination,
     assemble_field,
     classify,
     extract_minimal_summand,
@@ -40,10 +38,11 @@ from .flows import (
 from .splittings import (
     build_extension_field,
     coerce_complex,
-    coerce_homotopy,
+    count_choices,
     critical_analysis,
-    enumerate_matroidal,
-    matroidal_count,
+    list_choices,
+    matroidal_average,
+    matroidal_options,
     stratum_core,
     weight_name,
 )
@@ -316,6 +315,7 @@ class ResolveResult:
     generators: list                  # per degree: ambient columns of the generators
     generator_strata: list
     counts: dict                      # stratum tag -> number of matroidal splittings
+    options: dict                     # stratum tag -> per-degree matroidal options
     critical: dict                    # full critical-prime analysis
     plan: object                      # ExtensionPlan or None
     verification: dict
@@ -371,8 +371,9 @@ def resolve_minimal(
               for ai in occupied}
     views_base = {ai: s_base.stratum(ai) for ai in occupied}
 
-    counts = {tag_of[ai]: matroidal_count(views_base[ai].complex)
-              for ai in occupied}
+    options = {tag_of[ai]: matroidal_options(views_base[ai].complex)
+               for ai in occupied}
+    counts = {tag: count_choices(opts) for tag, opts in options.items()}
     critical = critical_analysis(counts, characteristic)
 
     plan = None
@@ -393,16 +394,14 @@ def resolve_minimal(
         if mode == "moore_penrose":
             D = moore_penrose(view.complex)
         else:
-            enum = enumerate_matroidal(views_base[ai].complex)
-            m = len(enum)
-            if characteristic == 0:
-                weights = [Fraction(1, m)] * m
-            elif plan is not None:
-                weights = plan.weights[tag_of[ai]]
+            tag = tag_of[ai]
+            if plan is not None:
+                weights = plan.weights[tag]
             else:
+                m = counts[tag]
                 weights = [work_field.inv(work_field.from_int(m))] * m
-            homotopies = [coerce_homotopy(D, view.complex) for _, D in enum]
-            avg = affine_combination(view.complex, list(zip(weights, homotopies)))
+            avg = matroidal_average(views_base[ai].complex, view.complex,
+                                    options[tag], weights)
             D = hat(view.complex, avg, verify=False)
         cls = classify(view.complex, D)
         if not cls.is_splitting:
@@ -472,6 +471,7 @@ def resolve_minimal(
         generators=extracted.generators,
         generator_strata=extracted.generator_strata,
         counts=counts,
+        options=options,
         critical=critical,
         plan=plan,
         verification=verification,
@@ -749,15 +749,9 @@ def _weight_substitution(I, field, elem_map, choice_actions, result):
     tag_of = {ai: render_monomial(I.names, poset.elements[ai])
               for ai in s.occupied()}
     tag_to_idx = {t: ai for ai, t in tag_of.items()}
-    # Re-enumerate the matroidal choices over the prime field (the start
-    # resolution there has identical combinatorics) to know the choice order
-    # on both sides of the symmetry.
-    s_prime = _STARTS[result.report["start"]](I, GF(plan.characteristic))
-    choice_lists = {}
-    for tag in plan.critical:
-        ai = tag_to_idx[tag]
-        view = s_prime.stratum(ai)
-        choice_lists[ai] = [ch for ch, _ in enumerate_matroidal(view.complex)]
+    # The matroidal choices in weight order, on both sides of the symmetry.
+    choice_lists = {tag_to_idx[tag]: list_choices(result.options[tag])
+                    for tag in plan.critical}
     subst = {}
     for tag in plan.critical:
         ai = tag_to_idx[tag]

@@ -1,11 +1,12 @@
-"""Per-stratum splittings: matroidal enumeration, averages and extensions.
+"""Per-stratum splittings: matroidal options, averages and extensions.
 
 A *matroidal splitting* of a scalar complex picks, in each degree, a subset
 ``X_n`` of the basis whose differential columns form a basis of the image of
 ``d_n``, together with a set ``Z_n`` of corrected cycles (one for each basis
 element outside ``X_n`` that is kept) whose classes are independent in
-homology.  Each such choice determines a splitting homotopy; the full list is
-finite and is enumerated in lexicographic order.
+homology.  Each such choice determines a splitting homotopy; the per-degree
+options are finite, and the choices are their product, in lexicographic
+order with degree 0 outermost.
 
 Averaging all matroidal splittings gives a canonical (basis-permutation
 equivariant) homotopy.  The average needs the number ``m`` of splittings to be
@@ -13,13 +14,27 @@ invertible; primes dividing some stratum count are *critical*.  At a critical
 prime the average is replaced by a generic affine combination with fresh
 transcendental weights ``y[a][0..m-1]``, where ``y[a][0]`` is eliminated as
 ``1 - sum of the others``.
+
+The average is formed without building one homotopy per choice.  Write
+``W_n`` for the positions outside ``X_n ∪ Z_n``; ``|W_n| = rk d_{n+1}``.  The
+homotopy of a choice has ``D_n`` zero except on rows ``X_{n+1}`` and
+columns ``W_n``, where it is the inverse of the square minor
+``d_{n+1}[W_n, X_{n+1}]``.  Proof: ``D_n`` holds the first ``rk d_{n+1}``
+rows ``L`` of ``T^{-1}``, where ``T`` has the columns ``d(X_{n+1})``, the
+cycles ``z_b`` (``b`` in ``Z_n``) and the indicators ``e_x`` (``x`` in
+``X_n``).  So ``L d(X_{n+1}) = I``, ``L e_x = 0`` and ``L z_b = 0``; as
+``z_b = e_b - sum_{c in X_n} r_c e_c``, also ``L e_b = 0``.  Hence ``L`` is
+supported on the columns ``W_n``, and ``L[:, W_n] d_{n+1}[W_n, X_{n+1}] = I``.
+Each ``D_n`` of the average is therefore a sum over the distinct pairs
+``(W_n, X_{n+1})`` of the summed weights of the choices containing the pair
+times that pair's block; :func:`matroidal_average` inverts each minor once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 from typing import Optional
 
 from .errors import InputError, VerificationError
@@ -29,7 +44,7 @@ from .complexes import BasedComplex
 from .flows import (
     ClassifyResult,
     Homotopy,
-    affine_combination,
+    _satisfies_pdp,
     classify,
     dmat,
     hat,
@@ -41,6 +56,10 @@ __all__ = [
     "ExtensionPlan",
     "StratumSplitting",
     "enumerate_matroidal",
+    "matroidal_options",
+    "count_choices",
+    "list_choices",
+    "matroidal_average",
     "matroidal_count",
     "critical_analysis",
     "weight_name",
@@ -220,17 +239,116 @@ def enumerate_matroidal(c: BasedComplex) -> list:
     return out
 
 
-def matroidal_count(c: BasedComplex) -> int:
-    """Number of matroidal splittings (product of per-degree option counts)."""
+def matroidal_options(c: BasedComplex) -> list:
+    """Per-degree matroidal options of a scalar complex, degrees 0..top.
+
+    ``options[n]`` lists the (X_n, Z_n) pairs of degree ``n`` in
+    lexicographic order; an empty list means the complex has no matroidal
+    splitting.  The corrected cycles are dropped: the average needs only
+    the index sets.
+    """
     if not c.is_scalar():
         raise InputError("matroidal enumeration needs a scalar complex")
-    total = 1
-    for n in range(0, c.top + 1):
-        options, _ = _degree_options(c, n)
-        if not options:
-            return 0
-        total *= len(options)
-    return total
+    return [[(x_set, z_set) for x_set, z_set, _ in _degree_options(c, n)[0]]
+            for n in range(0, c.top + 1)]
+
+
+def count_choices(options) -> int:
+    """Number of matroidal splittings: the product of per-degree counts."""
+    return prod(len(opts) for opts in options)
+
+
+def list_choices(options) -> list:
+    """The matroidal choices of per-degree options, in enumeration order."""
+    return [
+        MatroidalChoice(
+            x_sets=tuple(x_set for x_set, _ in combo),
+            z_sets=tuple(z_set for _, z_set in combo),
+        )
+        for combo in product(*options)
+    ]
+
+
+def matroidal_count(c: BasedComplex) -> int:
+    """Number of matroidal splittings (product of per-degree option counts)."""
+    return count_choices(matroidal_options(c))
+
+
+def matroidal_average(c_base: BasedComplex, c_work: BasedComplex,
+                      options: list, weights: list) -> Homotopy:
+    """Affine combination of all matroidal splittings, one block per pair.
+
+    ``c_base`` is a scalar complex over Q or a prime field and ``options``
+    its :func:`matroidal_options`; ``c_work`` is the same complex over the
+    working field (the base field or a transcendental extension of it), and
+    ``weights`` holds one working-field weight per choice, in enumeration
+    order.  The result equals the affine combination of the homotopies of
+    :func:`enumerate_matroidal`, but no per-choice homotopy is built.
+
+    Block formula: with ``W_n = [r_n] \\ (X_n ∪ Z_n)``, a choice's ``D_n``
+    is zero except on rows ``X_{n+1}`` and columns ``W_n``, where it is the
+    inverse of the minor ``d_{n+1}[W_n, X_{n+1}]``.  Proof sketch: its rows
+    ``L`` (the first ``rk d_{n+1}`` rows of the basis change inverse)
+    satisfy ``L d(X_{n+1}) = I`` and kill the indicators ``e_x`` of ``X_n``
+    and the cycles ``z_b = e_b - sum_{c in X_n} r_c e_c`` of ``Z_n``, hence
+    every ``e_b`` outside ``W_n``; so ``L[:, W_n] d_{n+1}[W_n, X_{n+1}] = I``.
+
+    One pass over the choices, degree 0 outermost, sums the weights of each
+    pair ``(W_n, X_{n+1})``; each minor is then inverted once over the base
+    field, and only the weighted entries enter the working field.  As in
+    :func:`~chainflow.flows.affine_combination`, the weights must sum to 1
+    and the result must satisfy ``d D d = d``; both are verified exactly.
+    """
+    base = c_base.ring.field
+    field = c_work.ring.field
+    top = c_base.top
+    radices = [len(opts) for opts in options]
+    if len(radices) != top + 1:
+        raise InputError("matroidal options do not cover every degree")
+    if len(weights) != prod(radices):
+        raise InputError(
+            f"{len(weights)} weights for {prod(radices)} matroidal choices")
+    if not weights:
+        raise VerificationError("no matroidal choice exists")
+    total = field.zero
+    for w in weights:
+        total = field.add(total, w)
+    if not field.eq(total, field.one):
+        raise VerificationError("affine weights do not sum to 1")
+    w_sets = []
+    x_sets = []
+    for n, opts in enumerate(options):
+        r_n = c_base.rank(n)
+        w_sets.append([
+            tuple(b for b in range(r_n) if b not in x_set and b not in z_set)
+            for x_set, z_set in opts])
+        x_sets.append([x_set for x_set, _ in opts])
+    omega = [{} for _ in range(top)]
+    for w, idx in zip(weights, product(*(range(k) for k in radices))):
+        for n in range(top):
+            key = (w_sets[n][idx[n]], x_sets[n + 1][idx[n + 1]])
+            acc = omega[n].get(key)
+            omega[n][key] = w if acc is None else field.add(acc, w)
+    mats = []
+    for n in range(top):
+        r_n = c_base.rank(n)
+        dn1, _, _ = _scalar_diff(c_base, n + 1)
+        rows = [[field.zero] * r_n for _ in range(c_base.rank(n + 1))]
+        for (w_set, x_up), w in omega[n].items():
+            if not x_up or field.is_zero(w):
+                continue
+            block = s_inverse(base, [[dn1[i][x] for x in x_up] for i in w_set])
+            for x, brow in zip(x_up, block):
+                row = rows[x]
+                for b, v in zip(w_set, brow):
+                    if not base.is_zero(v):
+                        row[b] = field.add(
+                            row[b], field.mul(w, _coerce_scalar(v, base, field)))
+        mats.append(RingMatrix.from_scalar_rows(c_work.ring, rows, ncols=r_n))
+    out = Homotopy(c_work, mats)
+    if not _satisfies_pdp(c_work, out):
+        raise VerificationError("matroidal average lost d D d = d")
+    return out
 
 
 def _prime_factors(n: int) -> list:
@@ -450,30 +568,23 @@ def build_stratum_splitting(
         return StratumSplitting(D, c, QQ, cls, mode)
     if mode != "matroidal_average":
         raise InputError(f"unknown splitting mode {mode!r}")
-    enum = enumerate_matroidal(c)
-    m = len(enum)
-    choices = [ch for ch, _ in enum]
-    if characteristic == 0:
-        weights = [Fraction(1, m)] * m
-        work = c
-        homotopies = [D for _, D in enum]
-        field = c.ring.field
+    options = matroidal_options(c)
+    m = count_choices(options)
+    if m == 0:
+        raise VerificationError("no matroidal choice exists")
+    if characteristic != 0 and m % characteristic == 0:
+        field, plan = build_extension_field(
+            {stratum_key: m}, characteristic, order=[stratum_key])
+        weights = plan.weights[stratum_key]
+        work = coerce_complex(c, field)
     else:
-        p = characteristic
-        if m % p != 0:
-            field = c.ring.field
-            weights = [field.inv(field.from_int(m))] * m
-            work = c
-            homotopies = [D for _, D in enum]
-        else:
-            field, plan = build_extension_field(
-                {stratum_key: m}, p, order=[stratum_key])
-            weights = plan.weights[stratum_key]
-            work = coerce_complex(c, field)
-            homotopies = [coerce_homotopy(D, work) for _, D in enum]
-    avg = affine_combination(work, list(zip(weights, homotopies)))
+        field = c.ring.field
+        weights = [field.inv(field.from_int(m))] * m
+        work = c
+    avg = matroidal_average(c, work, options, weights)
     D = hat(work, avg, verify=False)
     cls = classify(work, D, want_decomposition=want_decomposition)
     if not cls.is_splitting:
         raise VerificationError("hat postcondition failed")
-    return StratumSplitting(D, work, field, cls, mode, m, weights, choices)
+    return StratumSplitting(D, work, field, cls, mode, m, weights,
+                            list_choices(options))

@@ -16,7 +16,6 @@ lie in ``Q``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, VerificationError
@@ -32,7 +31,6 @@ from .complexes import (
     strand,
 )
 from .flows import (
-    affine_combination,
     assemble_field,
     classify,
     extract_minimal_summand,
@@ -43,10 +41,10 @@ from .flows import (
 from .splittings import (
     build_extension_field,
     coerce_complex,
-    coerce_homotopy,
+    count_choices,
     critical_analysis,
-    enumerate_matroidal,
-    matroidal_count,
+    matroidal_average,
+    matroidal_options,
     stratum_core,
 )
 
@@ -303,8 +301,9 @@ def resolve_toric(
     tag_of = {ai: ",".join(str(x) for x in poset.elements[ai])
               for ai in occupied}
     views_base = {ai: s_base.stratum(ai) for ai in occupied}
-    counts = {tag_of[ai]: matroidal_count(views_base[ai].complex)
-              for ai in occupied}
+    options = {tag_of[ai]: matroidal_options(views_base[ai].complex)
+               for ai in occupied}
+    counts = {tag: count_choices(opts) for tag, opts in options.items()}
     critical = critical_analysis(counts, characteristic)
 
     plan = None
@@ -325,16 +324,14 @@ def resolve_toric(
         if mode == "moore_penrose":
             D = moore_penrose(view.complex)
         else:
-            enum = enumerate_matroidal(views_base[ai].complex)
-            m = len(enum)
-            if characteristic == 0:
-                weights = [Fraction(1, m)] * m
-            elif plan is not None:
-                weights = plan.weights[tag_of[ai]]
+            tag = tag_of[ai]
+            if plan is not None:
+                weights = plan.weights[tag]
             else:
+                m = counts[tag]
                 weights = [work_field.inv(work_field.from_int(m))] * m
-            homotopies = [coerce_homotopy(D, view.complex) for _, D in enum]
-            avg = affine_combination(view.complex, list(zip(weights, homotopies)))
+            avg = matroidal_average(views_base[ai].complex, view.complex,
+                                    options[tag], weights)
             D = hat(view.complex, avg, verify=False)
         cls = classify(view.complex, D)
         if not cls.is_splitting:

@@ -124,6 +124,25 @@ class TestCriticalResolve:
         assert hashlib.sha256(data).hexdigest() == expected
 
 
+class TestMatroidalResolve:
+    """The 6960-choice top stratum of cycle2 with the Taylor start over F_7,
+    averaged without building one homotopy per choice."""
+
+    def test_cycle2_taylor_char7(self, tmp_path, capsys):
+        job = "resolve --fixture cycle2 --char 7 --start taylor"
+        path = tmp_path / "art.json"
+        rc = main(job.split() + ["--out", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 0, err
+        data = path.read_bytes()
+        rep = json.loads(data)["report"]
+        assert 6960 in rep["stratum_counts"].values()
+        assert rep["verification"]["minimal"] is True
+        assert rep["verification"]["exact"] is True
+        expected = json.loads(BENCH_REFERENCE.read_text())[job]
+        assert hashlib.sha256(data).hexdigest() == expected
+
+
 class TestMatroidal:
     def test_char0(self, capsys):
         art, err = run_json(["matroidal", "--fixture", "cycle3"], capsys)

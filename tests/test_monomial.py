@@ -162,6 +162,15 @@ class TestEquivariance:
         rep = verify_equivariance(cycle3, CYCLE3_ROTATION, res)
         assert rep["ok"]
 
+    def test_rotation_critical_taylor(self, cycle3):
+        # F_2(y) with 17 weights: the rotation permutes the 18 matroidal
+        # choices of the top stratum, listed from the options the resolve
+        # kept on its result
+        res = resolve_minimal(cycle3, 2, start="taylor")
+        assert res.report["transcendence_degree"] == 17
+        rep = verify_equivariance(cycle3, CYCLE3_ROTATION, res)
+        assert rep["ok"] and rep["field_commutes"]
+
     def test_non_symmetry_rejected(self, cycle3):
         with pytest.raises(InputError):
             verify_equivariance(cycle3, [1, 0, 2, 3, 4, 5, 6], resolve_minimal(cycle3, 0))

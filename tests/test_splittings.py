@@ -1,20 +1,30 @@
-"""Matroidal enumeration, critical primes, extension fields, coercion."""
+"""Matroidal enumeration and averages, critical primes, extension fields,
+coercion."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from chainflow.errors import InputError
-from chainflow.flows import classify
-from chainflow.monomial import order_complex_resolution, render_monomial
+from chainflow.errors import InputError, VerificationError
+from chainflow.flows import affine_combination, classify
+from chainflow.linalg import s_identity, s_mul
+from chainflow.monomial import (
+    order_complex_resolution, render_monomial, resolve_minimal,
+    taylor_resolution,
+)
 from chainflow.scalars import GF, QQ, FunctionField
 from chainflow.splittings import (
-    build_extension_field, build_stratum_splitting, coerce_complex,
-    coerce_homotopy, critical_analysis, enumerate_matroidal, matroidal_count,
-    stratum_core, weight_name,
+    _build_homotopy, _degree_options, build_extension_field, build_stratum_splitting,
+    coerce_complex, coerce_homotopy, count_choices, critical_analysis,
+    enumerate_matroidal, list_choices, matroidal_average, matroidal_count,
+    matroidal_options, stratum_core, weight_name,
 )
-from chainflow import cyclefam
+from chainflow.toric import BettiCategoryData, bar_resolution, resolve_toric
+from chainflow import cyclefam, flows, monomial, splittings, toric
 import golden_data as G
+from randgen import random_rational_complex
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +151,203 @@ class TestStratumCore:
                            field.zero if hasattr(field, "zero") else 0)
                        for row in d]
                 assert all(field.is_zero(x) for x in img)
+
+
+# --------------------------------------------------------------------------
+# The matroidal average against the enumerate-then-sum oracle.
+
+_STARTS = {"lcm": order_complex_resolution, "taylor": taylor_resolution}
+# Above this many choices the oracle builds thousands of homotopies; the
+# one such stratum (cycle2, Taylor start: 6960 choices) has its own tests.
+LARGE = 1000
+
+
+def _start(kind, start, field):
+    if kind == "semigroup23":
+        data = BettiCategoryData(
+            ["x2", "x3"], [[2, 3]], [[0], [6]],
+            [([0], [6], [3, 0]), ([0], [6], [0, 2])])
+        return bar_resolution(data, field)
+    return _STARTS[start](cyclefam.build_Ip(int(kind[-1])).ideal, field)
+
+
+def _pipeline_strata(kind, start, p):
+    """Per occupied stratum: (base complex, working complex, options,
+    weights), with the weights the resolve pipelines use: 1/m, or the
+    generic affine weights of one extension field over all strata when p
+    divides some count."""
+    base = QQ if p == 0 else GF(p)
+    s = _start(kind, start, base)
+    views = {a: s.stratum(a).complex for a in s.occupied()}
+    options = {a: matroidal_options(c) for a, c in views.items()}
+    counts = {a: count_choices(o) for a, o in options.items()}
+    field, plan = base, None
+    if p and any(m % p == 0 for m in counts.values()):
+        field, plan = build_extension_field(counts, p, order=list(views))
+    out = []
+    for a, c in views.items():
+        m = counts[a]
+        weights = (plan.weights[a] if plan is not None
+                   else [field.inv(field.from_int(m))] * m)
+        out.append((c, coerce_complex(c, field), options[a], weights))
+    return out
+
+
+def _oracle_average(c, work, weights):
+    enum = enumerate_matroidal(c)
+    return affine_combination(
+        work, [(w, coerce_homotopy(D, work)) for w, (_, D) in zip(weights, enum)])
+
+
+def _assert_same_homotopy(new, old):
+    assert len(new.mats) == len(old.mats)
+    for n, (a, b) in enumerate(zip(new.mats, old.mats)):
+        assert a.shape == b.shape, n
+        for i, (ra, rb) in enumerate(zip(a.rows, b.rows)):
+            for j, (x, y) in enumerate(zip(ra, rb)):
+                assert x.eq(y), (n, i, j)
+                assert x.render() == y.render(), (n, i, j)
+
+
+CASES = [("cycle2", "lcm"), ("cycle2", "taylor"), ("cycle3", "lcm"),
+         ("cycle3", "taylor"), ("semigroup23", "bar")]
+
+
+class TestMatroidalAverage:
+    @pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
+    @pytest.mark.parametrize("kind,start", CASES)
+    def test_equals_enumerated_average(self, kind, start, p):
+        strata = _pipeline_strata(kind, start, p)
+        compared = 0
+        for c, work, options, weights in strata:
+            if len(weights) > LARGE:
+                continue
+            new = matroidal_average(c, work, options, weights)
+            _assert_same_homotopy(new, _oracle_average(c, work, weights))
+            compared += 1
+        assert compared == len(strata) - ((kind, start) == ("cycle2", "taylor"))
+
+    def test_critical_weights_are_generic(self):
+        # the critical cases above really run over F_p(y) with distinct
+        # weights, so the order of the choice pass matters there
+        for kind, start, p, td in [("cycle3", "lcm", 3, 71),
+                                   ("cycle3", "taylor", 2, 17),
+                                   ("cycle2", "lcm", 2, 131)]:
+            strata = _pipeline_strata(kind, start, p)
+            field = strata[0][1].ring.field
+            assert isinstance(field, FunctionField)
+            assert field.nvars == td
+
+    @pytest.mark.parametrize("p", [7, pytest.param(0, marks=pytest.mark.slow)])
+    def test_large_stratum(self, p):
+        # 6960 choices, options [1, 4, 348, 5, 1]; in characteristic 7 the
+        # oracle takes several seconds, in characteristic 0 tens of seconds.
+        # In characteristics 2, 3 and 5 the count is critical and the
+        # extension has 6959 transcendentals: neither path finishes there.
+        (c, work, options, weights), = [
+            t for t in _pipeline_strata("cycle2", "taylor", p)
+            if len(t[3]) > LARGE]
+        assert [len(o) for o in options] == [1, 4, 348, 5, 1]
+        new = matroidal_average(c, work, options, weights)
+        _assert_same_homotopy(new, _oracle_average(c, work, weights))
+
+    @pytest.mark.parametrize("kind,start", CASES)
+    def test_choice_order_and_count(self, kind, start):
+        for p in (0, 3):
+            s = _start(kind, start, QQ if p == 0 else GF(p))
+            for a in s.occupied():
+                c = s.stratum(a).complex
+                options = matroidal_options(c)
+                if count_choices(options) > LARGE:
+                    continue
+                enum = enumerate_matroidal(c)
+                assert list_choices(options) == [ch for ch, _ in enum]
+                assert count_choices(options) == len(enum) == matroidal_count(c)
+
+    def test_weight_checks(self, cycle3_strata):
+        c = cycle3_strata[G.MTOP]
+        options = matroidal_options(c)
+        m = count_choices(options)
+        with pytest.raises(VerificationError, match="sum to 1"):
+            matroidal_average(c, c, options, [Fraction(1, m + 1)] * m)
+        with pytest.raises(InputError):
+            matroidal_average(c, c, options, [Fraction(1, m - 1)] * (m - 1))
+
+    def test_pipelines_do_not_enumerate(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("per-choice homotopies were built")
+        for mod in (splittings, flows, monomial, toric):
+            for name in ("enumerate_matroidal", "_build_homotopy",
+                         "affine_combination", "matroidal_count"):
+                monkeypatch.setattr(mod, name, boom, raising=False)
+        I = cyclefam.build_Ip(3).ideal
+        assert resolve_minimal(I, 2, start="taylor").verification["ok"]
+        assert resolve_minimal(I, 0, mode="matroidal_average").verification["ok"]
+        data = BettiCategoryData(
+            ["x2", "x3"], [[2, 3]], [[0], [6]],
+            [([0], [6], [3, 0]), ([0], [6], [0, 2])])
+        assert resolve_toric(data, 2).verification["ok"]
+        s = taylor_resolution(I, GF(3))
+        top = max((s.stratum(a).complex for a in s.occupied()),
+                  key=lambda c: sum(c.ranks))
+        sp = build_stratum_splitting(top, 3, "matroidal_average")
+        assert sp.count == 18 and isinstance(sp.field, FunctionField)
+        assert sp.classification.is_splitting
+
+
+class TestBlockFormula:
+    """Each matroidal splitting's D_n is the inverse of the minor
+    d_{n+1}[W_n, X_{n+1}] on rows X_{n+1} and columns W_n, and zero
+    elsewhere, where W_n is the complement of X_n and Z_n."""
+
+    @staticmethod
+    def _random_complexes():
+        rng = random.Random(20190918)
+        out = []
+        while len(out) < 40:
+            c = random_rational_complex(rng, max_rank=5, max_top=3)
+            options = matroidal_options(c)
+            if 0 < count_choices(options) <= 200:
+                out.append((c, options))
+        return out
+
+    @staticmethod
+    def _with_cycles(c):
+        return [_degree_options(c, n)[0] for n in range(c.top + 1)]
+
+    def test_oracle_is_supported_on_the_minor(self):
+        for c, _ in self._random_complexes():
+            field = c.ring.field
+            for combo in product(*self._with_cycles(c)):
+                D = _build_homotopy(c, list(combo))
+                for n in range(c.top):
+                    x_n, z_n, _ = combo[n]
+                    x_up = combo[n + 1][0]
+                    w_n = [b for b in range(c.rank(n))
+                           if b not in x_n and b not in z_n]
+                    assert len(w_n) == len(x_up)
+                    Dn = D.D(n).scalar_rows()
+                    for x in range(c.rank(n + 1)):
+                        for b in range(c.rank(n)):
+                            if x not in x_up or b not in w_n:
+                                assert field.is_zero(Dn[x][b])
+                    if not x_up:
+                        continue
+                    dn1 = c.d(n + 1).scalar_rows()
+                    block = [[Dn[x][b] for b in w_n] for x in x_up]
+                    minor = [[dn1[b][x] for x in x_up] for b in w_n]
+                    assert s_mul(field, block, minor) == s_identity(
+                        field, len(x_up))
+
+    def test_each_choice_as_a_one_point_average(self):
+        # weight 1 on choice j and 0 elsewhere isolates that choice's blocks
+        checked = 0
+        for c, options in self._random_complexes():
+            m = count_choices(options)
+            for j, combo in enumerate(product(*self._with_cycles(c))):
+                weights = [Fraction(int(t == j)) for t in range(m)]
+                _assert_same_homotopy(
+                    matroidal_average(c, c, options, weights),
+                    _build_homotopy(c, list(combo)))
+                checked += 1
+        assert checked > 200
