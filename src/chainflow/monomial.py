@@ -207,6 +207,24 @@ def _chain_label(names, chain_elems) -> str:
     return "[" + " < ".join(render_monomial(names, e) for e in chain_elems) + "]"
 
 
+def _chain_tiers(poset) -> list:
+    """Chains ``a_0 < ... < a_n`` of the poset, one tier per degree ``n``,
+    each listed lexicographically by element positions; the empty top tier
+    is dropped."""
+    n_elems = len(poset.elements)
+    chains = [[(i,) for i in range(n_elems)]]
+    while chains[-1]:
+        nxt = []
+        for ch in chains[-1]:
+            last = ch[-1]
+            for k in range(last + 1, n_elems):
+                if poset.leq(last, k):
+                    nxt.append(ch + (k,))
+        chains.append(nxt)
+    chains.pop()
+    return chains
+
+
 def order_complex_resolution(I: MonomialIdeal, field) -> StratifiedComplex:
     """Resolution supported on chains of the (bottom-removed) lcm-lattice.
 
@@ -219,19 +237,8 @@ def order_complex_resolution(I: MonomialIdeal, field) -> StratifiedComplex:
     L = lcm_lattice(I)
     poset = L.poset
     proper = L.proper()
-    n_elems = len(proper)
     ring = PolyRing(field, I.names)
-    chains = [[(i,) for i in range(n_elems)]]
-    while chains[-1]:
-        prev = chains[-1]
-        nxt = []
-        for ch in prev:
-            last = ch[-1]
-            for k in range(last + 1, n_elems):
-                if poset.leq(last, k):
-                    nxt.append(ch + (k,))
-        chains.append(nxt)
-    chains.pop()  # drop the empty top tier
+    chains = _chain_tiers(poset)
     labels = []
     multidegrees = []
     strata = []
@@ -636,19 +643,7 @@ def _lcm_basis_action(s: StratifiedComplex, elem_map, result):
     the per-stratum local basis index maps needed for the weight action.
     """
     c = s.complex
-    poset = s.poset
-    # Rebuild the chain tiers exactly as order_complex_resolution lists them.
-    n_elems = len(poset.elements)
-    chains = [[(i,) for i in range(n_elems)]]
-    while chains[-1]:
-        prev = chains[-1]
-        nxt = []
-        for ch in prev:
-            for k in range(ch[-1] + 1, n_elems):
-                if poset.leq(ch[-1], k):
-                    nxt.append(ch + (k,))
-        chains.append(nxt)
-    chains.pop()
+    chains = _chain_tiers(s.poset)
     index_of = [{ch: j for j, ch in enumerate(tier)} for tier in chains]
     perm_pairs = []
     for n, tier in enumerate(chains):

@@ -39,7 +39,9 @@ from typing import Optional
 
 from .errors import InputError, VerificationError
 from .scalars import QQ, GF, FunctionField, Rationals, _is_prime
-from .linalg import RingMatrix, kernel, s_inverse, s_mul, s_rank, solve
+from .linalg import (
+    RingMatrix, kernel, rref, s_inverse, s_mul, s_rank, s_transpose, solve,
+)
 from .complexes import BasedComplex
 from .flows import (
     ClassifyResult,
@@ -121,6 +123,11 @@ def _degree_options(c: BasedComplex, n: int):
     Returns (options, rank_dn) where each option is (x_set, z_set, cycles),
     ``cycles`` mapping a kept position b to its corrected cycle vector
     ``e_b - sum r_c e_c`` (coefficients over the base field).
+
+    This is the brute-force oracle: it ranks every candidate ``X_n`` and
+    ``Z_n`` from scratch.  Only :func:`enumerate_matroidal` uses it, for the
+    cycles that :func:`_build_homotopy` needs; the pipelines list the
+    options with :func:`matroidal_options`.
     """
     field = c.ring.field
     dn, _, r_n = _scalar_diff(c, n)
@@ -239,18 +246,80 @@ def enumerate_matroidal(c: BasedComplex) -> list:
     return out
 
 
+def _basis_test(field, mat):
+    """The rank of ``mat`` and a test for column bases of it.
+
+    ``mat`` is row-reduced once, to ``R`` with pivot columns ``P``.  A set
+    ``S`` of rank-many columns is a basis iff ``R[:, S]`` is invertible; its
+    columns in ``P`` are unit vectors, so that holds iff the minor
+    ``R[P \\ S, S \\ P]`` is nonsingular.  The minor has at most
+    ``min(rank, ncols - rank)`` rows.
+    """
+    red, pivots = rref(field, mat)
+    pivot_row = {col: i for i, col in enumerate(pivots)}
+
+    def is_basis(cols) -> bool:
+        free = [j for j in cols if j not in pivot_row]
+        if not free:
+            return True
+        chosen = set(cols)
+        minor = [[red[i][j] for j in free]
+                 for col, i in pivot_row.items() if col not in chosen]
+        return len(rref(field, minor)[1]) == len(free)
+
+    return len(pivots), is_basis
+
+
 def matroidal_options(c: BasedComplex) -> list:
     """Per-degree matroidal options of a scalar complex, degrees 0..top.
 
     ``options[n]`` lists the (X_n, Z_n) pairs of degree ``n`` in
     lexicographic order; an empty list means the complex has no matroidal
-    splitting.  The corrected cycles are dropped: the average needs only
-    the index sets.
+    splitting.  The corrected cycles are not formed: the average needs only
+    the index sets.  On a complex the result equals that of
+    :func:`_degree_options`.
+
+    Criterion: ``(X_n, Z_n)`` is valid iff ``X_n`` is a column basis of
+    ``d_n`` and the rows ``W_n = [r_n] \\ (X_n ∪ Z_n)`` of ``d_{n+1}`` are
+    independent, i.e. a column basis of ``d_{n+1}^T``.  Proof: for a column
+    basis ``X_n``, each corrected cycle is ``z_b ≡ e_b`` modulo
+    ``span(e_X)``, and ``ker d_n ∩ span(e_X) = 0``.  As ``z_Z`` and
+    ``d_{n+1}`` lie in ``ker d_n``, ``[z_Z | d_{n+1}]`` has rank
+    ``h + rk d_{n+1} = r_n - |X_n|`` iff ``[e_X | z_Z | d_{n+1}]``, which
+    spans what ``[e_X | e_Z | d_{n+1}]`` spans, has rank ``r_n``, iff
+    ``d_{n+1}[W_n, :]`` has rank ``|W_n| = rk d_{n+1}``.
+
+    Each differential is therefore row-reduced once, and each candidate is
+    decided by the small minor of :func:`_basis_test`; the W-test is
+    memoised per ``W_n``.
     """
     if not c.is_scalar():
         raise InputError("matroidal enumeration needs a scalar complex")
-    return [[(x_set, z_set) for x_set, z_set, _ in _degree_options(c, n)[0]]
-            for n in range(0, c.top + 1)]
+    field = c.ring.field
+    out = []
+    for n in range(0, c.top + 1):
+        dn, _, r_n = _scalar_diff(c, n)
+        dn1, _, _ = _scalar_diff(c, n + 1)
+        rk_n, x_is_basis = _basis_test(field, dn)
+        rk_n1, w_is_basis = _basis_test(field, s_transpose(dn1))
+        h = r_n - rk_n - rk_n1
+        if h < 0:
+            raise InputError("not a complex: negative homology dimension")
+        w_valid = {}
+        options = []
+        for x_set in combinations(range(r_n), rk_n):
+            if not x_is_basis(x_set):
+                continue
+            rest = [b for b in range(r_n) if b not in x_set]
+            for z_set in combinations(rest, h):
+                w_set = tuple(b for b in rest if b not in z_set)
+                ok = w_valid.get(w_set)
+                if ok is None:
+                    ok = w_valid[w_set] = w_is_basis(w_set)
+                if ok:
+                    options.append((x_set, z_set))
+        out.append(options)
+    return out
 
 
 def count_choices(options) -> int:

@@ -143,6 +143,29 @@ class TestMatroidalResolve:
         assert hashlib.sha256(data).hexdigest() == expected
 
 
+class TestRationalResolve:
+    """The cycle family I(11) over Q with the lcm start, Moore-Penrose mode;
+    its per-degree matroidal options still give the critical primes."""
+
+    def test_cycle11_lcm(self, tmp_path, capsys):
+        path = tmp_path / "art.json"
+        rc = main(["resolve", "--in", str(BENCH_REFERENCE.parent / "inputs"
+                                          / "cycle11.json"),
+                   "--out", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 0, err
+        data = path.read_bytes()
+        rep = json.loads(data)["report"]
+        assert rep["verification"]["minimal"] is True
+        assert rep["verification"]["exact"] is True
+        assert rep["critical_primes"] == [2, 11]
+        counts = set(rep["stratum_counts"].values())
+        assert 968 in counts and counts <= {1, 2, 968}
+        expected = json.loads(BENCH_REFERENCE.read_text())[
+            "resolve --in inputs/cycle11.json"]
+        assert hashlib.sha256(data).hexdigest() == expected
+
+
 class TestMatroidal:
     def test_char0(self, capsys):
         art, err = run_json(["matroidal", "--fixture", "cycle3"], capsys)

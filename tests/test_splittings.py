@@ -9,7 +9,8 @@ import pytest
 
 from chainflow.errors import InputError, VerificationError
 from chainflow.flows import affine_combination, classify
-from chainflow.linalg import s_identity, s_mul
+from chainflow.complexes import BasedComplex, scalar_ring
+from chainflow.linalg import RingMatrix, s_identity, s_mul, s_rank
 from chainflow.monomial import (
     order_complex_resolution, render_monomial, resolve_minimal,
     taylor_resolution,
@@ -280,6 +281,9 @@ class TestMatroidalAverage:
             for name in ("enumerate_matroidal", "_build_homotopy",
                          "affine_combination", "matroidal_count"):
                 monkeypatch.setattr(mod, name, boom, raising=False)
+        # nor are the options listed by the brute-force oracle
+        monkeypatch.setattr(splittings, "_degree_options", boom)
+        monkeypatch.setattr(splittings, "solve", boom)
         I = cyclefam.build_Ip(3).ideal
         assert resolve_minimal(I, 2, start="taylor").verification["ok"]
         assert resolve_minimal(I, 0, mode="matroidal_average").verification["ok"]
@@ -351,3 +355,108 @@ class TestBlockFormula:
                     _build_homotopy(c, list(combo)))
                 checked += 1
         assert checked > 200
+
+
+# --------------------------------------------------------------------------
+# Matroidal options by basis tests against the brute-force oracle.
+
+def _oracle_options(c):
+    return [[(x_set, z_set) for x_set, z_set, _ in _degree_options(c, n)[0]]
+            for n in range(c.top + 1)]
+
+
+def _mod_p(c, p):
+    """The rational complex ``c`` reduced mod ``p``, or None when a
+    denominator is divisible by ``p``."""
+    field = GF(p)
+    if any(Fraction(v).denominator % p == 0
+           for m in c.diffs for row in m.scalar_rows() for v in row):
+        return None
+    return c.map_coefficients(
+        scalar_ring(field),
+        lambda v: field.div(field.from_int(Fraction(v).numerator),
+                            field.from_int(Fraction(v).denominator)))
+
+
+class TestMatroidalOptions:
+    @pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
+    @pytest.mark.parametrize("kind,start", CASES)
+    def test_fixture_strata_match_oracle(self, kind, start, p):
+        s = _start(kind, start, QQ if p == 0 else GF(p))
+        occupied = list(s.occupied())
+        assert occupied
+        for a in occupied:
+            c = s.stratum(a).complex
+            assert matroidal_options(c) == _oracle_options(c), a
+
+    def test_random_complexes_match_oracle(self):
+        rng = random.Random(20191018)
+        # rk d_n = 0 with r_n > 0; h_n = 0; homology in the top degree, whose
+        # d_{n+1} is empty; reduction mod p
+        seen = {"rank 0": 0, "h 0": 0, "top homology": 0, "F_p": 0}
+        compared = 0
+        while compared < 60:
+            c = random_rational_complex(rng, max_rank=5, max_top=3)
+            p = rng.choice([0, 2, 3, 5])
+            if p:
+                c = _mod_p(c, p)
+                if c is None:
+                    continue
+                seen["F_p"] += 1
+            assert matroidal_options(c) == _oracle_options(c)
+            compared += 1
+            ranks = [0] + [s_rank(c.ring.field, c.d(n).scalar_rows())
+                           for n in range(1, c.top + 1)] + [0]
+            for n in range(c.top + 1):
+                seen["rank 0"] += ranks[n] == 0 < c.rank(n)
+                seen["h 0"] += c.rank(n) == ranks[n] + ranks[n + 1]
+            seen["top homology"] += c.rank(c.top) > ranks[c.top]
+        assert all(seen.values()), seen
+
+    def test_small_edge_cases(self):
+        field = GF(3)
+        ring = scalar_ring(field)
+
+        def cx(ranks, diffs):
+            return BasedComplex(
+                ring, [[f"b{n}_{j}" for j in range(r)]
+                       for n, r in enumerate(ranks)],
+                [[None] * r for r in ranks],
+                [RingMatrix.from_scalar_rows(ring, d, ncols=ranks[n + 1])
+                 for n, d in enumerate(diffs)])
+
+        cases = [
+            cx([2], []),                              # no differential
+            cx([1, 2], [[[0, 0]]]),                   # rk d_1 = 0
+            cx([1, 2], [[[1, 2]]]),                   # h_0 = 0, h_1 = 1
+            cx([2, 2], [[[1, 0], [0, 1]]]),           # exact
+            cx([1, 3, 2], [[[1, 1, 1]], [[1, 0], [2, 1], [0, 2]]]),
+            cx([0, 2], [[]]),                         # empty degree 0
+        ]
+        for c in cases:
+            assert c.validate() == []
+            assert matroidal_options(c) == _oracle_options(c), c
+        assert matroidal_options(cases[0]) == [[((), (0, 1))]]
+        assert matroidal_options(cases[2])[1] == [((0,), (1,)), ((1,), (0,))]
+
+    def test_non_complex_rejected(self):
+        ring = scalar_ring(QQ)
+        one = RingMatrix.from_scalar_rows(ring, [[Fraction(1)]], ncols=1)
+        c = BasedComplex(ring, [["a"], ["b"], ["c"]], [[None]] * 3,
+                         [one, one])
+        assert c.validate() != []
+        with pytest.raises(InputError, match="negative homology"):
+            matroidal_options(c)
+        with pytest.raises(InputError, match="negative homology"):
+            _degree_options(c, 1)
+
+    def test_cycle11_lcm_strata_over_f11(self):
+        # top strata of ranks [1, 23, 22]; the oracle takes about 0.4 s here
+        s = order_complex_resolution(cyclefam.build_Ip(11).ideal, GF(11))
+        counts = []
+        for a in s.occupied():
+            c = s.stratum(a).complex
+            options = matroidal_options(c)
+            assert options == _oracle_options(c), a
+            counts.append(count_choices(options))
+        assert max(counts) == 968 and set(counts) <= {1, 2, 968}
