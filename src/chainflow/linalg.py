@@ -6,8 +6,12 @@ A PolyRing is field + named variables; MultiPoly stores terms in a dict
 keyed by packed exponents (16 bits per variable).  RingMatrix is a dense
 matrix of MultiPoly entries.  Scalar matrices (plain lists of lists of
 field values) have their own helpers, which is where all the elimination
-work happens; RingMatrix delegates to them after checking entries are
-constant.
+work happens; callers hand them a RingMatrix's ``scalar_rows()``.
+
+Every exact product (``MultiPoly.__mul__``, ``RingMatrix.__matmul__`` and
+``s_mul``) hands the factor pairs of each output coefficient to one
+``field.dot`` call, so each coefficient is reduced once, not after every
+product.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError, InternalError
-from .scalars import QQ, FunctionField, Rationals
+from .scalars import QQ
 
 XBITS = 16
 XMASK = (1 << XBITS) - 1
@@ -127,26 +131,8 @@ class MultiPoly:
         return MultiPoly(self.ring, {k: f.neg(c) for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        f = self.ring.field
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return MultiPoly(self.ring, {})
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                prod = f.mul(ca, cb)
-                if k in out:
-                    v = f.add(out[k], prod)
-                    if f.is_zero(v):
-                        del out[k]
-                    else:
-                        out[k] = v
-                elif not f.is_zero(prod):
-                    out[k] = prod
-        return MultiPoly(self.ring, out)
+        return MultiPoly(self.ring, _poly_dot(
+            self.ring.field, [(self.terms, other.terms)]))
 
     def scale(self, c):
         f = self.ring.field
@@ -235,6 +221,51 @@ class MultiPoly:
         return f"<{self.render()}>"
 
 
+def _poly_dot(field, pairs):
+    """Terms of the sum of a*b over pairs (a, b) of term dicts.
+
+    The coefficient pairs of all term products are grouped by their
+    exponent key, and each key's group is summed by one ``field.dot``.
+    """
+    groups = {}
+    get = groups.get
+    for a, b in pairs:
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                g = get(k)
+                if g is None:
+                    groups[k] = [(ca, cb)]
+                else:
+                    g.append((ca, cb))
+    dot, is_zero = field.dot, field.is_zero
+    out = {}
+    for k, g in groups.items():
+        v = dot(g)
+        if not is_zero(v):
+            out[k] = v
+    return out
+
+
+def _product_rows(a, b, nc, nonzero, entry):
+    """Rows of the product of the row lists ``a`` and ``b``; the product has
+    ``nc`` columns.
+
+    Entry (i, j) is ``entry(pairs)``, where ``pairs`` lists the factor pairs
+    ``(a[i][k], b[k][j])`` with both factors ``nonzero``, in increasing k.
+    """
+    b_nz = [[(j, y) for j, y in enumerate(brow) if nonzero(y)] for brow in b]
+    out = []
+    for arow in a:
+        cells = [[] for _ in range(nc)]
+        for x, brow in zip(arow, b_nz):
+            if brow and nonzero(x):
+                for j, y in brow:
+                    cells[j].append((x, y))
+        out.append([entry(pairs) for pairs in cells])
+    return out
+
+
 def _renders_atomic(s):
     return not any(ch in s for ch in "+- ") or (s.startswith("-") and not any(ch in s[1:] for ch in "+- "))
 
@@ -286,22 +317,13 @@ class RingMatrix:
         if self.ncols != other.nrows:
             raise InternalError(f"matmul shape mismatch {self.shape} @ {other.shape}")
         ring = self.ring
-        if self.nrows == 0 or other.ncols == 0 or self.ncols == 0:
-            return RingMatrix.zeros(ring, self.nrows, other.ncols)
-        out = [[ring.zero() for _ in range(other.ncols)] for _ in range(self.nrows)]
-        for i in range(self.nrows):
-            arow = self.rows[i]
-            orow = out[i]
-            for k in range(self.ncols):
-                a = arow[k]
-                if a.is_zero():
-                    continue
-                brow = other.rows[k]
-                for j in range(other.ncols):
-                    b = brow[j]
-                    if not b.is_zero():
-                        orow[j] = orow[j] + a * b
-        return RingMatrix(ring, out)
+        field = ring.field
+        rows = _product_rows(
+            [[e.terms for e in row] for row in self.rows],
+            [[e.terms for e in row] for row in other.rows],
+            other.ncols, bool,
+            lambda pairs: MultiPoly(ring, _poly_dot(field, pairs)))
+        return RingMatrix(ring, rows, ncols=other.ncols)
 
     def __add__(self, other):
         if self.shape != other.shape:
@@ -388,48 +410,13 @@ def s_is_zero(field, a):
 
 
 def s_mul(field, a, b):
-    """Matrix product of scalar matrices, with a fast path for polynomial
-    values over a function field (deferred coefficient reduction)."""
-    nr = len(a)
+    """Matrix product of scalar matrices."""
     ni = len(b)
     nc = len(b[0]) if b else 0
     if a and len(a[0]) != ni:
         raise InternalError("scalar matmul shape mismatch")
-    if isinstance(field, FunctionField):
-        fast = all(v[1] is None for row in a for v in row) and \
-            all(v[1] is None for row in b for v in row)
-        if fast:
-            out = []
-            acc_mul = field.pd_mul_acc
-            reduce = field.pd_reduce
-            for i in range(nr):
-                arow = a[i]
-                orow = []
-                for j in range(nc):
-                    acc = {}
-                    for k in range(ni):
-                        na = arow[k][0]
-                        if na:
-                            nb = b[k][j][0]
-                            if nb:
-                                acc_mul(acc, na, nb)
-                    orow.append((reduce(acc), None))
-                out.append(orow)
-            return out
-    out = s_zeros(field, nr, nc)
-    for i in range(nr):
-        arow = a[i]
-        orow = out[i]
-        for k in range(ni):
-            x = arow[k]
-            if field.is_zero(x):
-                continue
-            brow = b[k]
-            for j in range(nc):
-                y = brow[j]
-                if not field.is_zero(y):
-                    orow[j] = field.add(orow[j], field.mul(x, y))
-    return out
+    is_zero = field.is_zero
+    return _product_rows(a, b, nc, lambda x: not is_zero(x), field.dot)
 
 
 def rref(field, mat):

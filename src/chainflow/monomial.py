@@ -13,6 +13,7 @@ strand-exactness at every lattice degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .errors import InputError, VerificationError
@@ -268,6 +269,14 @@ def order_complex_resolution(I: MonomialIdeal, field) -> StratifiedComplex:
     return StratifiedComplex(complex, poset, strata)
 
 
+def _taylor_tiers(r: int):
+    """The ``(n+1)``-subsets of ``r`` generators, one tier per degree ``n``,
+    each listed lexicographically, and per tier the map from a subset to its
+    position."""
+    tiers = [list(combinations(range(r), n + 1)) for n in range(r)]
+    return tiers, [{s: j for j, s in enumerate(tier)} for tier in tiers]
+
+
 def taylor_resolution(I: MonomialIdeal, field) -> StratifiedComplex:
     """Taylor resolution: degree ``n`` basis indexed by (n+1)-subsets of the
     generators, boundary faces signed alternately and scaled by the monomial
@@ -278,10 +287,7 @@ def taylor_resolution(I: MonomialIdeal, field) -> StratifiedComplex:
     gens = I.generators
     r = len(gens)
     ring = PolyRing(field, I.names)
-    from itertools import combinations
-
-    tiers = [list(combinations(range(r), n + 1)) for n in range(r)]
-    index_of = [{s: j for j, s in enumerate(tier)} for tier in tiers]
+    tiers, index_of = _taylor_tiers(r)
     lcm_of = {}
     for tier in tiers:
         for s in tier:
@@ -659,11 +665,7 @@ def _lcm_basis_action(s: StratifiedComplex, elem_map, result):
 
 
 def _taylor_basis_action(I, s: StratifiedComplex, gen_map, elem_map, result):
-    from itertools import combinations
-
-    r = len(I.generators)
-    tiers = [list(combinations(range(r), n + 1)) for n in range(r)]
-    index_of = [{t: j for j, t in enumerate(tier)} for tier in tiers]
+    tiers, index_of = _taylor_tiers(len(I.generators))
     perm_pairs = []
     for n, tier in enumerate(tiers):
         pairs = []

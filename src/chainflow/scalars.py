@@ -9,6 +9,8 @@ package:
     is_zero(a), eq(a, b)
     from_int(n)   -- embed an integer
     render(a)     -- canonical string form
+    dot(pairs)    -- the sum of a*b over an iterable of (a, b) pairs,
+                     reduced once rather than after every product
 
 Values are plain Python objects (Fraction for Q, int for F_p, and a
 (numerator, denominator) pair of packed-exponent dicts for F_p(Y)); all
@@ -26,12 +28,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from operator import or_
+from itertools import starmap
+from math import lcm
+from operator import mul, or_
 
 from .errors import InputError, InternalError
 
 YBITS = 8  # bits per variable in packed exponent keys
 YMASK = (1 << YBITS) - 1
+# Right shifts that OR every bit of a YBITS-wide field into its lowest bit.
+_FOLD = tuple(1 << i for i in reversed(range(YBITS.bit_length() - 1)))
 
 
 def _is_prime(p):
@@ -100,6 +106,26 @@ class Rationals:
     def render(a):
         return str(a)
 
+    @staticmethod
+    def dot(pairs):
+        """Sum of a*b over the pairs, with one Fraction built at the end.
+
+        Integer numerators are summed per product denominator; the few
+        distinct denominators are then brought over their lcm once.
+        """
+        sums = {}
+        get = sums.get
+        for a, b in pairs:
+            d = a.denominator * b.denominator
+            sums[d] = get(d, 0) + a.numerator * b.numerator
+        if not sums:
+            return Fraction(0)
+        if len(sums) == 1:
+            (d, n), = sums.items()
+            return Fraction(n, d)
+        den = lcm(*sums)
+        return Fraction(sum(n * (den // d) for d, n in sums.items()), den)
+
     def __repr__(self):
         return "QQ"
 
@@ -152,6 +178,9 @@ class PrimeField:
 
     def render(self, a):
         return str(a % self.p)
+
+    def dot(self, pairs):
+        return sum(starmap(mul, pairs)) % self.p
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -217,10 +246,12 @@ class FunctionField:
         # by 1 minus the sum of the others).  Maps name -> polynomial dict in
         # the free variables.
         self.eliminations = {}
+        # The lowest bit of every exponent field.
+        self._ones = sum(1 << (YBITS * i) for i in range(self.nvars))
         # The top bit of every exponent field: operands whose keys OR-fold to
         # no guard bit have all exponents below 2**(YBITS-1), so no product
         # of them can overflow a field.
-        self._guard = sum(1 << (YBITS * i + YBITS - 1) for i in range(self.nvars))
+        self._guard = self._ones << (YBITS - 1)
 
     # -- raw polynomial layer ------------------------------------------------
 
@@ -304,9 +335,15 @@ class FunctionField:
         p = self.p
         budget = 4_000_000
         for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                acc[k] = get(k, 0) + ca * cb
+            if ka:
+                for kb, cb in b.items():
+                    k = ka + kb
+                    acc[k] = get(k, 0) + ca * cb
+            else:
+                # ``0 + kb`` would copy every key of b; with thousands of
+                # variables the keys are long, so reuse them.
+                for kb, cb in b.items():
+                    acc[kb] = get(kb, 0) + ca * cb
             if len(acc) > budget:
                 for k in [k for k, v in acc.items() if not v % p]:
                     del acc[k]
@@ -456,26 +493,27 @@ class FunctionField:
 
     # -- fraction layer -------------------------------------------------------
 
-    @staticmethod
-    def _key_min(ka, kb):
-        """Packed per-variable minimum of two monomial keys."""
-        m = 0
-        shift = 0
-        while ka and kb:
-            m |= min(ka & YMASK, kb & YMASK) << shift
-            ka >>= YBITS
-            kb >>= YBITS
-            shift += YBITS
-        return m
+    def _content_key(self, keys):
+        """Largest monomial key dividing every one of ``keys``.
 
-    def _content_key(self, a):
-        """Largest monomial key dividing every term of ``a``."""
-        out = None
-        for k in a:
-            out = k if out is None else self._key_min(out, k)
-            if not out:
-                break
-        return out or 0
+        The keys' field-occupancy masks are AND-ed in one pass, which leaves
+        the variables present in every key; the minimum exponent is taken
+        for those alone.
+        """
+        common = self._ones if keys else 0
+        for k in keys:
+            for s in _FOLD:
+                k |= k >> s
+            common &= k
+            if not common:
+                return 0
+        out = 0
+        while common:
+            low = common & -common
+            shift = low.bit_length() - 1
+            out |= min((k >> shift) & YMASK for k in keys) << shift
+            common ^= low
+        return out
 
     def _pd_divexact(self, num, den):
         """The quotient ``num/den`` when the division is exact, else None.
@@ -540,7 +578,7 @@ class FunctionField:
             if all(self._key_divides(k, kn) for kn in num):
                 ci = self.inv_int(c)
                 return ({kn - k: (cn * ci) % self.p for kn, cn in num.items()}, None)
-        shared = self._key_min(self._content_key(num), self._content_key(den))
+        shared = self._content_key([*num, *den])
         if shared:
             num = {k - shared: c for k, c in num.items()}
             den = {k - shared: c for k, c in den.items()}
@@ -619,6 +657,29 @@ class FunctionField:
         da1 = da if da is not None else {0: 1}
         db1 = db if db is not None else {0: 1}
         return self._normalize(self.pd_mul(na, nb), self.pd_mul(da1, db1))
+
+    def dot(self, pairs):
+        """Sum of a*b over the pairs.
+
+        Denominator-free products accumulate in one raw dict that is reduced
+        once.  From the first pair with a denominator on, the sum is folded
+        through ``add`` and ``mul`` instead.
+        """
+        acc = {}
+        mul_acc = self.pd_mul_acc
+        pairs = iter(pairs)
+        for a, b in pairs:
+            if a[1] is None and b[1] is None:
+                mul_acc(acc, a[0], b[0])
+                continue
+            total = self.mul(a, b)
+            prefix = self.pd_reduce(acc)
+            if prefix:
+                total = self.add((prefix, None), total)
+            for a, b in pairs:
+                total = self.add(total, self.mul(a, b))
+            return total
+        return (self.pd_reduce(acc), None)
 
     def inv(self, a):
         na, da = a

@@ -379,10 +379,8 @@ def matroidal_average(c_base: BasedComplex, c_work: BasedComplex,
             f"{len(weights)} weights for {prod(radices)} matroidal choices")
     if not weights:
         raise VerificationError("no matroidal choice exists")
-    total = field.zero
-    for w in weights:
-        total = field.add(total, w)
-    if not field.eq(total, field.one):
+    one = field.one
+    if not field.eq(field.dot((w, one) for w in weights), one):
         raise VerificationError("affine weights do not sum to 1")
     w_sets = []
     x_sets = []
@@ -396,23 +394,35 @@ def matroidal_average(c_base: BasedComplex, c_work: BasedComplex,
     for w, idx in zip(weights, product(*(range(k) for k in radices))):
         for n in range(top):
             key = (w_sets[n][idx[n]], x_sets[n + 1][idx[n + 1]])
-            acc = omega[n].get(key)
-            omega[n][key] = w if acc is None else field.add(acc, w)
+            ws = omega[n].get(key)
+            if ws is None:
+                omega[n][key] = [w]
+            else:
+                ws.append(w)
     mats = []
     for n in range(top):
         r_n = c_base.rank(n)
         dn1, _, _ = _scalar_diff(c_base, n + 1)
-        rows = [[field.zero] * r_n for _ in range(c_base.rank(n + 1))]
-        for (w_set, x_up), w in omega[n].items():
-            if not x_up or field.is_zero(w):
+        cells = {}
+        for (w_set, x_up), ws in omega[n].items():
+            if not x_up:
+                continue
+            w = field.dot((wt, one) for wt in ws)
+            if field.is_zero(w):
                 continue
             block = s_inverse(base, [[dn1[i][x] for x in x_up] for i in w_set])
             for x, brow in zip(x_up, block):
-                row = rows[x]
                 for b, v in zip(w_set, brow):
                     if not base.is_zero(v):
-                        row[b] = field.add(
-                            row[b], field.mul(w, _coerce_scalar(v, base, field)))
+                        pair = (w, _coerce_scalar(v, base, field))
+                        pairs = cells.get((x, b))
+                        if pairs is None:
+                            cells[x, b] = [pair]
+                        else:
+                            pairs.append(pair)
+        rows = [[field.zero] * r_n for _ in range(c_base.rank(n + 1))]
+        for (x, b), pairs in cells.items():
+            rows[x][b] = field.dot(pairs)
         mats.append(RingMatrix.from_scalar_rows(c_work.ring, rows, ncols=r_n))
     out = Homotopy(c_work, mats)
     if not _satisfies_pdp(c_work, out):

@@ -11,7 +11,7 @@ from chainflow.linalg import (
     MultiPoly, PolyRing, RingMatrix, char_poly, kernel, mp_identities_hold,
     mp_inverse, rref, s_eq, s_mul, s_rank, s_inverse, s_transpose, solve,
 )
-from chainflow.scalars import GF, QQ
+from chainflow.scalars import GF, QQ, FunctionField, pack_exponents
 
 
 def rand_matrix(rng, nr, nc, lo=-4, hi=4):
@@ -20,6 +20,87 @@ def rand_matrix(rng, nr, nc, lo=-4, hi=4):
 
 def to_sympy(a):
     return sympy.Matrix([[sympy.Rational(x) for x in row] for row in a])
+
+
+def naive_s_mul(field, a, b, nc):
+    """Scalar product through the field's add and mul, one product at a
+    time: the reference for ``s_mul`` over fields sympy does not have."""
+    out = [[field.zero] * nc for _ in a]
+    for i, arow in enumerate(a):
+        for k, x in enumerate(arow):
+            for j in range(nc):
+                out[i][j] = field.add(out[i][j], field.mul(x, b[k][j]))
+    return out
+
+
+def naive_poly_mul(ring, p, q):
+    f = ring.field
+    out = {}
+    for ka, ca in p.terms.items():
+        for kb, cb in q.terms.items():
+            k = ka + kb
+            out[k] = f.add(out.get(k, f.zero), f.mul(ca, cb))
+    return MultiPoly(ring, {k: v for k, v in out.items() if not f.is_zero(v)})
+
+
+def naive_matmul(a, b):
+    """RingMatrix product through naive polynomial products and sums."""
+    ring = a.ring
+    rows = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = ring.zero()
+            for k in range(a.ncols):
+                acc = acc + naive_poly_mul(ring, a.rows[i][k], b.rows[k][j])
+            row.append(acc)
+        rows.append(row)
+    return RingMatrix(ring, rows, ncols=b.ncols)
+
+
+def rand_coeff(field, rng):
+    """A random coefficient, zero about a third of the time."""
+    if rng.random() < 0.35:
+        return field.zero
+    if isinstance(field, FunctionField):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = [rng.randint(0, 2) for _ in range(field.nvars)]
+            terms[pack_exponents(exps)] = rng.randrange(1, field.p)
+        return (terms, None)
+    if field is QQ:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return field.from_int(rng.randrange(field.p))
+
+
+def rand_ring_matrix(ring, rng, nr, nc):
+    def entry():
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            c = rand_coeff(ring.field, rng)
+            if not ring.field.is_zero(c):
+                terms[ring.pack([rng.randint(0, 2) for _ in ring.names])] = c
+        return MultiPoly(ring, terms)
+    return RingMatrix(ring, [[entry() for _ in range(nc)] for _ in range(nr)],
+                      ncols=nc)
+
+
+def poly_to_sympy(p, xs):
+    out = sympy.Integer(0)
+    for k, c in p.terms.items():
+        term = sympy.Rational(c)
+        for x, e in zip(xs, p.ring.unpack(k)):
+            term *= x ** e
+        out += term
+    return out
+
+
+# (rows, inner, cols), including every zero dimension
+SHAPES = [(0, 3, 2), (2, 3, 0), (2, 0, 3), (1, 1, 1), (3, 4, 2), (5, 5, 5),
+          (4, 7, 3)]
+# A row list cannot carry the column count of a 0 x n factor, so ``s_mul``
+# takes no zero inner dimension (SMat in flows carries shapes instead).
+S_SHAPES = [shape for shape in SHAPES if shape[1]]
 
 
 class TestEliminationOracle:
@@ -82,6 +163,98 @@ class TestEliminationOracle:
         # determinant as the independent cross-check instead
         det = int(sp.det()) % 5
         assert (s_rank(F, a) == 3) == (det != 0)
+
+
+class TestProducts:
+    """``s_mul`` and ``RingMatrix @`` against sympy over Q and Q[x, y], and
+    against the add/mul fold over F_p and F_p(y)."""
+
+    @pytest.mark.parametrize("shape", S_SHAPES)
+    def test_s_mul_rationals(self, shape):
+        nr, ni, nc = shape
+        rng = random.Random(sum(shape))
+        a = [[rand_coeff(QQ, rng) for _ in range(ni)] for _ in range(nr)]
+        b = [[rand_coeff(QQ, rng) for _ in range(nc)] for _ in range(ni)]
+        got = s_mul(QQ, a, b)
+        assert len(got) == nr and all(len(row) == nc for row in got)
+        assert all(type(x) is Fraction for row in got for x in row)
+        want = sympy.Matrix(nr, ni, [sympy.Rational(x) for r in a for x in r]) \
+            * sympy.Matrix(ni, nc, [sympy.Rational(x) for r in b for x in r])
+        assert sympy.Matrix(nr, nc, [sympy.Rational(x) for r in got
+                                     for x in r]) == want
+
+    @pytest.mark.parametrize("shape", S_SHAPES)
+    @pytest.mark.parametrize("field", [GF(2), GF(5),
+                                       FunctionField(3, ["y1", "y2"])],
+                             ids=["F2", "F5", "F3(y)"])
+    def test_s_mul_fold(self, shape, field):
+        nr, ni, nc = shape
+        rng = random.Random(sum(shape) + field.char)
+        a = [[rand_coeff(field, rng) for _ in range(ni)] for _ in range(nr)]
+        b = [[rand_coeff(field, rng) for _ in range(nc)] for _ in range(ni)]
+        assert s_mul(field, a, b) == naive_s_mul(field, a, b, nc)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_ring_matmul_rationals(self, shape):
+        nr, ni, nc = shape
+        R = PolyRing(QQ, ["x", "y"])
+        xs = sympy.symbols("x y")
+        rng = random.Random(50 + sum(shape))
+        a = rand_ring_matrix(R, rng, nr, ni)
+        b = rand_ring_matrix(R, rng, ni, nc)
+        got = a @ b
+        assert got.shape == (nr, nc)
+        want = sympy.Matrix(nr, ni, [poly_to_sympy(e, xs) for r in a.rows
+                                     for e in r]) \
+            * sympy.Matrix(ni, nc, [poly_to_sympy(e, xs) for r in b.rows
+                                    for e in r])
+        for i in range(nr):
+            for j in range(nc):
+                assert sympy.expand(
+                    poly_to_sympy(got.rows[i][j], xs) - want[i, j]) == 0
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("field", [GF(3), FunctionField(3, ["y1", "y2"])],
+                             ids=["F3", "F3(y)"])
+    def test_ring_matmul_fold(self, shape, field):
+        nr, ni, nc = shape
+        R = PolyRing(field, ["x", "y"])
+        rng = random.Random(80 + sum(shape))
+        a = rand_ring_matrix(R, rng, nr, ni)
+        b = rand_ring_matrix(R, rng, ni, nc)
+        got = a @ b
+        want = naive_matmul(a, b)
+        assert got.shape == want.shape == (nr, nc)
+        assert all(g.terms == w.terms
+                   for gr, wr in zip(got.rows, want.rows)
+                   for g, w in zip(gr, wr))
+
+    def test_function_field_skips_add_and_mul(self, monkeypatch):
+        """Denominator-free F_3(y) products never call the field's add or
+        mul: each coefficient is accumulated raw and reduced once."""
+        F = FunctionField(3, ["y1", "y2"])
+        R = PolyRing(F, ["x", "y"])
+        rng = random.Random(7)
+        a = rand_ring_matrix(R, rng, 4, 5)
+        b = rand_ring_matrix(R, rng, 5, 3)
+        sa = [[rand_coeff(F, rng) for _ in range(5)] for _ in range(4)]
+        sb = [[rand_coeff(F, rng) for _ in range(3)] for _ in range(5)]
+        want = naive_matmul(a, b)
+        want_s = naive_s_mul(F, sa, sb, 3)
+
+        def refuse(*args):
+            raise AssertionError("field add/mul called")
+
+        monkeypatch.setattr(FunctionField, "add", refuse)
+        monkeypatch.setattr(FunctionField, "mul", refuse)
+        got = a @ b
+        assert all(g.terms == w.terms
+                   for gr, wr in zip(got.rows, want.rows)
+                   for g, w in zip(gr, wr))
+        assert s_mul(F, sa, sb) == want_s
+        x = R.var("x")
+        assert (a.rows[0][0] * x).terms == \
+            {k + R.pack([1, 0]): c for k, c in a.rows[0][0].terms.items()}
 
 
 class TestCharPoly:

@@ -7,8 +7,8 @@ import pytest
 
 from chainflow.errors import InputError, InternalError
 from chainflow.scalars import (
-    GF, QQ, YBITS, FunctionField, field_descriptor, field_from_descriptor,
-    pack_exponents, unpack_exponents,
+    GF, QQ, YBITS, YMASK, FunctionField, field_descriptor,
+    field_from_descriptor, pack_exponents, unpack_exponents,
 )
 
 
@@ -50,6 +50,36 @@ def clear_oracle(F, vec):
     for d in dens:
         mult = F.pd_mul(mult, d)
     return [F.mul(v, (mult, None)) for v in vec]
+
+
+def fold_oracle(F, pairs):
+    """Sum of a*b through the field's add and mul, one product at a time:
+    the reference that ``dot`` must agree with."""
+    total = F.zero
+    for a, b in pairs:
+        total = F.add(total, F.mul(a, b))
+    return total
+
+
+def content_key_oracle(keys):
+    """Largest key dividing every key, by folding a per-pair minimum that
+    walks the exponent fields one at a time."""
+    def key_min(ka, kb):
+        m = 0
+        shift = 0
+        while ka and kb:
+            m |= min(ka & YMASK, kb & YMASK) << shift
+            ka >>= YBITS
+            kb >>= YBITS
+            shift += YBITS
+        return m
+
+    out = None
+    for k in keys:
+        out = k if out is None else key_min(out, k)
+        if not out:
+            break
+    return out or 0
 
 
 def random_poly(F, rng, terms, max_exp, constant=True):
@@ -275,6 +305,113 @@ class TestExponentOverflow:
         with pytest.raises(InputError, match="malformed"):
             F.pd_parse("a^x")
         assert F.pd_parse("a^255") == F.pd_var(0, 255)
+
+
+class TestDot:
+    """``dot`` against the add/mul fold in every field."""
+
+    def test_rationals(self):
+        rng = random.Random(11)
+        for n in (0, 1, 2, 7, 30):
+            pairs = [(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                      Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+                     for _ in range(n)]
+            got = QQ.dot(pairs)
+            assert type(got) is Fraction
+            assert got == fold_oracle(QQ, pairs)
+        assert QQ.dot([]) == 0 and type(QQ.dot([])) is Fraction
+        # integer values are rationals too
+        assert QQ.dot([(2, Fraction(1, 3)), (Fraction(1, 2), 3)]) == \
+            Fraction(13, 6)
+
+    def test_rationals_cancel_to_zero(self):
+        pairs = [(Fraction(1, 6), Fraction(3, 4)), (Fraction(-1, 8), 1)]
+        got = QQ.dot(pairs)
+        assert got == 0 and type(got) is Fraction
+        assert got.denominator == 1
+
+    def test_rationals_many_denominators(self):
+        pairs = [(Fraction(1, k), Fraction(1)) for k in range(1, 201)]
+        want = fold_oracle(QQ, pairs)
+        got = QQ.dot(pairs)
+        assert got == want
+        assert (got.numerator, got.denominator) == \
+            (want.numerator, want.denominator)
+        # a generator is consumed once
+        assert QQ.dot((Fraction(1, k), k) for k in range(1, 201)) == 200
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_prime_field(self, p):
+        F = GF(p)
+        rng = random.Random(p)
+        for n in (0, 1, 5, 40):
+            pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(n)]
+            got = F.dot(pairs)
+            assert got == fold_oracle(F, pairs) and 0 <= got < p
+        assert F.dot([(1, 1), (p - 1, 1)]) == 0
+        assert F.dot([]) == 0
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_function_field_polynomials(self, p):
+        F = FunctionField(p, ["y1", "y2", "y3"])
+        rng = random.Random(20 + p)
+        for n in (1, 2, 6):
+            pairs = [((random_poly(F, rng, rng.randint(1, 5), 3), None),
+                      (random_poly(F, rng, rng.randint(1, 5), 3), None))
+                     for _ in range(n)]
+            assert F.dot(pairs) == fold_oracle(F, pairs)
+        assert F.dot([]) == F.zero
+
+    def test_function_field_cancels_to_zero(self):
+        F = FunctionField(3, ["y1", "y2"])
+        a = (F.pd_parse("y1 + 2*y2"), None)
+        b = (F.pd_parse("y1^2 + y2"), None)
+        assert F.dot([(a, b), (F.neg(a), b)]) == F.zero
+        assert F.dot([(a, b), (b, F.neg(a))]) == ({}, None)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_function_field_denominators(self, p):
+        F = FunctionField(p, ["y1", "y2", "y3"])
+        rng = random.Random(40 + p)
+        fractions = 0
+        for _ in range(30):
+            pairs = []
+            for _ in range(rng.randint(1, 5)):
+                a = (random_poly(F, rng, rng.randint(1, 4), 2), None)
+                if rng.random() < 0.4:
+                    den = random_poly(F, rng, rng.randint(1, 3), 2,
+                                      constant=False)
+                    a = F._normalize(a[0], den)
+                b = (random_poly(F, rng, rng.randint(1, 4), 2), None)
+                pairs.append((a, b) if rng.random() < 0.5 else (b, a))
+            want = fold_oracle(F, pairs)
+            got = F.dot(pairs)
+            assert F.eq(got, want)
+            assert F.render(got) == F.render(want)
+            fractions += got[1] is not None
+        assert fractions >= 10
+
+
+class TestContentKey:
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_matches_oracle(self, p):
+        rng = random.Random(60 + p)
+        for nvars in (1, 4, 40):
+            F = FunctionField(p, [f"y{i}" for i in range(nvars)])
+            for _ in range(80):
+                a = random_poly(F, rng, rng.randint(1, 8), 4)
+                # a common monomial factor, so the content is often nonzero
+                shift = pack_exponents(
+                    [rng.choice((0, 0, 1, 3)) for _ in range(nvars)])
+                keys = [k + shift for k in a]
+                assert F._content_key(keys) == content_key_oracle(keys)
+            assert F._content_key([]) == 0
+
+    def test_largest_exponents(self):
+        F = FunctionField(5, ["a", "b", "c"])
+        keys = [pack_exponents(e) for e in ([255, 7, 0], [254, 255, 1])]
+        assert F._content_key(keys) == pack_exponents([254, 7, 0])
+        assert F._content_key(keys) == content_key_oracle(keys)
 
 
 class TestFieldDescriptors:
