@@ -7,7 +7,10 @@ Depending on which identities ``D`` satisfies (``D^2 = 0``, ``D d D = D``,
 direct summand; :func:`classify` detects these cases exactly.  The remaining
 operations build such homotopies (Moore-Penrose inverses, affine combinations,
 the idempotent-correcting ``hat``) and drive the stabilize-and-extract
-pipeline on stratified complexes.
+pipeline on stratified complexes: :func:`iterate_flow` certifies that
+``Phi^{k+1} = Phi^k`` and returns the projection ``Pi = Phi^k``, and
+:func:`extract_minimal_summand` projects each core vector ``v`` to ``Pi v``
+with the vector step ``u <- u - W(d u)`` instead of a product with ``Pi``.
 """
 
 from __future__ import annotations
@@ -471,19 +474,59 @@ def _column(ring: PolyRing, entries: list) -> RingMatrix:
     return RingMatrix(ring, [[e] for e in entries], ncols=1)
 
 
+def _flow_orbit_limit(d: RingMatrix, W_down: RingMatrix, u: RingMatrix,
+                      bound: int):
+    """Follow ``u <- u - W(d u)`` to its fixed point; return ``(u, d u)``.
+
+    Raises once more than ``bound`` steps are needed, as ``iterate_flow``
+    does.
+    """
+    for _ in range(bound + 1):
+        du = d @ u
+        step = W_down @ du
+        if step.is_zero():
+            return u, du
+        u = u - step
+    raise VerificationError("stabilization bound exceeded")
+
+
 def extract_minimal_summand(
     s: StratifiedComplex,
-    Pi: list[RingMatrix],
+    W: Homotopy,
     core_bases: dict,
 ) -> ExtractedSummand:
-    """Project per-stratum core vectors through ``Pi`` and re-express ``d``.
+    """Project per-stratum core vectors along the flow of ``W`` and
+    re-express ``d``.
 
-    ``core_bases`` maps poset indices of occupied strata to per-degree lists
-    of scalar column vectors spanning the core ``C_n`` of the stratum
-    splitting.  Their images under ``Pi`` generate the projected summand; the
-    induced differential is recovered by back-substitution down the stratum
-    order.  Each generator's own-stratum rows equal the core vector itself
-    (the stratum-diagonal block of ``Pi`` fixes the core), which makes the
+    ``W`` is the field from :func:`assemble_field`, built from homotopies
+    that :func:`classify` certified as splittings.  ``core_bases`` maps
+    poset indices of occupied strata to per-degree lists of scalar column
+    vectors spanning the core ``C_n`` of the stratum splitting.  Their
+    projections ``Pi v`` generate the summand, where ``Pi = Phi^k`` is the
+    stabilized flow of ``Phi = I - d W - W d``.
+
+    Each projection follows ``u <- u - W_{n-1}(d_n u)`` from ``v`` until
+    ``W_{n-1}(d_n u) = 0``.  This is the orbit of ``v`` under ``Phi``:
+
+    - Each ``D_a`` is a splitting, so ``D_a = D_a d D_a``.  A core vector
+      lies in ``Ker d ∩ Ker dD`` of its stratum, so
+      ``D_a v = D_a(d D_a v) = 0``; ``W`` is block-diagonal over the
+      strata, so ``W v = 0``.
+    - :func:`assemble_field` certified ``W^2 = 0``, so every step keeps
+      ``W u = 0``: ``W(u - W d u) = W u``.  Hence along the orbit
+      ``Phi u = u - d(W u) - W(d u) = u - W(d u)``.
+    - ``Phi^{k+1} = Phi^k``, so the orbit reaches a fixed point of ``Phi``
+      within ``k`` steps, and that fixed point is ``Phi^k v = Pi v``.
+
+    A step is ``d`` times a vector, then the lower-stratum blocks of ``W``;
+    the dense own-stratum products of ``Pi``, whose sums cancel, are never
+    formed.  More than ``1 + dim P`` steps over the occupied strata raise,
+    as in :func:`iterate_flow`.
+
+    The induced differential is recovered by back-substitution down the
+    stratum order, starting from the ``d_n Pi v`` of the last step.  Each
+    generator's own-stratum rows equal the core vector itself (the
+    stratum-diagonal block of ``Pi`` fixes the core), which makes the
     back-substitution a sequence of scalar solves.  A nonzero residual means
     the supplied cores do not match the projection and is an error.
     """
@@ -493,7 +536,9 @@ def extract_minimal_summand(
     poset = s.poset
     order = sorted(range(len(poset.elements)), key=lambda i: (poset.depth(i), i))
     views = {a: s.stratum(a) for a in s.occupied()}
+    bound = 1 + max(s.occupied_dimension(), 0)
     gens: list = [[] for _ in range(c.top + 1)]
+    gen_d: list = [[] for _ in range(c.top + 1)]  # d_n of each generator
     gen_strata: list = [[] for _ in range(c.top + 1)]
     gen_core: list = [dict() for _ in range(c.top + 1)]  # poset idx -> (start, cols)
     for ai in order:
@@ -513,7 +558,10 @@ def extract_minimal_summand(
                     v = vec[local]
                     if not field.is_zero(v):
                         amb[gi] = ring.const(v)
-                gens[n].append(Pi[n] @ _column(ring, amb))
+                g, dg = _flow_orbit_limit(dmat(c, n), W.D(n - 1),
+                                          _column(ring, amb), bound)
+                gens[n].append(g)
+                gen_d[n].append(dg)
                 gen_strata[n].append(poset.elements[ai])
             gen_core[n][ai] = (start, [list(v) for v in cols])
     # Scalar solving data per (degree, stratum): a set of rows on which the
@@ -539,8 +587,7 @@ def extract_minimal_summand(
         nrows_new = len(gens[n - 1])
         col_entries = []
         for j in range(ncols_new):
-            w = c.d(n) @ gens[n][j]
-            wvec = [w.rows[i][0] for i in range(c.rank(n - 1))]
+            wvec = [row[0] for row in gen_d[n][j].rows]
             coeffs = [ring.zero() for _ in range(nrows_new)]
             for ai in reversed(order):
                 key = (n - 1, ai)

@@ -333,21 +333,21 @@ def resolve_toric(
             avg = matroidal_average(views_base[ai].complex, view.complex,
                                     options[tag], weights)
             D = hat(view.complex, avg, verify=False)
-        cls = classify(view.complex, D)
-        if not cls.is_splitting:
-            raise VerificationError("hat postcondition failed")
+        if not classify(view.complex, D).is_splitting:
+            raise VerificationError(
+                f"stratum {tag_of[ai]}: the {mode} homotopy is not a splitting")
         splittings[ai] = D
         cores[ai] = stratum_core(view.complex, D)
 
     W = assemble_field(s_work, splittings)
     Pi, iterations = iterate_flow(s_work, W)
-    extracted = extract_minimal_summand(s_work, Pi, cores)
+    extracted = extract_minimal_summand(s_work, W, cores)
     verification = verify_toric_resolution(extracted.complex, data)
     if not verification["ok"]:
         raise VerificationError(
             "extracted summand is not a minimal resolution: "
-            + "; ".join(str(x) for x in verification["failures"])
-            + "; ".join(verification["validate_issues"]))
+            + "; ".join([str(x) for x in verification["failures"]]
+                        + verification["validate_issues"]))
 
     betti = {}
     for n, degs in enumerate(extracted.complex.multidegrees):

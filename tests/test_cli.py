@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from chainflow import monomial, toric
 from chainflow.cli import main
+from chainflow.flows import Homotopy
 
 import golden_data as G
 
@@ -310,6 +312,39 @@ class TestInputHandling:
             ["lattice", "--in", str(tmp_path / "absent.json")], capsys)
         assert rc == 2
         assert "cannot read" in err
+
+
+class TestVerificationFailures:
+    """Exit 3, with a message naming what failed."""
+
+    JOBS = [
+        (monomial, "resolve --fixture cycle3 --char 0 --start lcm --mode mp",
+         "v0^2*v1*v2*v3*e23*e31", "verify_resolution"),
+        (toric, "toric-resolve --fixture semigroup23 --char 0", "6",
+         "verify_toric_resolution"),
+    ]
+
+    @pytest.mark.parametrize("module,job,tag,verifier", JOBS,
+                             ids=["resolve", "toric-resolve"])
+    def test_mp_homotopy_not_a_splitting(self, module, job, tag, verifier,
+                                         monkeypatch, capsys):
+        monkeypatch.setattr(module, "moore_penrose", lambda c: Homotopy(c, []))
+        rc, _, err = run(job.split(), capsys)
+        assert rc == 3
+        assert err == ("verification failure: stratum " + tag
+                       + ": the moore_penrose homotopy is not a splitting\n")
+
+    @pytest.mark.parametrize("module,job,tag,verifier", JOBS,
+                             ids=["resolve", "toric-resolve"])
+    def test_verifier_failures_and_issues_separated(
+            self, module, job, tag, verifier, monkeypatch, capsys):
+        monkeypatch.setattr(module, verifier, lambda *a: {
+            "ok": False, "failures": ["f1", "f2"],
+            "validate_issues": ["i1", "i2"]})
+        rc, _, err = run(job.split(), capsys)
+        assert rc == 3
+        assert err.endswith("verification failure: extracted summand is not "
+                            "a minimal resolution: f1; f2; i1; i2\n")
 
 
 class TestDeterminism:
