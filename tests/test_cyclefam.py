@@ -16,7 +16,9 @@ from chainflow.cyclefam import (
     transcendental_resolution,
     verify_family_resolution,
 )
+from chainflow.complexes import BasedComplex
 from chainflow.errors import InputError
+from chainflow.linalg import RingMatrix
 from chainflow.monomial import render_monomial
 from chainflow.scalars import QQ, GF, field_descriptor
 
@@ -94,6 +96,26 @@ class TestExplicitResolution:
         v = verify_family_resolution(c, fam)
         assert v["ok"]
         assert v["checked_degrees"] == 11
+
+    def test_verifier_names_failing_strands(self):
+        # the explicit resolution without h_0 and g_0, cut at its top
+        # degree: m_0 is never killed, and the cut leaves H_2 at the top
+        fam = build_Ip(3)
+        c = explicit_resolution(fam, QQ)
+        d1 = RingMatrix(c.ring, [row[1:] for row in c.d(1).rows], ncols=3)
+        d2 = RingMatrix(c.ring, [row[1:] for row in c.d(2).rows[1:]],
+                        ncols=3)
+        labels = [c.labels[0]] + [tier[1:] for tier in c.labels[1:3]]
+        mdegs = [c.multidegrees[0]] + [m[1:] for m in c.multidegrees[1:3]]
+        cut = BasedComplex(c.ring, labels, mdegs, [d1, d2])
+        v = verify_family_resolution(cut, fam)
+        assert v["failures"] == [
+            "strand at v1*v2*v3*e12*e23*e31: H_0 has dimension 1, expected 0",
+            "strand at v0^2*v1*v2*v3*e12*e23*e31: H_2 has dimension 1, "
+            "expected 0",
+        ]
+        assert v["checked_degrees"] == 9
+        assert v["minimal"] and not v["validate_issues"] and not v["ok"]
 
 
 class TestIntrinsicResolution:

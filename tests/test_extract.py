@@ -1,6 +1,7 @@
 """Minimal-summand extraction along the flow, checked against the dense
 projection ``Pi v`` of the stabilized flow."""
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -23,10 +24,19 @@ from oracles import dense_extract_minimal_summand
 
 BENCH_REFERENCE = (Path(__file__).resolve().parent.parent / "bench"
                    / "reference.json")
+# Job id -> sha256 of its artifact, as the benchmark records it.
+DIGESTS = json.loads(BENCH_REFERENCE.read_text())
 # Every fixture resolve and toric-resolve job of the benchmark.
-JOBS = [job for job in json.loads(BENCH_REFERENCE.read_text())
+JOBS = [job for job in DIGESTS
         if job.split()[0] in ("resolve", "toric-resolve")
         and "--fixture" in job.split()]
+# The remaining jobs that need no input file.
+OTHER_JOBS = [job for job in DIGESTS
+              if job.split()[0] in ("lattice", "matroidal", "counterexample")]
+
+
+def assert_reference_artifact(job, path):
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[job]
 
 
 def assert_same_matrix(got, want):
@@ -52,6 +62,9 @@ def assert_same_summand(got, want):
 
 def test_job_list_covers_every_start_mode_and_fixture():
     assert len(JOBS) == 20
+    assert len(OTHER_JOBS) == 7
+    # with cycle11, checked in test_cli, these are all the benchmark's jobs
+    assert len(DIGESTS) == len(JOBS) + len(OTHER_JOBS) + 1
     assert sum("toric-resolve" in job for job in JOBS) == 3
     assert sum("--start lcm" in job for job in JOBS) == 9
 
@@ -73,9 +86,18 @@ def test_matches_dense_projection(job, monkeypatch, tmp_path):
     module = toric if job.startswith("toric-resolve") else monomial
     monkeypatch.setattr(module, "iterate_flow", iterate)
     monkeypatch.setattr(module, "extract_minimal_summand", extract)
-    assert main(job.split() + ["--out", str(tmp_path / "art.json")]) == 0
+    path = tmp_path / "art.json"
+    assert main(job.split() + ["--out", str(path)]) == 0
     Pi, (s, cores, got) = seen
     assert_same_summand(got, dense_extract_minimal_summand(s, Pi, cores))
+    assert_reference_artifact(job, path)
+
+
+@pytest.mark.parametrize("job", OTHER_JOBS)
+def test_other_artifacts_match_reference(job, tmp_path, capsys):
+    path = tmp_path / "art.json"
+    assert main(job.split() + ["--out", str(path)]) == 0
+    assert_reference_artifact(job, path)
 
 
 def _chain_of_three_strata():

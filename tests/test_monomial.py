@@ -2,6 +2,7 @@
 
 import pytest
 
+from chainflow.complexes import BasedComplex
 from chainflow.errors import InputError
 from chainflow.monomial import (
     MonomialIdeal, lcm_lattice, order_complex_resolution, render_monomial,
@@ -144,6 +145,26 @@ class TestVerifyResolution:
         v = verify_resolution(c, cycle3)
         assert not v["ok"]
         assert not v["minimal"]
+
+    def test_exactness_failures_name_strand_and_degree(self):
+        # the Koszul resolution of (x, y, z) cut at its top degree, checked
+        # as a resolution of (x, y, z, w): nothing resolves w, and the cut
+        # leaves H_1 where the top generator was
+        names = ["x", "y", "z", "w"]
+        gens = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+        c = resolve_minimal(MonomialIdeal(names, gens)).resolution
+        assert c.ranks == [3, 3, 1]
+        cut = BasedComplex(c.ring, c.labels[:2], c.multidegrees[:2],
+                           c.diffs[:1])
+        v = verify_resolution(cut, MonomialIdeal(names, gens + [[0, 0, 0, 1]]))
+        assert v["failures"] == [
+            "strand at w: H_0 has dimension 0, expected 1",
+            "strand at x*y*z: H_1 has dimension 1, expected 0",
+            "strand at x*y*z*w: H_1 has dimension 1, expected 0",
+        ]
+        assert v["checked_degrees"] == 16
+        assert v["minimal"] and not v["validate_issues"]
+        assert not v["exactness_ok"] and not v["ok"]
 
 
 class TestEquivariance:

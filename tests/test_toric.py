@@ -4,7 +4,9 @@ characteristics."""
 
 import pytest
 
+from chainflow.complexes import BasedComplex
 from chainflow.errors import InputError
+from chainflow.linalg import PolyRing, RingMatrix
 from chainflow.scalars import QQ, GF
 from chainflow.toric import (
     BettiCategoryData,
@@ -210,3 +212,21 @@ class TestArgumentsAndVerifier:
         assert v["minimal"] is False
         assert v["ok"] is False
         assert v["checked_degrees"] == 7
+
+    def test_verifier_names_failing_strands(self):
+        # S <- S(-4) + S(-5) with d = (x2^2, 0): at 4 the relation kills
+        # the only monomial, at 5 the zero column leaves H_1
+        data = _semi23()
+        ring = PolyRing(QQ, data.names)
+        d1 = RingMatrix(ring, [[ring.monomial((2, 0), QQ.one), ring.zero()]],
+                        ncols=2)
+        c = BasedComplex(ring, [["1"], ["a", "b"]], [[(0,)], [(4,), (5,)]],
+                         [d1], deg_map=data.deg_map)
+        v = verify_toric_resolution(c, data)
+        assert v["failures"] == [
+            "strand at (4): H_0 has dimension 0, expected 1",
+            "strand at (5): H_1 has dimension 1, expected 0",
+        ]
+        assert v["checked_degrees"] == 6
+        assert v["minimal"] and not v["validate_issues"]
+        assert not v["exactness_ok"] and not v["ok"]
