@@ -70,6 +70,14 @@ def _load_input(args) -> dict:
         raise InputError(f"invalid JSON input: {e}")
 
 
+def _variable_names(names) -> list:
+    if not isinstance(names, list) or not all(
+            isinstance(n, str) for n in names):
+        raise InputError(
+            f'"variables" must be a list of strings, got {names!r}')
+    return names
+
+
 def _parse_ideal(doc: dict) -> MonomialIdeal:
     try:
         names = doc["variables"]
@@ -77,17 +85,13 @@ def _parse_ideal(doc: dict) -> MonomialIdeal:
     except (KeyError, TypeError):
         raise InputError(
             'ideal JSON needs "variables" and "generators" fields')
-    if not isinstance(names, list) or not all(
-            isinstance(n, str) for n in names):
-        raise InputError(
-            f'"variables" must be a list of strings, got {names!r}')
-    return MonomialIdeal(names, gens)
+    return MonomialIdeal(_variable_names(names), gens)
 
 
 def _parse_toric(doc: dict) -> BettiCategoryData:
     try:
         return BettiCategoryData(
-            names=doc["variables"],
+            names=_variable_names(doc["variables"]),
             deg_map=doc["deg_map"],
             objects=[tuple(o) for o in doc["objects"]],
             morphisms=[(tuple(m[0]), tuple(m[1]), tuple(m[2]))

@@ -430,3 +430,38 @@ def strand(c, target):
         else:
             diffs.append(RingMatrix.zeros(sring, len(members[n - 1]), len(members[n])))
     return BasedComplex(sring, labels, [[None] * len(l) for l in labels], diffs)
+
+
+def verify_strands(c, checks) -> dict:
+    """Validation, minimality and strand-exactness of ``c``.
+
+    ``checks`` yields ``(degree, label, expected H_0)`` triples.  At each
+    degree the strand's ``H_0`` must have the expected dimension and every
+    higher homology must vanish; a failure names the strand by its label.
+    """
+    issues = c.validate()
+    minimal, offenders = minimality_report(c)
+    failures = []
+    checked = 0
+    for b, label, expected0 in checks:
+        h = homology_ranks(strand(c, b))
+        got0 = h[0] if h else 0
+        checked += 1
+        if got0 != expected0:
+            failures.append(
+                f"strand at {label}: H_0 has dimension {got0}, "
+                f"expected {expected0}")
+        for n in range(1, len(h)):
+            if h[n] != 0:
+                failures.append(
+                    f"strand at {label}: H_{n} has dimension {h[n]}, "
+                    "expected 0")
+    return {
+        "validate_issues": issues,
+        "minimal": minimal,
+        "nonminimal_entries": offenders,
+        "exactness_ok": not failures,
+        "failures": failures,
+        "checked_degrees": checked,
+        "ok": not issues and minimal and not failures,
+    }

@@ -25,7 +25,7 @@ from itertools import product as _product
 from .errors import InputError, InternalError, VerificationError
 from .scalars import QQ, GF, FunctionField, _is_prime, field_descriptor
 from .linalg import PolyRing, RingMatrix
-from .complexes import BasedComplex, homology_ranks, minimality_report, strand
+from .complexes import BasedComplex, verify_strands
 from .monomial import MonomialIdeal, lcm_lattice, render_monomial
 
 __all__ = [
@@ -356,33 +356,10 @@ def verify_family_resolution(c: BasedComplex, fam: CycleFamily) -> dict:
     a strand is one-dimensional only at the bottom (the quotient vanishes in
     every degree inside the ideal), higher homology vanishes everywhere.
     """
-    issues = c.validate()
-    minimal, offenders = minimality_report(c)
     L = lcm_lattice(fam.ideal)
-    failures = []
-    for b in L.elements:
-        st = strand(c, b)
-        h = homology_ranks(st)
-        expected0 = 1 if b == L.bottom else 0
-        got0 = h[0] if h else 0
-        bstr = render_monomial(fam.names, b)
-        if got0 != expected0:
-            failures.append(
-                f"strand at {bstr}: H_0 has dimension {got0}, "
-                f"expected {expected0}")
-        for k in range(1, len(h)):
-            if h[k] != 0:
-                failures.append(
-                    f"strand at {bstr}: H_{k} has dimension {h[k]}, expected 0")
-    ok = not issues and minimal and not failures
-    return {
-        "validate_issues": issues,
-        "minimal": minimal,
-        "nonminimal_entries": offenders,
-        "failures": failures,
-        "checked_degrees": len(L.elements),
-        "ok": ok,
-    }
+    return verify_strands(c, (
+        (b, render_monomial(fam.names, b), 1 if b == L.bottom else 0)
+        for b in L.elements))
 
 
 def _augmentation_quotient(c: BasedComplex):

@@ -555,13 +555,3 @@ def mp_inverse(a):
     q = scaled[:-1]  # divide by x
     qb = poly_eval_matrix(q, b)
     return s_mul(QQ, at, s_mul(QQ, qb, s_mul(QQ, b, qb)))
-
-
-def mp_identities_hold(a, ap):
-    """Check the four Moore-Penrose identities for A and candidate A^+."""
-    aap = s_mul(QQ, a, ap)
-    apa = s_mul(QQ, ap, a)
-    return (s_eq(QQ, s_mul(QQ, aap, a), a)
-            and s_eq(QQ, s_mul(QQ, apa, ap), ap)
-            and s_eq(QQ, s_transpose(aap), aap)
-            and s_eq(QQ, s_transpose(apa), apa))

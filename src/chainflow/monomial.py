@@ -6,8 +6,11 @@ lcm-lattice, or Taylor), split every stratum complex canonically
 — over a transcendental extension when the characteristic divides a stratum
 count), assemble the splittings into a vector field on the whole resolution,
 iterate its flow to a projection, and extract the projected summand with its
-induced differential.  The result is checked to be a minimal resolution by
-strand-exactness at every lattice degree.
+induced differential.  That construction is the one core
+:func:`~chainflow.splittings.resolve_stratified`, shared with the toric
+front end; :func:`resolve_minimal` supplies the start, monomial tags and
+:func:`verify_resolution`, which checks the result to be a minimal
+resolution by strand-exactness at every lattice degree.
 """
 
 from __future__ import annotations
@@ -17,34 +20,13 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import InputError, VerificationError
-from .scalars import QQ, GF, FunctionField, field_descriptor
+from .scalars import FunctionField
 from .linalg import PolyRing, RingMatrix
-from .complexes import (
-    BasedComplex,
-    Poset,
-    StratifiedComplex,
-    homology_ranks,
-    minimality_report,
-    strand,
-)
-from .flows import (
-    Homotopy,
-    assemble_field,
-    classify,
-    extract_minimal_summand,
-    hat,
-    iterate_flow,
-    moore_penrose,
-)
+from .complexes import BasedComplex, Poset, StratifiedComplex, verify_strands
 from .splittings import (
-    build_extension_field,
-    coerce_complex,
-    count_choices,
-    critical_analysis,
+    ResolveResult,
     list_choices,
-    matroidal_average,
-    matroidal_options,
-    stratum_core,
+    resolve_stratified,
     weight_name,
 )
 
@@ -317,33 +299,6 @@ def taylor_resolution(I: MonomialIdeal, field) -> StratifiedComplex:
 _STARTS = {"lcm": order_complex_resolution, "taylor": taylor_resolution}
 
 
-@dataclass
-class ResolveResult:
-    resolution: BasedComplex
-    field: object
-    start: StratifiedComplex          # the start resolution over the work field
-    homotopy: Homotopy                # the assembled vector field W
-    projection: list                  # stabilized flow matrices, per degree
-    iterations: int
-    generators: list                  # per degree: ambient columns of the generators
-    generator_strata: list
-    counts: dict                      # stratum tag -> number of matroidal splittings
-    options: dict                     # stratum tag -> per-degree matroidal options
-    critical: dict                    # full critical-prime analysis
-    plan: object                      # ExtensionPlan or None
-    verification: dict
-    report: dict
-
-    @property
-    def betti(self):
-        """Sorted list of (degree, multidegree tuple) with multiplicity."""
-        out = []
-        for n, degs in enumerate(self.resolution.multidegrees):
-            for m in degs:
-                out.append((n, tuple(m)))
-        return sorted(out)
-
-
 def resolve_minimal(
     I: MonomialIdeal,
     characteristic: int = 0,
@@ -358,138 +313,39 @@ def resolve_minimal(
     ``matroidal_average`` (any characteristic; the default in characteristic
     ``p``).  When ``p`` divides some stratum's splitting count the average is
     formed with generic affine weights over a transcendental extension and the
-    resolution is delivered over that extension.
+    resolution is delivered over that extension.  The construction is
+    :func:`~chainflow.splittings.resolve_stratified`; strata and Betti
+    numbers are keyed by monomials.
     """
     if start not in _STARTS:
         raise InputError(f"unknown start resolution {start!r}")
-    if characteristic == 0:
-        base_field = QQ
-    else:
-        base_field = GF(characteristic)
-    if mode is None:
-        mode = "moore_penrose" if characteristic == 0 else "matroidal_average"
-    if mode == "moore_penrose" and characteristic != 0:
-        raise InputError("Moore-Penrose requires characteristic zero")
-    if mode not in ("moore_penrose", "matroidal_average"):
-        raise InputError(f"unknown splitting mode {mode!r}")
 
-    s_base = _STARTS[start](I, base_field)
-    issues = s_base.validate()
-    if issues:
-        raise VerificationError(
-            "start resolution failed validation: " + "; ".join(issues))
-    poset = s_base.poset
-    occupied = s_base.occupied()
-    tag_of = {ai: render_monomial(I.names, poset.elements[ai])
-              for ai in occupied}
-    views_base = {ai: s_base.stratum(ai) for ai in occupied}
-
-    options = {tag_of[ai]: matroidal_options(views_base[ai].complex)
-               for ai in occupied}
-    counts = {tag: count_choices(opts) for tag, opts in options.items()}
-    critical = critical_analysis(counts, characteristic)
-
-    plan = None
-    if (mode == "matroidal_average" and characteristic != 0
-            and critical.get("critical_strata")):
-        work_field, plan = build_extension_field(
-            counts, characteristic, order=[tag_of[ai] for ai in occupied])
-        work_complex = coerce_complex(s_base.complex, work_field)
-        s_work = StratifiedComplex(work_complex, poset, s_base.strata)
-    else:
-        work_field = base_field
-        s_work = s_base
-
-    splittings = {}
-    cores = {}
-    for ai in occupied:
-        view = s_work.stratum(ai)
-        if mode == "moore_penrose":
-            D = moore_penrose(view.complex)
-        else:
-            tag = tag_of[ai]
-            if plan is not None:
-                weights = plan.weights[tag]
-            else:
-                m = counts[tag]
-                weights = [work_field.inv(work_field.from_int(m))] * m
-            avg = matroidal_average(views_base[ai].complex, view.complex,
-                                    options[tag], weights)
-            D = hat(view.complex, avg, verify=False)
-        if not classify(view.complex, D).is_splitting:
+    def build_start(field):
+        s = _STARTS[start](I, field)
+        issues = s.validate()
+        if issues:
             raise VerificationError(
-                f"stratum {tag_of[ai]}: the {mode} homotopy is not a splitting")
-        splittings[ai] = D
-        cores[ai] = stratum_core(view.complex, D)
+                "start resolution failed validation: " + "; ".join(issues))
+        return s
 
-    W = assemble_field(s_work, splittings)
-    Pi, iterations = iterate_flow(s_work, W)
-    extracted = extract_minimal_summand(s_work, W, cores)
-    verification = verify_resolution(extracted.complex, I)
-    if not verification["ok"]:
-        raise VerificationError(
-            "extracted summand is not a minimal resolution: "
-            + "; ".join([str(x) for x in verification["failures"]]
-                        + verification["validate_issues"]))
-
-    betti = {}
-    for n, degs in enumerate(extracted.complex.multidegrees):
-        layer = {}
-        for mdeg in degs:
-            t = render_monomial(I.names, mdeg)
-            layer[t] = layer.get(t, 0) + 1
-        betti[n] = dict(sorted(layer.items()))
-    notes = [
-        "matroidal choices are enumerated lexicographically by basis "
-        "position, degree 0 outermost",
-    ]
+    res = resolve_stratified(
+        build_start, characteristic, mode,
+        lambda e: render_monomial(I.names, e),
+        lambda M: verify_resolution(M, I))
+    report = res.report
+    report["ideal"] = {
+        "variables": list(I.names),
+        "generators": I.generator_strings(),
+    }
+    report["start"] = start
     if I.dropped:
-        notes.append(f"{I.dropped} redundant generator(s) removed")
-    if plan is not None:
-        notes.append(
+        report["notes"].append(f"{I.dropped} redundant generator(s) removed")
+    if res.plan is not None:
+        report["notes"].append(
             "averaging weights are generic affine transcendentals; the first "
             "weight of each critical stratum is eliminated as one minus the "
             "sum of the others")
-    report = {
-        "ideal": {
-            "variables": list(I.names),
-            "generators": I.generator_strings(),
-        },
-        "characteristic": characteristic,
-        "start": start,
-        "mode": mode,
-        "field": field_descriptor(work_field),
-        "stratum_counts": counts,
-        "critical_primes": critical["critical_primes"],
-        "critical_strata": critical.get("critical_strata", []),
-        "transcendence_degree": critical.get("transcendence_degree", 0),
-        "iterations": iterations,
-        "stabilization": f"stabilized after {iterations} iterations",
-        "ranks": list(extracted.complex.ranks),
-        "betti": betti,
-        "verification": {
-            "minimal": verification["minimal"],
-            "exact": verification["exactness_ok"],
-            "degrees_checked": verification["checked_degrees"],
-        },
-        "notes": notes,
-    }
-    return ResolveResult(
-        resolution=extracted.complex,
-        field=work_field,
-        start=s_work,
-        homotopy=W,
-        projection=Pi,
-        iterations=iterations,
-        generators=extracted.generators,
-        generator_strata=extracted.generator_strata,
-        counts=counts,
-        options=options,
-        critical=critical,
-        plan=plan,
-        verification=verification,
-        report=report,
-    )
+    return res
 
 
 def verify_resolution(M: BasedComplex, I: MonomialIdeal) -> dict:
@@ -501,35 +357,10 @@ def verify_resolution(M: BasedComplex, I: MonomialIdeal) -> dict:
     positive degrees and has dimension one in degree zero except at the
     bottom element.
     """
-    issues = M.validate()
-    minimal, offenders = minimality_report(M)
     L = lcm_lattice(I)
-    failures = []
-    checked = 0
-    for b in L.elements:
-        st = strand(M, b)
-        h = homology_ranks(st)
-        expected0 = 0 if b == L.bottom else 1
-        got0 = h[0] if h else 0
-        checked += 1
-        bstr = render_monomial(I.names, b)
-        if got0 != expected0:
-            failures.append(
-                f"strand at {bstr}: H_0 has dimension {got0}, expected {expected0}")
-        for n in range(1, len(h)):
-            if h[n] != 0:
-                failures.append(
-                    f"strand at {bstr}: H_{n} has dimension {h[n]}, expected 0")
-    ok = not issues and minimal and not failures
-    return {
-        "validate_issues": issues,
-        "minimal": minimal,
-        "nonminimal_entries": offenders,
-        "exactness_ok": not failures,
-        "failures": failures,
-        "checked_degrees": checked,
-        "ok": ok,
-    }
+    return verify_strands(M, (
+        (b, render_monomial(I.names, b), 0 if b == L.bottom else 1)
+        for b in L.elements))
 
 
 def _permute_exps(exps, perm):

@@ -1,4 +1,4 @@
-"""Per-stratum splittings: matroidal options, averages and extensions.
+"""Per-stratum splittings, and the stratified resolve core built on them.
 
 A *matroidal splitting* of a scalar complex picks, in each degree, a subset
 ``X_n`` of the basis whose differential columns form a basis of the image of
@@ -28,6 +28,12 @@ supported on the columns ``W_n``, and ``L[:, W_n] d_{n+1}[W_n, X_{n+1}] = I``.
 Each ``D_n`` of the average is therefore a sum over the distinct pairs
 ``(W_n, X_{n+1})`` of the summed weights of the choices containing the pair
 times that pair's block; :func:`matroidal_average` inverts each minor once.
+
+:func:`resolve_stratified` is the one resolve core behind the monomial and
+toric entry points: it splits every stratum with :func:`split_stratum`,
+assembles the vector field, flows to the minimal summand and verifies it.
+:func:`build_stratum_splitting` runs the per-stratum step on a single
+complex.
 """
 
 from __future__ import annotations
@@ -38,18 +44,23 @@ from math import prod
 from typing import Optional
 
 from .errors import InputError, VerificationError
-from .scalars import QQ, GF, FunctionField, Rationals, _is_prime
+from .scalars import (
+    QQ, GF, FunctionField, Rationals, _is_prime, field_descriptor,
+)
 from .linalg import (
     RingMatrix, kernel, rref, s_inverse, s_mul, s_rank, s_transpose, solve,
 )
-from .complexes import BasedComplex
+from .complexes import BasedComplex, StratifiedComplex
 from .flows import (
     ClassifyResult,
     Homotopy,
     _satisfies_pdp,
+    assemble_field,
     classify,
     dmat,
+    extract_minimal_summand,
     hat,
+    iterate_flow,
     moore_penrose,
 )
 
@@ -68,8 +79,10 @@ __all__ = [
     "build_extension_field",
     "build_stratum_splitting",
     "coerce_complex",
-    "coerce_homotopy",
     "stratum_core",
+    "split_stratum",
+    "ResolveResult",
+    "resolve_stratified",
 ]
 
 
@@ -107,9 +120,7 @@ class StratumSplitting:
     field: object
     classification: ClassifyResult
     mode: str
-    count: Optional[int] = None
-    weights: Optional[list] = None
-    choices: Optional[list] = None
+    count: int                   # number of matroidal splittings
 
 
 def _scalar_diff(c: BasedComplex, n: int):
@@ -560,15 +571,6 @@ def coerce_complex(c: BasedComplex, dst_field) -> BasedComplex:
     return c.map_coefficients(new_ring, lambda v: _coerce_scalar(v, src_field, dst_field))
 
 
-def coerce_homotopy(D: Homotopy, new_complex: BasedComplex) -> Homotopy:
-    src_field = D.complex.ring.field
-    dst_field = new_complex.ring.field
-    if src_field is dst_field:
-        return D
-    return D.map_coefficients(
-        lambda v: _coerce_scalar(v, src_field, dst_field), new_complex)
-
-
 def stratum_core(c: BasedComplex, D: Homotopy) -> list:
     """Per-degree basis of the core ``C_n = Ker(D d) ∩ Ker(d D)``.
 
@@ -621,15 +623,77 @@ def stratum_core(c: BasedComplex, D: Homotopy) -> list:
     return out
 
 
+def _splitting_mode(characteristic: int, mode: Optional[str]) -> str:
+    """The splitting mode, defaulting by characteristic, or an input error."""
+    if mode is None:
+        mode = "moore_penrose" if characteristic == 0 else "matroidal_average"
+    if mode == "moore_penrose" and characteristic != 0:
+        raise InputError("Moore-Penrose requires characteristic zero")
+    if mode not in ("moore_penrose", "matroidal_average"):
+        raise InputError(f"unknown splitting mode {mode!r}")
+    return mode
+
+
+def _count_and_plan(complexes: dict, characteristic: int, mode: str,
+                    base_field):
+    """Options, counts, critical analysis, work field and extension plan.
+
+    ``complexes`` maps stratum tags, in stratum order, to the stratum
+    complexes over ``base_field``.  The work field is a transcendental
+    extension, with its :class:`ExtensionPlan`, only when the mode is the
+    matroidal average and the characteristic divides some count; otherwise
+    it is ``base_field`` and the plan is ``None``.
+    """
+    options = {tag: matroidal_options(c) for tag, c in complexes.items()}
+    counts = {tag: count_choices(opts) for tag, opts in options.items()}
+    critical = critical_analysis(counts, characteristic)
+    if mode == "matroidal_average" and critical.get("critical_strata"):
+        field, plan = build_extension_field(counts, characteristic,
+                                            order=list(complexes))
+        return options, counts, critical, field, plan
+    return options, counts, critical, base_field, None
+
+
+def split_stratum(tag, mode: str, c_base: BasedComplex, c_work: BasedComplex,
+                  options: list, plan: Optional[ExtensionPlan]):
+    """The certified splitting homotopy of one stratum and its
+    classification.
+
+    ``c_base`` is the stratum complex over the base field and ``c_work`` the
+    same complex over the work field.  ``moore_penrose`` takes the degreewise
+    pseudoinverse.  ``matroidal_average`` averages the matroidal splittings
+    of ``options`` with the stratum's weights in ``plan`` (``1/m`` each
+    without a plan) and applies the ``hat`` correction.  :func:`classify`
+    certifies the result; a homotopy that is not a splitting raises, naming
+    the stratum ``tag`` and the mode.
+    """
+    if mode == "moore_penrose":
+        D = moore_penrose(c_work)
+    else:
+        if plan is not None:
+            weights = plan.weights[tag]
+        else:
+            field = c_work.ring.field
+            m = count_choices(options)
+            weights = [field.inv(field.from_int(m))] * m
+        D = hat(c_work, matroidal_average(c_base, c_work, options, weights),
+                verify=False)
+    cls = classify(c_work, D)
+    if not cls.is_splitting:
+        raise VerificationError(
+            f"stratum {tag}: the {mode} homotopy is not a splitting")
+    return D, cls
+
+
 def build_stratum_splitting(
     c: BasedComplex,
     characteristic: int,
     mode: str,
     stratum_key="a",
-    want_decomposition: bool = False,
 ) -> StratumSplitting:
     """Construct the canonical splitting of one scalar stratum complex.
 
+    This is the per-stratum step of :func:`resolve_stratified` on its own:
     ``moore_penrose`` (characteristic 0 only) uses the degreewise
     pseudoinverse, which is already a splitting.  ``matroidal_average``
     averages all matroidal splittings — over the given prime field when the
@@ -637,33 +701,135 @@ def build_stratum_splitting(
     generic affine weights — and applies the hat correction; the returned
     classification certifies the result exactly.
     """
-    if mode == "moore_penrose":
-        if characteristic != 0:
-            raise InputError("Moore-Penrose requires characteristic zero")
-        D = moore_penrose(c)
-        cls = classify(c, D, want_decomposition=want_decomposition)
-        if not cls.is_splitting:
-            raise VerificationError("pseudoinverse homotopy failed to split")
-        return StratumSplitting(D, c, QQ, cls, mode)
-    if mode != "matroidal_average":
-        raise InputError(f"unknown splitting mode {mode!r}")
-    options = matroidal_options(c)
-    m = count_choices(options)
-    if m == 0:
-        raise VerificationError("no matroidal choice exists")
-    if characteristic != 0 and m % characteristic == 0:
-        field, plan = build_extension_field(
-            {stratum_key: m}, characteristic, order=[stratum_key])
-        weights = plan.weights[stratum_key]
-        work = coerce_complex(c, field)
-    else:
-        field = c.ring.field
-        weights = [field.inv(field.from_int(m))] * m
-        work = c
-    avg = matroidal_average(c, work, options, weights)
-    D = hat(work, avg, verify=False)
-    cls = classify(work, D, want_decomposition=want_decomposition)
-    if not cls.is_splitting:
-        raise VerificationError("hat postcondition failed")
-    return StratumSplitting(D, work, field, cls, mode, m, weights,
-                            list_choices(options))
+    mode = _splitting_mode(characteristic, mode)
+    options, counts, _, field, plan = _count_and_plan(
+        {stratum_key: c}, characteristic, mode, c.ring.field)
+    work = coerce_complex(c, field)
+    D, cls = split_stratum(stratum_key, mode, c, work, options[stratum_key],
+                           plan)
+    return StratumSplitting(D, work, field, cls, mode, counts[stratum_key])
+
+
+@dataclass
+class ResolveResult:
+    resolution: BasedComplex
+    field: object
+    start: StratifiedComplex          # the start resolution over the work field
+    homotopy: Homotopy                # the assembled vector field W
+    projection: list                  # stabilized flow matrices, per degree
+    iterations: int
+    generators: list                  # per degree: ambient columns of the generators
+    generator_strata: list
+    counts: dict                      # stratum tag -> number of matroidal splittings
+    options: dict                     # stratum tag -> per-degree matroidal options
+    critical: dict                    # full critical-prime analysis
+    plan: object                      # ExtensionPlan or None
+    verification: dict
+    report: dict
+
+    @property
+    def betti(self):
+        """Sorted list of (degree, multidegree tuple) with multiplicity."""
+        out = []
+        for n, degs in enumerate(self.resolution.multidegrees):
+            for m in degs:
+                out.append((n, tuple(m)))
+        return sorted(out)
+
+
+def resolve_stratified(start, characteristic: int, mode: Optional[str],
+                       render, verify) -> ResolveResult:
+    """Minimal summand of a stratified start resolution, any characteristic.
+
+    The one construction behind the monomial and toric entry points.
+    ``start(field)`` builds the validated start over the prime field (or Q)
+    of ``characteristic``; it is called after the mode check.  Every
+    stratum is split by :func:`split_stratum` — over a transcendental
+    extension when the mode is the matroidal average and the characteristic
+    divides a stratum count — and its core taken; the splittings are
+    assembled into a vector field, whose flow is iterated to a projection,
+    and the projected summand is extracted.  ``render`` turns a multidegree
+    into the string that tags strata and keys the Betti table; ``verify``
+    checks the extracted complex and returns a dict with ``ok``,
+    ``minimal``, ``exactness_ok``, ``checked_degrees``, ``failures`` and
+    ``validate_issues``, and a failed check raises.  The report carries the
+    keys common to both entry points; they add their own.
+    """
+    base_field = QQ if characteristic == 0 else GF(characteristic)
+    mode = _splitting_mode(characteristic, mode)
+    s_base = start(base_field)
+    poset = s_base.poset
+    occupied = s_base.occupied()
+    tags = [render(poset.elements[ai]) for ai in occupied]
+    views_base = {tag: s_base.stratum(ai).complex
+                  for tag, ai in zip(tags, occupied)}
+    options, counts, critical, work_field, plan = _count_and_plan(
+        views_base, characteristic, mode, base_field)
+    s_work = s_base
+    if plan is not None:
+        s_work = StratifiedComplex(coerce_complex(s_base.complex, work_field),
+                                   poset, s_base.strata)
+
+    splittings = {}
+    cores = {}
+    for tag, ai in zip(tags, occupied):
+        c = s_work.stratum(ai).complex
+        D, _ = split_stratum(tag, mode, views_base[tag], c, options[tag], plan)
+        splittings[ai] = D
+        cores[ai] = stratum_core(c, D)
+
+    W = assemble_field(s_work, splittings)
+    Pi, iterations = iterate_flow(s_work, W)
+    extracted = extract_minimal_summand(s_work, W, cores)
+    verification = verify(extracted.complex)
+    if not verification["ok"]:
+        raise VerificationError(
+            "extracted summand is not a minimal resolution: "
+            + "; ".join([str(x) for x in verification["failures"]]
+                        + verification["validate_issues"]))
+
+    betti = {}
+    for n, degs in enumerate(extracted.complex.multidegrees):
+        layer = {}
+        for mdeg in degs:
+            t = render(mdeg)
+            layer[t] = layer.get(t, 0) + 1
+        betti[n] = dict(sorted(layer.items()))
+    report = {
+        "characteristic": characteristic,
+        "mode": mode,
+        "field": field_descriptor(work_field),
+        "stratum_counts": counts,
+        "critical_primes": critical["critical_primes"],
+        "critical_strata": critical.get("critical_strata", []),
+        "transcendence_degree": critical.get("transcendence_degree", 0),
+        "iterations": iterations,
+        "stabilization": f"stabilized after {iterations} iterations",
+        "ranks": list(extracted.complex.ranks),
+        "betti": betti,
+        "verification": {
+            "minimal": verification["minimal"],
+            "exact": verification["exactness_ok"],
+            "degrees_checked": verification["checked_degrees"],
+        },
+        "notes": [
+            "matroidal choices are enumerated lexicographically by basis "
+            "position, degree 0 outermost",
+        ],
+    }
+    return ResolveResult(
+        resolution=extracted.complex,
+        field=work_field,
+        start=s_work,
+        homotopy=W,
+        projection=Pi,
+        iterations=iterations,
+        generators=extracted.generators,
+        generator_strata=extracted.generator_strata,
+        counts=counts,
+        options=options,
+        critical=critical,
+        plan=plan,
+        verification=verification,
+        report=report,
+    )

@@ -7,58 +7,46 @@ nonidentity morphisms between them, each labelled by a monomial.  The start
 resolution in degree ``n`` has one basis element per composable sequence of
 ``n`` nonidentity morphisms (objects in degree zero); its multidegree is the
 degree of the sequence's terminal object, which is also its stratum.  The
-same flow pipeline as for monomial ideals then extracts the minimal summand;
-strand-exactness is checked at every degree below the resolution's degree
-support, with the expected rank-one contribution exactly at the degrees that
-lie in ``Q``.
+same core as for monomial ideals,
+:func:`~chainflow.splittings.resolve_stratified`, then extracts the minimal
+summand; strand-exactness is checked at every degree below the resolution's
+degree support, with the expected rank-one contribution exactly at the
+degrees that lie in ``Q``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 from .errors import InputError, VerificationError
-from .scalars import QQ, GF, field_descriptor
 from .linalg import PolyRing, RingMatrix
 from .complexes import (
     BasedComplex,
     Poset,
     StratifiedComplex,
     _enumerate_monomials,
-    homology_ranks,
-    minimality_report,
-    strand,
+    verify_strands,
 )
-from .flows import (
-    assemble_field,
-    classify,
-    extract_minimal_summand,
-    hat,
-    iterate_flow,
-    moore_penrose,
-)
-from .splittings import (
-    build_extension_field,
-    coerce_complex,
-    count_choices,
-    critical_analysis,
-    matroidal_average,
-    matroidal_options,
-    stratum_core,
-)
+from .splittings import ResolveResult, resolve_stratified
 
 __all__ = [
     "BettiCategoryData",
-    "ToricResolveResult",
     "bar_resolution",
     "resolve_toric",
     "verify_toric_resolution",
 ]
 
 
-def _vec(v):
-    return tuple(int(x) for x in v)
+def _ints(v, what):
+    """``v`` as a tuple of ints; any other entry is an input error."""
+    t = tuple(v)
+    for x in t:
+        # bool is an int subclass; JSON true must not pass as 1
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise InputError(f"{what} must be integers, got {x!r}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -76,12 +64,14 @@ class BettiCategoryData:
     degree vectors; ``morphisms`` are (source, target, monomial exponents)
     triples.  Each morphism must satisfy source + deg(monomial) = target with
     a nonzero monomial degree (no nonidentity endomorphisms), which keeps the
-    category direct and the stratification triangular.
+    category direct and the stratification triangular.  Every number must be
+    an integer; there must be at least one object, and no object or morphism
+    may be listed twice.
     """
 
     def __init__(self, names, deg_map, objects, morphisms):
         self.names = tuple(str(n) for n in names)
-        self.deg_map = tuple(tuple(int(x) for x in row) for row in deg_map)
+        self.deg_map = tuple(_ints(row, "deg_map entries") for row in deg_map)
         self.dim = len(self.deg_map)
         for row in self.deg_map:
             if len(row) != len(self.names):
@@ -93,7 +83,9 @@ class BettiCategoryData:
                 raise InputError(
                     f"variable {self.names[j]} has degree zero; "
                     "the grading must be pointed")
-        self.objects = [_vec(o) for o in objects]
+        self.objects = [_ints(o, "object degrees") for o in objects]
+        if not self.objects:
+            raise InputError("the category needs at least one object")
         if len(set(self.objects)) != len(self.objects):
             raise InputError("duplicate objects")
         if any(len(o) != self.dim for o in self.objects):
@@ -101,7 +93,9 @@ class BettiCategoryData:
         obj_set = set(self.objects)
         self.morphisms = []
         for m in morphisms:
-            src, tgt, mono = _vec(m[0]), _vec(m[1]), _vec(m[2])
+            src = _ints(m[0], "morphism endpoints")
+            tgt = _ints(m[1], "morphism endpoints")
+            mono = _ints(m[2], "morphism exponents")
             if src not in obj_set or tgt not in obj_set:
                 raise InputError("morphism endpoint is not an object")
             if len(mono) != len(self.names) or any(e < 0 for e in mono):
@@ -114,6 +108,8 @@ class BettiCategoryData:
                 raise InputError(
                     "morphism degree mismatch: source + deg(monomial) != target")
             self.morphisms.append(Morphism(src, tgt, mono))
+        if len(set(self.morphisms)) != len(self.morphisms):
+            raise InputError("duplicate morphisms")
         self._out = {o: [] for o in self.objects}
         for f in self.morphisms:
             self._out[f.source].append(f)
@@ -253,152 +249,43 @@ def _render_morphism(data: BettiCategoryData, f: Morphism) -> str:
     return "*".join(parts) if parts else "1"
 
 
-@dataclass
-class ToricResolveResult:
-    resolution: BasedComplex
-    field: object
-    start: StratifiedComplex
-    homotopy: object
-    projection: list
-    iterations: int
-    counts: dict
-    critical: dict
-    plan: object
-    verification: dict
-    report: dict
-
-
 def resolve_toric(
     data: BettiCategoryData,
     characteristic: int = 0,
     mode: Optional[str] = None,
-) -> ToricResolveResult:
+) -> ResolveResult:
     """Minimal summand of the bar-type resolution, any characteristic.
 
     Characteristic zero defaults to Moore-Penrose splittings; positive
     characteristic uses the matroidal average, replaced by a generic affine
     combination over a transcendental extension whenever the characteristic
-    divides a stratum count (the report notes the substitution).
+    divides a stratum count (the report notes the substitution).  The
+    construction is :func:`~chainflow.splittings.resolve_stratified`;
+    strata and Betti numbers are keyed by degree vectors.
     """
-    if characteristic == 0:
-        base_field = QQ
-    else:
-        base_field = GF(characteristic)
-    if mode is None:
-        mode = "moore_penrose" if characteristic == 0 else "matroidal_average"
-    if mode == "moore_penrose" and characteristic != 0:
-        raise InputError("Moore-Penrose requires characteristic zero")
-    if mode not in ("moore_penrose", "matroidal_average"):
-        raise InputError(f"unknown splitting mode {mode!r}")
-
-    s_base = bar_resolution(data, base_field)
-    issues = s_base.validate()
-    if issues:
-        raise VerificationError(
-            "bar resolution failed validation: " + "; ".join(issues))
-    poset = s_base.poset
-    occupied = s_base.occupied()
-    tag_of = {ai: ",".join(str(x) for x in poset.elements[ai])
-              for ai in occupied}
-    views_base = {ai: s_base.stratum(ai) for ai in occupied}
-    options = {tag_of[ai]: matroidal_options(views_base[ai].complex)
-               for ai in occupied}
-    counts = {tag: count_choices(opts) for tag, opts in options.items()}
-    critical = critical_analysis(counts, characteristic)
-
-    plan = None
-    if (mode == "matroidal_average" and characteristic != 0
-            and critical.get("critical_strata")):
-        work_field, plan = build_extension_field(
-            counts, characteristic, order=[tag_of[ai] for ai in occupied])
-        s_work = StratifiedComplex(
-            coerce_complex(s_base.complex, work_field), poset, s_base.strata)
-    else:
-        work_field = base_field
-        s_work = s_base
-
-    splittings = {}
-    cores = {}
-    for ai in occupied:
-        view = s_work.stratum(ai)
-        if mode == "moore_penrose":
-            D = moore_penrose(view.complex)
-        else:
-            tag = tag_of[ai]
-            if plan is not None:
-                weights = plan.weights[tag]
-            else:
-                m = counts[tag]
-                weights = [work_field.inv(work_field.from_int(m))] * m
-            avg = matroidal_average(views_base[ai].complex, view.complex,
-                                    options[tag], weights)
-            D = hat(view.complex, avg, verify=False)
-        if not classify(view.complex, D).is_splitting:
+    def build_start(field):
+        s = bar_resolution(data, field)
+        issues = s.validate()
+        if issues:
             raise VerificationError(
-                f"stratum {tag_of[ai]}: the {mode} homotopy is not a splitting")
-        splittings[ai] = D
-        cores[ai] = stratum_core(view.complex, D)
+                "bar resolution failed validation: " + "; ".join(issues))
+        return s
 
-    W = assemble_field(s_work, splittings)
-    Pi, iterations = iterate_flow(s_work, W)
-    extracted = extract_minimal_summand(s_work, W, cores)
-    verification = verify_toric_resolution(extracted.complex, data)
-    if not verification["ok"]:
-        raise VerificationError(
-            "extracted summand is not a minimal resolution: "
-            + "; ".join([str(x) for x in verification["failures"]]
-                        + verification["validate_issues"]))
-
-    betti = {}
-    for n, degs in enumerate(extracted.complex.multidegrees):
-        layer = {}
-        for mdeg in degs:
-            t = ",".join(str(x) for x in mdeg)
-            layer[t] = layer.get(t, 0) + 1
-        betti[n] = dict(sorted(layer.items()))
-    notes = [
-        "matroidal choices are enumerated lexicographically by basis "
-        "position, degree 0 outermost",
-    ]
-    if plan is not None:
-        notes.append(
+    res = resolve_stratified(
+        build_start, characteristic, mode, _render_degree,
+        lambda M: verify_toric_resolution(M, data))
+    res.report["objects"] = [list(o) for o in data.objects]
+    res.report["morphisms"] = len(data.morphisms)
+    if res.plan is not None:
+        res.report["notes"].append(
             "the plain matroidal average is undefined at this characteristic; "
             "generic affine weights over a transcendental extension were used "
             "instead")
-    report = {
-        "objects": [list(o) for o in data.objects],
-        "morphisms": len(data.morphisms),
-        "characteristic": characteristic,
-        "mode": mode,
-        "field": field_descriptor(work_field),
-        "stratum_counts": counts,
-        "critical_primes": critical["critical_primes"],
-        "critical_strata": critical.get("critical_strata", []),
-        "transcendence_degree": critical.get("transcendence_degree", 0),
-        "iterations": iterations,
-        "stabilization": f"stabilized after {iterations} iterations",
-        "ranks": list(extracted.complex.ranks),
-        "betti": betti,
-        "verification": {
-            "minimal": verification["minimal"],
-            "exact": verification["exactness_ok"],
-            "degrees_checked": verification["checked_degrees"],
-        },
-        "notes": notes,
-    }
-    return ToricResolveResult(
-        resolution=extracted.complex,
-        field=work_field,
-        start=s_work,
-        homotopy=W,
-        projection=Pi,
-        iterations=iterations,
-        counts=counts,
-        critical=critical,
-        plan=plan,
-        verification=verification,
-        report=report,
-    )
+    return res
+
+
+def _render_degree(b) -> str:
+    return ",".join(str(x) for x in b)
 
 
 def verify_toric_resolution(M: BasedComplex, data: BettiCategoryData) -> dict:
@@ -410,41 +297,12 @@ def verify_toric_resolution(M: BasedComplex, data: BettiCategoryData) -> dict:
     monomial in the ring variables reaches them) and zero elsewhere; higher
     homology must vanish everywhere.
     """
-    issues = M.validate()
-    minimal, offenders = minimality_report(M)
     top = [0] * data.dim
     for degs in M.multidegrees:
         for m in degs:
             for i, x in enumerate(m):
                 top[i] = max(top[i], x)
-    boxes = [range(t + 1) for t in top]
-    from itertools import product as _product
-
-    failures = []
-    checked = 0
-    for b in _product(*boxes):
-        st = strand(M, b)
-        h = homology_ranks(st)
-        in_q = bool(_enumerate_monomials(data.deg_map, list(b)))
-        expected0 = 1 if in_q else 0
-        got0 = h[0] if h else 0
-        checked += 1
-        bstr = ",".join(str(x) for x in b)
-        if got0 != expected0:
-            failures.append(
-                f"strand at ({bstr}): H_0 has dimension {got0}, "
-                f"expected {expected0}")
-        for n in range(1, len(h)):
-            if h[n] != 0:
-                failures.append(
-                    f"strand at ({bstr}): H_{n} has dimension {h[n]}, expected 0")
-    ok = not issues and minimal and not failures
-    return {
-        "validate_issues": issues,
-        "minimal": minimal,
-        "nonminimal_entries": offenders,
-        "exactness_ok": not failures,
-        "failures": failures,
-        "checked_degrees": checked,
-        "ok": ok,
-    }
+    return verify_strands(M, (
+        (b, f"({_render_degree(b)})",
+         1 if _enumerate_monomials(data.deg_map, list(b)) else 0)
+        for b in product(*(range(t + 1) for t in top))))

@@ -2,8 +2,32 @@
 
 from chainflow.complexes import BasedComplex
 from chainflow.errors import VerificationError
-from chainflow.flows import ExtractedSummand, _column, _stratum_tag
-from chainflow.linalg import RingMatrix, rref, s_inverse
+from chainflow.flows import ExtractedSummand, Homotopy, _column, _stratum_tag
+from chainflow.linalg import (
+    RingMatrix, rref, s_eq, s_inverse, s_mul, s_transpose,
+)
+from chainflow.scalars import QQ
+from chainflow.splittings import _coerce_scalar
+
+
+def mp_identities_hold(a, ap):
+    """Check the four Moore-Penrose identities for A and candidate A^+."""
+    aap = s_mul(QQ, a, ap)
+    apa = s_mul(QQ, ap, a)
+    return (s_eq(QQ, s_mul(QQ, aap, a), a)
+            and s_eq(QQ, s_mul(QQ, apa, ap), ap)
+            and s_eq(QQ, s_transpose(aap), aap)
+            and s_eq(QQ, s_transpose(apa), apa))
+
+
+def coerce_homotopy(D: Homotopy, new_complex: BasedComplex) -> Homotopy:
+    """``D`` base-changed to the field of ``new_complex``."""
+    src_field = D.complex.ring.field
+    dst_field = new_complex.ring.field
+    if src_field is dst_field:
+        return D
+    return D.map_coefficients(
+        lambda v: _coerce_scalar(v, src_field, dst_field), new_complex)
 
 
 def dense_extract_minimal_summand(s, Pi, core_bases):

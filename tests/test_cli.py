@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from chainflow import monomial, toric
+from chainflow import monomial, splittings, toric
 from chainflow.cli import main
 from chainflow.flows import Homotopy
 
@@ -219,6 +219,53 @@ class TestToricResolve:
         assert rc == 2
         assert "toric JSON needs" in err
 
+    SEMI23 = {"variables": ["x2", "x3"], "deg_map": [[2, 3]],
+              "objects": [[0], [6]],
+              "morphisms": [[[0], [6], [3, 0]], [[0], [6], [0, 2]]]}
+    # A number that is not an integer, variables that are not a list, no
+    # object and a repeated morphism are input errors, never truncated or
+    # left to the verifier.
+    BAD_INPUTS = {
+        "fractional object": (
+            {"variables": ["x2", "x3"], "deg_map": [[2, 3]],
+             "objects": [[0], [1.9]], "morphisms": []},
+            "object degrees must be integers, got 1.9"),
+        "fractional exponent": (
+            {"variables": ["x2", "x3"], "deg_map": [[2, 3]],
+             "objects": [[0], [2]], "morphisms": [[[0], [2], [1.5, 0]]]},
+            "morphism exponents must be integers, got 1.5"),
+        "boolean exponent": (
+            {"variables": ["x2", "x3"], "deg_map": [[2, 3]],
+             "objects": [[0], [2]], "morphisms": [[[0], [2], [True, 0]]]},
+            "morphism exponents must be integers, got True"),
+        "fractional degree": (
+            {"variables": ["x"], "deg_map": [[1.7]], "objects": [[0], [1]],
+             "morphisms": [[[0], [1], [1]]]},
+            "deg_map entries must be integers, got 1.7"),
+        "string degree": (
+            {"variables": ["x"], "deg_map": [["a"]], "objects": [[0]],
+             "morphisms": []},
+            "deg_map entries must be integers, got 'a'"),
+        "variables as a string": (
+            dict(SEMI23, variables="x2"),
+            '"variables" must be a list of strings, got \'x2\''),
+        "no objects": (
+            dict(SEMI23, objects=[], morphisms=[]),
+            "the category needs at least one object"),
+        "duplicate morphism": (
+            dict(SEMI23, morphisms=SEMI23["morphisms"]
+                 + SEMI23["morphisms"][:1]),
+            "duplicate morphisms"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_exits_2(self, case, tmp_path, capsys):
+        doc, message = self.BAD_INPUTS[case]
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        rc, out, err = run(["toric-resolve", "--in", str(f)], capsys)
+        assert (rc, out, err) == (2, "", f"input error: {message}\n")
+
 
 class TestCounterexample:
     def test_obstruction_only(self, capsys):
@@ -328,7 +375,8 @@ class TestVerificationFailures:
                              ids=["resolve", "toric-resolve"])
     def test_mp_homotopy_not_a_splitting(self, module, job, tag, verifier,
                                          monkeypatch, capsys):
-        monkeypatch.setattr(module, "moore_penrose", lambda c: Homotopy(c, []))
+        monkeypatch.setattr(splittings, "moore_penrose",
+                            lambda c: Homotopy(c, []))
         rc, _, err = run(job.split(), capsys)
         assert rc == 3
         assert err == ("verification failure: stratum " + tag

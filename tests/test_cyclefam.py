@@ -19,7 +19,9 @@ from chainflow.cyclefam import (
 from chainflow.complexes import BasedComplex
 from chainflow.errors import InputError
 from chainflow.linalg import RingMatrix
-from chainflow.monomial import render_monomial
+from chainflow.monomial import (
+    render_monomial, resolve_minimal, verify_resolution,
+)
 from chainflow.scalars import QQ, GF, field_descriptor
 
 import golden_data as G
@@ -116,6 +118,13 @@ class TestExplicitResolution:
         ]
         assert v["checked_degrees"] == 9
         assert v["minimal"] and not v["validate_issues"] and not v["ok"]
+
+    def test_verifiers_share_one_result_shape(self):
+        fam = build_Ip(3)
+        v = verify_family_resolution(explicit_resolution(fam, QQ), fam)
+        assert v["exactness_ok"] is True
+        res = resolve_minimal(fam.ideal)
+        assert list(v) == list(verify_resolution(res.resolution, fam.ideal))
 
 
 class TestIntrinsicResolution:

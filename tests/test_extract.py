@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from chainflow import flows, monomial, toric
+from chainflow import flows, splittings
 from chainflow.cli import main
 from chainflow.complexes import BasedComplex, Poset, StratifiedComplex, scalar_ring
 from chainflow.errors import VerificationError
@@ -83,9 +83,8 @@ def test_matches_dense_projection(job, monkeypatch, tmp_path):
         seen.append((s, cores, out))
         return out
 
-    module = toric if job.startswith("toric-resolve") else monomial
-    monkeypatch.setattr(module, "iterate_flow", iterate)
-    monkeypatch.setattr(module, "extract_minimal_summand", extract)
+    monkeypatch.setattr(splittings, "iterate_flow", iterate)
+    monkeypatch.setattr(splittings, "extract_minimal_summand", extract)
     path = tmp_path / "art.json"
     assert main(job.split() + ["--out", str(path)]) == 0
     Pi, (s, cores, got) = seen

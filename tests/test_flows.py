@@ -10,12 +10,13 @@ from chainflow.flows import (
     Homotopy, affine_combination, classify, flow, flow_is_chain_map, hat,
     iterate_flow, moore_penrose,
 )
-from chainflow.linalg import RingMatrix, mp_identities_hold
+from chainflow.linalg import RingMatrix
 from chainflow.monomial import order_complex_resolution
 from chainflow.scalars import GF, QQ
 from chainflow.splittings import build_stratum_splitting
 from chainflow import cyclefam
 import golden_data as G
+from oracles import mp_identities_hold
 
 
 def two_term(entry):

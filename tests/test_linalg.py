@@ -8,10 +8,12 @@ import sympy
 
 from chainflow.errors import InputError
 from chainflow.linalg import (
-    MultiPoly, PolyRing, RingMatrix, char_poly, kernel, mp_identities_hold,
-    mp_inverse, rref, s_eq, s_mul, s_rank, s_inverse, s_transpose, solve,
+    MultiPoly, PolyRing, RingMatrix, char_poly, kernel, mp_inverse, rref,
+    s_eq, s_mul, s_rank, s_inverse, s_transpose, solve,
 )
 from chainflow.scalars import GF, QQ, FunctionField, pack_exponents
+
+from oracles import mp_identities_hold
 
 
 def rand_matrix(rng, nr, nc, lo=-4, hi=4):

@@ -18,13 +18,14 @@ from chainflow.monomial import (
 from chainflow.scalars import GF, QQ, FunctionField
 from chainflow.splittings import (
     _build_homotopy, _degree_options, build_extension_field, build_stratum_splitting,
-    coerce_complex, coerce_homotopy, count_choices, critical_analysis,
+    coerce_complex, count_choices, critical_analysis,
     enumerate_matroidal, list_choices, matroidal_average, matroidal_count,
     matroidal_options, stratum_core, weight_name,
 )
 from chainflow.toric import BettiCategoryData, bar_resolution, resolve_toric
 from chainflow import cyclefam, flows, monomial, splittings, toric
 import golden_data as G
+from oracles import coerce_homotopy
 from randgen import random_rational_complex
 
 
