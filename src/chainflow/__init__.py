@@ -27,7 +27,6 @@ from .flows import (
     assemble_field,
     classify,
     extract_minimal_summand,
-    flow,
     hat,
     iterate_flow,
     moore_penrose,

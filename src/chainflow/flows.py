@@ -7,10 +7,12 @@ Depending on which identities ``D`` satisfies (``D^2 = 0``, ``D d D = D``,
 direct summand; :func:`classify` detects these cases exactly.  The remaining
 operations build such homotopies (Moore-Penrose inverses, affine combinations,
 the idempotent-correcting ``hat``) and drive the stabilize-and-extract
-pipeline on stratified complexes: :func:`iterate_flow` certifies that
-``Phi^{k+1} = Phi^k`` and returns the projection ``Pi = Phi^k``, and
-:func:`extract_minimal_summand` projects each core vector ``v`` to ``Pi v``
-with the vector step ``u <- u - W(d u)`` instead of a product with ``Pi``.
+pipeline on stratified complexes: :func:`iterate_flow` certifies the step
+count ``k`` with ``Phi^{k+1} = Phi^k`` through the recursion
+``X_{k+1} = X_k - W(d X_k)`` for ``X_k = Phi^k W``, and
+:func:`extract_minimal_summand` projects each core vector ``v`` to
+``Phi^k v`` with the vector step ``u <- u - W(d u)``.  Neither forms ``Phi``
+or a power of it.
 """
 
 from __future__ import annotations
@@ -43,9 +45,6 @@ __all__ = [
     "SplittingDecomposition",
     "ExtractedSummand",
     "classify",
-    "flow",
-    "flow_is_chain_map",
-    "compose_flow",
     "iterate_flow",
     "hat",
     "moore_penrose",
@@ -280,46 +279,47 @@ def _weak_partial_decomposition(field, c: BasedComplex, dS, DS):
     return ok, decomp
 
 
-def flow(c: BasedComplex, D: Homotopy) -> list[RingMatrix]:
-    """The flow ``Phi_n = I - d_{n+1} D_n - D_{n-1} d_n`` for n = 0..top."""
-    mats = []
-    for n in range(0, c.top + 1):
-        I = RingMatrix.identity(c.ring, c.rank(n))
-        mats.append(I - (dmat(c, n + 1) @ D.D(n)) - (D.D(n - 1) @ dmat(c, n)))
-    return mats
-
-
-def flow_is_chain_map(c: BasedComplex, mats: list[RingMatrix]) -> bool:
-    """Whether ``d_n Phi_n = Phi_{n-1} d_n`` for all n."""
-    for n in range(1, c.top + 1):
-        if not (c.d(n) @ mats[n]).eq(mats[n - 1] @ c.d(n)):
-            return False
-    return True
-
-
-def compose_flow(a: list[RingMatrix], b: list[RingMatrix]) -> list[RingMatrix]:
-    return [x @ y for x, y in zip(a, b)]
-
-
 def iterate_flow(s: StratifiedComplex, W: Homotopy):
-    """Iterate the flow of ``W`` until two consecutive powers agree exactly.
+    """Certify exactly that the flow ``Phi = I - d W - W d`` stabilizes.
 
-    Returns ``(Pi, iterations)`` with ``Pi = Phi^k`` and ``Phi^{k+1} = Phi^k``
-    for the smallest such ``k``.  Stabilization is guaranteed within
-    ``1 + dim P`` over the occupied strata; exceeding the bound raises.
+    ``W`` is the field from :func:`assemble_field`, which certified
+    ``W^2 = 0``.  Then ``Phi`` commutes with ``d`` and with ``W``, so with
+    ``X_k = Phi^k W``:
+
+    - ``Phi^k (I - Phi) = d X_k + X_k d``, hence ``Phi^{k+1} = Phi^k`` in
+      degree ``n`` exactly when ``d_{n+1} (X_k)_n + (X_k)_{n-1} d_n = 0``;
+    - ``W X_k = Phi^k W^2 = 0``, so ``X_0 = W`` and
+      ``X_{k+1} = X_k - W (d X_k)``, reusing the ``d X_k`` of the test.
+
+    Neither ``Phi`` nor any power of it is formed.  Returns
+    ``(indices, k)``: ``indices[n]`` is the smallest ``k`` for which the
+    test holds in degree ``n`` (it then holds for every larger ``k``), and
+    ``k`` is their maximum, at least 1, the smallest ``k >= 1`` with
+    ``Phi^{k+1} = Phi^k``.  Stabilization is guaranteed within ``1 + dim P``
+    over the occupied strata; exceeding the bound raises.
     """
     c = s.complex
-    phi = flow(c, W)
+    top = c.top
     bound = 1 + max(s.occupied_dimension(), 0)
-    power = phi
-    k = 1
+    X = [W.D(n) for n in range(top)]
+    indices: list = [None] * (top + 1)
+    k = 0
     while True:
-        nxt = compose_flow(power, phi)
-        if all(x.eq(y) for x, y in zip(nxt, power)):
-            return power, k
+        dX = [c.d(n + 1) @ X[n] for n in range(top)]
+        for n in range(top + 1):
+            if indices[n] is not None:
+                continue
+            test = dX[n] if n < top else None
+            if n >= 1:
+                right = X[n - 1] @ c.d(n)
+                test = right if test is None else test + right
+            if test is None or test.is_zero():
+                indices[n] = k
+        if None not in indices:
+            return indices, max(max(indices), 1)
         if k >= bound:
             raise VerificationError("stabilization bound exceeded")
-        power = nxt
+        X = [x - W.D(n) @ dx for n, (x, dx) in enumerate(zip(X, dX))]
         k += 1
 
 
@@ -502,8 +502,9 @@ def extract_minimal_summand(
     that :func:`classify` certified as splittings.  ``core_bases`` maps
     poset indices of occupied strata to per-degree lists of scalar column
     vectors spanning the core ``C_n`` of the stratum splitting.  Their
-    projections ``Pi v`` generate the summand, where ``Pi = Phi^k`` is the
-    stabilized flow of ``Phi = I - d W - W d``.
+    projections ``Pi v`` generate the summand.  Here ``Pi = Phi^k`` is the
+    stabilized flow of ``Phi = I - d W - W d``, for the ``k`` that
+    :func:`iterate_flow` certifies; ``Pi`` itself is never formed.
 
     Each projection follows ``u <- u - W_{n-1}(d_n u)`` from ``v`` until
     ``W_{n-1}(d_n u) = 0``.  This is the orbit of ``v`` under ``Phi``:
@@ -518,9 +519,8 @@ def extract_minimal_summand(
     - ``Phi^{k+1} = Phi^k``, so the orbit reaches a fixed point of ``Phi``
       within ``k`` steps, and that fixed point is ``Phi^k v = Pi v``.
 
-    A step is ``d`` times a vector, then the lower-stratum blocks of ``W``;
-    the dense own-stratum products of ``Pi``, whose sums cancel, are never
-    formed.  More than ``1 + dim P`` steps over the occupied strata raise,
+    A step is ``d`` times a vector, then the lower-stratum blocks of ``W``.
+    More than ``1 + dim P`` steps over the occupied strata raise,
     as in :func:`iterate_flow`.
 
     The induced differential is recovered by back-substitution down the

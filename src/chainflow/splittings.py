@@ -716,7 +716,6 @@ class ResolveResult:
     field: object
     start: StratifiedComplex          # the start resolution over the work field
     homotopy: Homotopy                # the assembled vector field W
-    projection: list                  # stabilized flow matrices, per degree
     iterations: int
     generators: list                  # per degree: ambient columns of the generators
     generator_strata: list
@@ -779,7 +778,7 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
         cores[ai] = stratum_core(c, D)
 
     W = assemble_field(s_work, splittings)
-    Pi, iterations = iterate_flow(s_work, W)
+    _, iterations = iterate_flow(s_work, W)
     extracted = extract_minimal_summand(s_work, W, cores)
     verification = verify(extracted.complex)
     if not verification["ok"]:
@@ -822,7 +821,6 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
         field=work_field,
         start=s_work,
         homotopy=W,
-        projection=Pi,
         iterations=iterations,
         generators=extracted.generators,
         generator_strata=extracted.generator_strata,

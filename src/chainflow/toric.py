@@ -292,16 +292,16 @@ def verify_toric_resolution(M: BasedComplex, data: BettiCategoryData) -> dict:
     """Validation, minimality and strand-exactness for a toric resolution.
 
     Strands are checked at every degree vector componentwise below the
-    maximal multidegree appearing in ``M``.  The degree-zero homology must
-    have dimension one exactly at degrees that lie in the semigroup (some
-    monomial in the ring variables reaches them) and zero elsewhere; higher
-    homology must vanish everywhere.
+    componentwise maximum of the multidegrees appearing in ``M`` and of the
+    objects of ``data``, so a relation that ``M`` misses at an object degree
+    is caught.  The degree-zero homology must have dimension one exactly at
+    degrees that lie in the semigroup (some monomial in the ring variables
+    reaches them) and zero elsewhere; higher homology must vanish everywhere.
     """
     top = [0] * data.dim
-    for degs in M.multidegrees:
-        for m in degs:
-            for i, x in enumerate(m):
-                top[i] = max(top[i], x)
+    for m in [m for degs in M.multidegrees for m in degs] + data.objects:
+        for i, x in enumerate(m):
+            top[i] = max(top[i], x)
     return verify_strands(M, (
         (b, f"({_render_degree(b)})",
          1 if _enumerate_monomials(data.deg_map, list(b)) else 0)

@@ -2,7 +2,9 @@
 
 from chainflow.complexes import BasedComplex
 from chainflow.errors import VerificationError
-from chainflow.flows import ExtractedSummand, Homotopy, _column, _stratum_tag
+from chainflow.flows import (
+    ExtractedSummand, Homotopy, _column, _stratum_tag, dmat,
+)
 from chainflow.linalg import (
     RingMatrix, rref, s_eq, s_inverse, s_mul, s_transpose,
 )
@@ -30,12 +32,73 @@ def coerce_homotopy(D: Homotopy, new_complex: BasedComplex) -> Homotopy:
         lambda v: _coerce_scalar(v, src_field, dst_field), new_complex)
 
 
+def flow(c: BasedComplex, D: Homotopy) -> list:
+    """The flow ``Phi_n = I - d_{n+1} D_n - D_{n-1} d_n`` for n = 0..top."""
+    mats = []
+    for n in range(0, c.top + 1):
+        I = RingMatrix.identity(c.ring, c.rank(n))
+        mats.append(I - (dmat(c, n + 1) @ D.D(n)) - (D.D(n - 1) @ dmat(c, n)))
+    return mats
+
+
+def flow_is_chain_map(c: BasedComplex, mats: list) -> bool:
+    """Whether ``d_n Phi_n = Phi_{n-1} d_n`` for all n."""
+    for n in range(1, c.top + 1):
+        if not (c.d(n) @ mats[n]).eq(mats[n - 1] @ c.d(n)):
+            return False
+    return True
+
+
+def compose_flow(a: list, b: list) -> list:
+    return [x @ y for x, y in zip(a, b)]
+
+
+def dense_iterate_flow(s, W):
+    """``flows.iterate_flow`` by dense powers of the flow.
+
+    Returns ``(Pi, k)`` with ``Pi = Phi^k`` and ``Phi^{k+1} = Phi^k`` for the
+    smallest such ``k >= 1``; more than ``1 + dim P`` steps over the
+    occupied strata raise.
+    """
+    c = s.complex
+    phi = flow(c, W)
+    bound = 1 + max(s.occupied_dimension(), 0)
+    power = phi
+    k = 1
+    while True:
+        nxt = compose_flow(power, phi)
+        if all(x.eq(y) for x, y in zip(nxt, power)):
+            return power, k
+        if k >= bound:
+            raise VerificationError("stabilization bound exceeded")
+        power = nxt
+        k += 1
+
+
+def dense_degree_indices(s, W):
+    """Per degree ``n``, the smallest ``k >= 0`` with
+    ``Phi_n^{k+1} = Phi_n^k``, from dense powers of the flow; ``None`` where
+    that takes more than ``1 + dim P`` steps over the occupied strata."""
+    c = s.complex
+    phi = flow(c, W)
+    bound = 1 + max(s.occupied_dimension(), 0)
+    power = [RingMatrix.identity(c.ring, c.rank(n)) for n in range(c.top + 1)]
+    out = [None] * (c.top + 1)
+    for k in range(bound + 1):
+        nxt = compose_flow(power, phi)
+        for n, (x, y) in enumerate(zip(nxt, power)):
+            if out[n] is None and x.eq(y):
+                out[n] = k
+        power = nxt
+    return out
+
+
 def dense_extract_minimal_summand(s, Pi, core_bases):
     """``flows.extract_minimal_summand`` computed from the dense projection.
 
     Each generator is ``Pi[n]`` times the embedded core vector, and ``d`` of
     it is formed again for the back-substitution.  ``Pi`` is the stabilized
-    flow that ``flows.iterate_flow`` returns.
+    flow that :func:`dense_iterate_flow` returns.
     """
     c = s.complex
     ring = c.ring

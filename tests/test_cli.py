@@ -266,6 +266,18 @@ class TestToricResolve:
         rc, out, err = run(["toric-resolve", "--in", str(f)], capsys)
         assert (rc, out, err) == (2, "", f"input error: {message}\n")
 
+    def test_missing_relation_fails_verification(self, tmp_path, capsys):
+        # Without x3^2: [0] -> [6] the result has no syzygy, so its largest
+        # multidegree is 0; the strand at the object degree 6 still fails.
+        f = tmp_path / "missing.json"
+        f.write_text(json.dumps(
+            dict(self.SEMI23, morphisms=self.SEMI23["morphisms"][:1])))
+        rc, out, err = run(["toric-resolve", "--in", str(f)], capsys)
+        assert (rc, out, err) == (
+            3, "", "verification failure: extracted summand is not a "
+            "minimal resolution: strand at (6): H_0 has dimension 2, "
+            "expected 1\n")
+
 
 class TestCounterexample:
     def test_obstruction_only(self, capsys):

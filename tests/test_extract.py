@@ -20,7 +20,7 @@ from chainflow.linalg import RingMatrix
 from chainflow.scalars import QQ
 from chainflow.splittings import stratum_core
 
-from oracles import dense_extract_minimal_summand
+from oracles import dense_extract_minimal_summand, dense_iterate_flow
 
 BENCH_REFERENCE = (Path(__file__).resolve().parent.parent / "bench"
                    / "reference.json")
@@ -75,7 +75,7 @@ def test_matches_dense_projection(job, monkeypatch, tmp_path):
 
     def iterate(s, W):
         out = flows.iterate_flow(s, W)
-        seen.append(out[0])
+        seen.append((out[1], dense_iterate_flow(s, W)))
         return out
 
     def extract(s, W, cores):
@@ -87,7 +87,8 @@ def test_matches_dense_projection(job, monkeypatch, tmp_path):
     monkeypatch.setattr(splittings, "extract_minimal_summand", extract)
     path = tmp_path / "art.json"
     assert main(job.split() + ["--out", str(path)]) == 0
-    Pi, (s, cores, got) = seen
+    (k, (Pi, dense_k)), (s, cores, got) = seen
+    assert k == dense_k
     assert_same_summand(got, dense_extract_minimal_summand(s, Pi, cores))
     assert_reference_artifact(job, path)
 
@@ -125,8 +126,9 @@ def test_two_step_orbit_matches_dense_projection():
         splittings[ai] = D
         cores[ai] = stratum_core(view.complex, D)
     W = assemble_field(s, splittings)
-    Pi, k = iterate_flow(s, W)
-    assert k == 2
+    Pi, dense_k = dense_iterate_flow(s, W)
+    assert iterate_flow(s, W) == ([2, 2], 2)
+    assert dense_k == 2
     got = extract_minimal_summand(s, W, cores)
     assert [len(g) for g in got.generators] == [0, 1]
     assert [e.render() for row in got.generators[1][0].rows for e in row] == [

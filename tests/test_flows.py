@@ -1,5 +1,7 @@
 """Homotopies, classification, the hat correction, flows and projection."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,8 +9,8 @@ import pytest
 from chainflow.complexes import BasedComplex, scalar_ring
 from chainflow.errors import InputError, VerificationError
 from chainflow.flows import (
-    Homotopy, affine_combination, classify, flow, flow_is_chain_map, hat,
-    iterate_flow, moore_penrose,
+    Homotopy, affine_combination, assemble_field, classify, hat, iterate_flow,
+    moore_penrose,
 )
 from chainflow.linalg import RingMatrix
 from chainflow.monomial import order_complex_resolution
@@ -16,7 +18,11 @@ from chainflow.scalars import GF, QQ
 from chainflow.splittings import build_stratum_splitting
 from chainflow import cyclefam
 import golden_data as G
-from oracles import mp_identities_hold
+from oracles import (
+    dense_degree_indices, dense_iterate_flow, flow, flow_is_chain_map,
+    mp_identities_hold,
+)
+from randgen import random_stratified_complex
 
 
 def two_term(entry):
@@ -192,7 +198,8 @@ class TestFlowAndIteration:
         from chainflow.monomial import resolve_minimal
         I = cyclefam.build_Ip(3).ideal
         res = resolve_minimal(I, 0)
-        Pi = res.projection
+        Pi, k = dense_iterate_flow(res.start, res.homotopy)
+        assert res.iterations == k
         c = res.start.complex
         # Pi is idempotent and commutes with the flow (Pi * Phi = Pi)
         phi = flow(c, res.homotopy)
@@ -200,3 +207,44 @@ class TestFlowAndIteration:
             assert (Pi[n] @ Pi[n]).eq(Pi[n])
             assert (Pi[n] @ phi[n]).eq(Pi[n])
         assert flow_is_chain_map(c, Pi)
+
+    # Seeds 0..399 give 364 fields with k = 1, 33 with k = 2, 3 with k = 3.
+    RANDOM_SEEDS = range(400)
+
+    @staticmethod
+    def _random_field(seed):
+        """A seeded stratified complex over Q and the field assembled from
+        the Moore-Penrose splittings of its strata."""
+        s, _ = random_stratified_complex(random.Random(seed), max_rank=6,
+                                         max_strata=5)
+        W = assemble_field(s, {ai: moore_penrose(s.stratum(ai).complex)
+                               for ai in s.occupied()})
+        return s, W
+
+    def test_random_fields_match_dense_powers(self):
+        seen = Counter()
+        for seed in self.RANDOM_SEEDS:
+            s, W = self._random_field(seed)
+            indices, k = iterate_flow(s, W)
+            _, dense_k = dense_iterate_flow(s, W)
+            assert (indices, k) == (dense_degree_indices(s, W), dense_k), seed
+            seen[k] += 1
+        assert sorted(seen) == [1, 2, 3]
+
+    def test_random_non_stabilizing_fields_raise(self):
+        # 2W still squares to zero.  On a stratum block, d(2W) + (2W)d is
+        # twice the projection P = dD + Dd, so that diagonal block of the
+        # flow is the involution I - 2P; where P != 0 no two powers agree.
+        raised = 0
+        for seed in self.RANDOM_SEEDS[:100]:
+            s, W = self._random_field(seed)
+            if all(m.is_zero() for m in W.mats):
+                continue
+            doubled = Homotopy(s.complex,
+                               [m.scale(Fraction(2)) for m in W.mats])
+            for iterate in (iterate_flow, dense_iterate_flow):
+                with pytest.raises(VerificationError,
+                                   match="stabilization bound exceeded"):
+                    iterate(s, doubled)
+            raised += 1
+        assert raised >= 80   # 83 of these seeds give a nonzero field

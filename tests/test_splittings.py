@@ -299,6 +299,25 @@ class TestMatroidalAverage:
         assert sp.count == 18 and isinstance(sp.field, FunctionField)
         assert sp.classification.is_splitting
 
+    def test_pipelines_do_not_form_the_dense_flow(self, monkeypatch):
+        # Phi = I - dW - Wd and its powers start from an ambient identity.
+        def boom(*args, **kwargs):
+            raise AssertionError("a dense identity matrix was built")
+        monkeypatch.setattr(RingMatrix, "identity", boom)
+        I = cyclefam.build_Ip(3).ideal
+        for p in (0, 2, 3):
+            assert resolve_minimal(I, p, start="taylor").verification["ok"]
+        for mode in ("moore_penrose", "matroidal_average"):
+            assert resolve_minimal(I, 0, mode=mode).verification["ok"]
+        # cycle3 with the lcm start over F_2 or F_3 does not finish in a
+        # minute; cycle2 over F_3 is critical too.
+        assert resolve_minimal(cyclefam.build_Ip(2).ideal, 3).verification["ok"]
+        data = BettiCategoryData(
+            ["x2", "x3"], [[2, 3]], [[0], [6]],
+            [([0], [6], [3, 0]), ([0], [6], [0, 2])])
+        for p in (0, 2, 3):
+            assert resolve_toric(data, p).verification["ok"]
+
 
 class TestBlockFormula:
     """Each matroidal splitting's D_n is the inverse of the minor

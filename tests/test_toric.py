@@ -215,7 +215,8 @@ class TestArgumentsAndVerifier:
 
     def test_verifier_names_failing_strands(self):
         # S <- S(-4) + S(-5) with d = (x2^2, 0): at 4 the relation kills
-        # the only monomial, at 5 the zero column leaves H_1
+        # the only monomial, at 5 the zero column leaves H_1; degrees 0..6
+        # are checked, up to the object degree 6
         data = _semi23()
         ring = PolyRing(QQ, data.names)
         d1 = RingMatrix(ring, [[ring.monomial((2, 0), QQ.one), ring.zero()]],
@@ -227,6 +228,6 @@ class TestArgumentsAndVerifier:
             "strand at (4): H_0 has dimension 0, expected 1",
             "strand at (5): H_1 has dimension 1, expected 0",
         ]
-        assert v["checked_degrees"] == 6
+        assert v["checked_degrees"] == 7
         assert v["minimal"] and not v["validate_issues"]
         assert not v["exactness_ok"] and not v["ok"]
