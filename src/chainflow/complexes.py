@@ -335,10 +335,6 @@ class StratifiedComplex:
         sub = BasedComplex(sring, labels, mdegs, diffs)
         return StratumView(sub, indices[:top + 1], self.poset.elements[ai], ai)
 
-    def map_coefficients(self, new_ring, fn):
-        return StratifiedComplex(self.complex.map_coefficients(new_ring, fn),
-                                 self.poset, self.strata)
-
     def __repr__(self):
         return f"StratifiedComplex(ranks={self.complex.ranks}, poset={len(self.poset)})"
 

@@ -13,6 +13,12 @@ count ``k`` with ``Phi^{k+1} = Phi^k`` through the recursion
 :func:`extract_minimal_summand` projects each core vector ``v`` to
 ``Phi^k v`` with the vector step ``u <- u - W(d u)``.  Neither forms ``Phi``
 or a power of it.
+
+Every homotopy identity and correction is one ``RingMatrix`` computation,
+whatever the entries are (field constants on the stratum complexes,
+polynomials elsewhere).  Scalar row lists appear only where elimination
+needs them: the weak-partial decomposition, the Moore-Penrose inverse and
+the core solves of the extraction.
 """
 
 from __future__ import annotations
@@ -21,22 +27,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .errors import InputError, VerificationError
-from .linalg import (
-    PolyRing,
-    RingMatrix,
-    kernel,
-    mp_inverse,
-    rref,
-    s_eq,
-    s_identity,
-    s_inverse,
-    s_is_zero,
-    s_mul,
-    s_rank,
-    s_scale,
-    s_sub,
-    s_zeros,
-)
+from .linalg import PolyRing, RingMatrix, kernel, mp_inverse, rref, s_inverse, s_rank
 from .complexes import BasedComplex, StratifiedComplex
 
 __all__ = [
@@ -89,77 +80,6 @@ class Homotopy:
     def is_scalar(self) -> bool:
         return all(m.is_scalar() for m in self.mats)
 
-    def map_coefficients(self, fn, new_complex: BasedComplex) -> "Homotopy":
-        ring = new_complex.ring
-        mats = []
-        for m in self.mats:
-            rows = [[e.map_coefficients(fn, ring) for e in row] for row in m.rows]
-            mats.append(RingMatrix(ring, rows, ncols=m.ncols))
-        return Homotopy(new_complex, mats)
-
-
-# --------------------------------------------------------------------------
-# Shape-aware scalar matrices.  The raw row-list helpers in linalg lose the
-# column count of empty matrices, which matters here because complexes run
-# out of degrees at both ends; SMat carries shapes explicitly and falls back
-# to zero matrices whenever an inner dimension vanishes.
-# --------------------------------------------------------------------------
-
-
-class SMat:
-    __slots__ = ("rows", "nr", "nc")
-
-    def __init__(self, rows, nr, nc):
-        self.rows = rows
-        self.nr = nr
-        self.nc = nc
-
-    @classmethod
-    def zeros(cls, field, nr, nc):
-        return cls(s_zeros(field, nr, nc), nr, nc)
-
-    @classmethod
-    def identity(cls, field, n):
-        return cls(s_identity(field, n), n, n)
-
-
-def _sm_mul(field, a: SMat, b: SMat) -> SMat:
-    if a.nc != b.nr:
-        raise InputError(f"scalar shape mismatch {a.nr}x{a.nc} @ {b.nr}x{b.nc}")
-    if a.nr == 0 or b.nc == 0 or a.nc == 0:
-        return SMat.zeros(field, a.nr, b.nc)
-    return SMat(s_mul(field, a.rows, b.rows), a.nr, b.nc)
-
-
-def _sm_sub(field, a: SMat, b: SMat) -> SMat:
-    return SMat(s_sub(field, a.rows, b.rows), a.nr, a.nc)
-
-
-def _sm_eq(field, a: SMat, b: SMat) -> bool:
-    if (a.nr, a.nc) != (b.nr, b.nc):
-        return False
-    return s_eq(field, a.rows, b.rows) if a.nr and a.nc else True
-
-
-def _sm_is_zero(field, a: SMat) -> bool:
-    return s_is_zero(field, a.rows)
-
-
-def _scalar_system(c: BasedComplex, D: Homotopy):
-    """(field, dS, DS) with shape-aware scalar matrices, or None if not scalar."""
-    if not c.is_scalar() or not D.is_scalar():
-        return None
-    field = c.ring.field
-    dS = {}
-    for n in range(0, c.top + 3):
-        m = dmat(c, n)
-        dS[n] = SMat(m.scalar_rows(), m.nrows, m.ncols)
-    DS = {}
-    for n in range(-1, c.top + 2):
-        m = D.D(n)
-        DS[n] = SMat(m.scalar_rows(), m.nrows, m.ncols)
-    return field, dS, DS
-
 
 @dataclass
 class SplittingDecomposition:
@@ -190,76 +110,54 @@ def classify(c: BasedComplex, D: Homotopy, want_decomposition: bool = False) -> 
 
     Flags: pre-vector field (``D D d = d D D`` degreewise), vector field
     (``D^2 = 0``), partial splitting (vector field with ``D d D = D``), and
-    splitting (additionally ``d D d = d``).  The weak-partial check and its
-    ``N + C + M`` decomposition need field linear algebra, so they run only
-    on scalar data and only when ``want_decomposition`` is set.
+    splitting (additionally ``d D d = d``, tested by the same
+    :func:`_satisfies_pdp` that certifies affine combinations).  Every
+    identity is tested with ``RingMatrix`` products, so entries may be
+    polynomials.  Each ``D_{n+1} D_n`` is formed once and serves both the
+    ``D^2 = 0`` test and the ``D D d = d D D`` test, which holds with no
+    further product when every ``D_{n+1} D_n`` vanishes.  The weak-partial
+    check and its ``N + C + M`` decomposition need field linear algebra,
+    so they run only on scalar data and only when ``want_decomposition``
+    is set.
     """
-    scal = _scalar_system(c, D)
+    if want_decomposition and not (c.is_scalar() and D.is_scalar()):
+        raise InputError("decomposition requires a scalar complex and homotopy")
     top = c.top
-    if scal is None:
-        if want_decomposition:
-            raise InputError("decomposition requires a scalar complex and homotopy")
-        is_vf = is_pre = is_partial = is_split = True
-        for n in range(0, top + 1):
-            Dn = D.D(n)
-            if is_vf and not (D.D(n + 1) @ Dn).is_zero():
-                is_vf = False
-            left = (Dn @ D.D(n - 1)) @ dmat(c, n)
-            right = dmat(c, n + 2) @ (D.D(n + 1) @ Dn)
-            if is_pre and not left.eq(right):
-                is_pre = False
-            if is_partial and not ((Dn @ dmat(c, n + 1)) @ Dn).eq(Dn):
-                is_partial = False
-            if is_split and not (
-                    (dmat(c, n) @ D.D(n - 1)) @ dmat(c, n)).eq(dmat(c, n)):
-                is_split = False
-        is_partial = is_partial and is_vf
-        is_split = is_split and is_partial
-        return ClassifyResult(is_pre, is_vf, is_partial, is_split, None, None)
-
-    field, dS, DS = scal
-    is_vf = is_pre = is_partial = is_split = True
-    for n in range(0, top + 1):
-        if is_vf and not _sm_is_zero(field, _sm_mul(field, DS[n + 1], DS[n])):
-            is_vf = False
-        left = _sm_mul(field, _sm_mul(field, DS[n], DS[n - 1]), dS[n])
-        right = _sm_mul(field, dS[n + 2], _sm_mul(field, DS[n + 1], DS[n]))
-        if is_pre and not _sm_eq(field, left, right):
-            is_pre = False
-        dpd = _sm_mul(field, _sm_mul(field, DS[n], dS[n + 1]), DS[n])
-        if is_partial and not _sm_eq(field, dpd, DS[n]):
-            is_partial = False
-        pdp = _sm_mul(field, _sm_mul(field, dS[n], DS[n - 1]), dS[n])
-        if is_split and not _sm_eq(field, pdp, dS[n]):
-            is_split = False
-    is_partial = is_partial and is_vf
-    is_split = is_split and is_partial
+    d = [dmat(c, n) for n in range(top + 3)]
+    Ds = {n: D.D(n) for n in range(-1, top + 2)}
+    DD = {n: Ds[n + 1] @ Ds[n] for n in range(-1, top + 1)}
+    is_vf = all(DD[n].is_zero() for n in range(top + 1))
+    is_pre = is_vf or all((DD[n - 1] @ d[n]).eq(d[n + 2] @ DD[n])
+                          for n in range(top + 1))
+    is_partial = is_vf and all(((Ds[n] @ d[n + 1]) @ Ds[n]).eq(Ds[n])
+                               for n in range(top + 1))
+    is_split = is_partial and _satisfies_pdp(c, D)
     weak: Optional[bool] = None
     decomp: Optional[SplittingDecomposition] = None
     if want_decomposition:
-        weak, decomp = _weak_partial_decomposition(field, c, dS, DS)
+        weak, decomp = _weak_partial_decomposition(c, d, Ds)
     return ClassifyResult(is_pre, is_vf, is_partial, is_split, weak, decomp)
 
 
-def _image_basis_cols(field, mat: SMat) -> list:
-    """Columns of ``mat`` forming a basis of its column space (as vectors)."""
-    if mat.nr == 0 or mat.nc == 0:
-        return []
-    _, pivots = rref(field, [list(r) for r in mat.rows])
-    return [[mat.rows[i][j] for i in range(mat.nr)] for j in pivots]
+def _image_basis_cols(field, rows: list) -> list:
+    """Columns of the scalar ``rows`` forming a basis of their column space."""
+    _, pivots = rref(field, rows)
+    return [[row[j] for row in rows] for j in pivots]
 
 
-def _weak_partial_decomposition(field, c: BasedComplex, dS, DS):
+def _weak_partial_decomposition(c: BasedComplex, d: list, Ds: dict):
     """Check ``F_n = im(dD) + C + im(Dd)`` with both automorphism conditions."""
+    field = c.ring.field
     decomp = SplittingDecomposition()
     ok = True
     for n in range(0, c.top + 1):
         r = c.rank(n)
-        A = _sm_mul(field, DS[n - 1], dS[n])      # D d on F_n
-        B = _sm_mul(field, dS[n + 1], DS[n])      # d D on F_n
-        n_cols = _image_basis_cols(field, B)
-        m_cols = _image_basis_cols(field, A)
-        c_cols = [list(v) for v in kernel(field, A.rows + B.rows)] if r else []
+        A = Ds[n - 1] @ d[n]      # D d on F_n
+        B = d[n + 1] @ Ds[n]      # d D on F_n
+        a_rows, b_rows = A.scalar_rows(), B.scalar_rows()
+        n_cols = _image_basis_cols(field, b_rows)
+        m_cols = _image_basis_cols(field, a_rows)
+        c_cols = [list(v) for v in kernel(field, a_rows + b_rows)] if r else []
         if len(n_cols) + len(c_cols) + len(m_cols) != r:
             ok = False
         elif r:
@@ -269,9 +167,9 @@ def _weak_partial_decomposition(field, c: BasedComplex, dS, DS):
             if s_rank(field, joint) != r:
                 ok = False
         if ok and r:
-            if s_rank(field, _sm_mul(field, B, B).rows) != s_rank(field, B.rows):
+            if s_rank(field, (B @ B).scalar_rows()) != s_rank(field, b_rows):
                 ok = False
-            if s_rank(field, _sm_mul(field, A, A).rows) != s_rank(field, A.rows):
+            if s_rank(field, (A @ A).scalar_rows()) != s_rank(field, a_rows):
                 ok = False
         decomp.n_basis.append(n_cols)
         decomp.c_basis.append(c_cols)
@@ -323,41 +221,20 @@ def iterate_flow(s: StratifiedComplex, W: Homotopy):
         k += 1
 
 
-def hat(c: BasedComplex, D: Homotopy, verify: bool = True) -> Homotopy:
-    """The corrected homotopy ``D d D (I - D d)`` degreewise.
+def hat(c: BasedComplex, D: Homotopy) -> Homotopy:
+    """The corrected homotopy ``D d D (I - D d)`` degreewise, formed as
+    ``(D_n d_{n+1}) (D_n - D_n (D_{n-1} d_n))``.
 
-    Applied to a suitable pre-vector field this produces a partial splitting,
-    and a full splitting when the input also satisfied ``d D d = d``; with
-    ``verify`` these postconditions are checked exactly.
+    Applied to a suitable pre-vector field this produces a partial
+    splitting, and a full splitting when the input also satisfied
+    ``d D d = d``.  Those postconditions are not checked here: the caller
+    certifies the result with :func:`classify`.
     """
-    scal = _scalar_system(c, D)
-    mats: list[RingMatrix] = []
-    if scal is not None:
-        field, dS, DS = scal
-        for n in range(0, c.top):
-            r = c.rank(n)
-            A_n = _sm_mul(field, DS[n - 1], dS[n])
-            IA = _sm_sub(field, SMat.identity(field, r), A_n)
-            Q = _sm_mul(field, DS[n], IA)
-            P = _sm_mul(field, DS[n], dS[n + 1])
-            newD = _sm_mul(field, P, Q)
-            mats.append(RingMatrix.from_scalar_rows(c.ring, newD.rows, ncols=r))
-    else:
-        for n in range(0, c.top):
-            A_n = D.D(n - 1) @ dmat(c, n)
-            IA = RingMatrix.identity(c.ring, c.rank(n)) - A_n
-            Q = D.D(n) @ IA
-            P = D.D(n) @ dmat(c, n + 1)
-            mats.append(P @ Q)
-    out = Homotopy(c, mats)
-    if verify:
-        res = classify(c, out)
-        ok = res.is_partial_splitting
-        if ok and _satisfies_pdp(c, D):
-            ok = res.is_splitting
-        if not ok:
-            raise VerificationError("hat postcondition failed")
-    return out
+    mats = []
+    for n in range(0, c.top):
+        Dn = D.D(n)
+        mats.append((Dn @ dmat(c, n + 1)) @ (Dn - Dn @ (D.D(n - 1) @ dmat(c, n))))
+    return Homotopy(c, mats)
 
 
 def _satisfies_pdp(c: BasedComplex, D: Homotopy) -> bool:
@@ -404,22 +281,12 @@ def affine_combination(c: BasedComplex, weighted: list[tuple]) -> Homotopy:
         total = field.add(total, w)
     if not field.eq(total, field.one):
         raise VerificationError("affine weights do not sum to 1")
-    scal = c.is_scalar() and all(D.is_scalar() for _, D in weighted)
     mats = []
     for n in range(0, c.top):
-        rn, rn1 = c.rank(n), c.rank(n + 1)
-        if scal:
-            acc = s_zeros(field, rn1, rn)
-            for w, D in weighted:
-                term = s_scale(field, D.D(n).scalar_rows(), w)
-                acc = [[field.add(x, y) for x, y in zip(r1, r2)]
-                       for r1, r2 in zip(acc, term)]
-            mats.append(RingMatrix.from_scalar_rows(c.ring, acc, ncols=rn))
-        else:
-            acc = RingMatrix.zeros(c.ring, rn1, rn)
-            for w, D in weighted:
-                acc = acc + D.D(n).scale(c.ring.const(w))
-            mats.append(acc)
+        acc = RingMatrix.zeros(c.ring, c.rank(n + 1), c.rank(n))
+        for w, D in weighted:
+            acc = acc + D.D(n).scale(w)
+        mats.append(acc)
     out = Homotopy(c, mats)
     if not _satisfies_pdp(c, out):
         raise VerificationError("affine combination lost d D d = d")

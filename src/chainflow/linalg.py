@@ -4,14 +4,18 @@ pseudoinverses of rational matrices).
 
 A PolyRing is field + named variables; MultiPoly stores terms in a dict
 keyed by packed exponents (16 bits per variable).  RingMatrix is a dense
-matrix of MultiPoly entries.  Scalar matrices (plain lists of lists of
-field values) have their own helpers, which is where all the elimination
-work happens; callers hand them a RingMatrix's ``scalar_rows()``.
+matrix of MultiPoly entries; it carries its shape, so products with a zero
+dimension are plain zero matrices, and it is the one matrix type of the
+homotopy algebra in ``flows``.  Scalar row lists (plain lists of lists of
+field values) exist only for elimination: ``rref``, ``s_rank``, ``solve``,
+``kernel`` and ``s_inverse`` take a RingMatrix's ``scalar_rows()``, and the
+pseudoinverse works on them throughout.
 
 Every exact product (``MultiPoly.__mul__``, ``RingMatrix.__matmul__`` and
 ``s_mul``) hands the factor pairs of each output coefficient to one
 ``field.dot`` call, so each coefficient is reduced once, not after every
-product.
+product.  Over a ring with no variables (the stratum complexes) the pairs
+of constants go to ``field.dot`` directly.
 """
 
 from __future__ import annotations
@@ -78,9 +82,6 @@ class PolyRing:
         if self.field.is_zero(c):
             return self.zero()
         return MultiPoly(self, {self.pack(exps): c})
-
-    def same(self, other):
-        return self.field is other.field and self.names == other.names
 
     def __repr__(self):
         return f"PolyRing({self.field!r}, {list(self.names)})"
@@ -150,11 +151,6 @@ class MultiPoly:
         if self.terms.keys() != other.terms.keys():
             return False
         return all(f.eq(c, other.terms[k]) for k, c in self.terms.items())
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(self.ring.unpack(k)) for k in self.terms)
 
     def coefficient(self, exps):
         return self.terms.get(self.ring.pack(exps), self.ring.field.zero)
@@ -310,19 +306,27 @@ class RingMatrix:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise InternalError(f"matmul shape mismatch {self.shape} @ {other.shape}")
         ring = self.ring
+        if not (self.nrows and self.ncols and other.ncols):
+            return RingMatrix.zeros(ring, self.nrows, other.ncols)
         field = ring.field
+        if ring.nvars:
+            def entry(pairs):
+                return MultiPoly(ring, _poly_dot(field, pairs))
+        else:
+            # Constant entries: every term has key 0, so the coefficient
+            # pairs go straight to one field.dot, with no grouping by key.
+            dot = field.dot
+
+            def entry(pairs):
+                return ring.const(dot([(a[0], b[0]) for a, b in pairs]))
         rows = _product_rows(
             [[e.terms for e in row] for row in self.rows],
             [[e.terms for e in row] for row in other.rows],
-            other.ncols, bool,
-            lambda pairs: MultiPoly(ring, _poly_dot(field, pairs)))
+            other.ncols, bool, entry)
         return RingMatrix(ring, rows, ncols=other.ncols)
 
     def __add__(self, other):
@@ -345,10 +349,6 @@ class RingMatrix:
     def scale(self, c):
         return RingMatrix(self.ring, [[a.scale(c) for a in r] for r in self.rows],
                           ncols=self.ncols)
-
-    def transpose(self):
-        return RingMatrix(self.ring, [[self.rows[i][j] for i in range(self.nrows)]
-                                      for j in range(self.ncols)], ncols=self.nrows)
 
     def is_zero(self):
         return all(a.is_zero() for r in self.rows for a in r)
@@ -385,28 +385,10 @@ def s_identity(field, n):
     return m
 
 
-def s_sub(field, a, b):
-    return [[field.sub(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def s_scale(field, a, c):
-    return [[field.mul(c, x) for x in r] for r in a]
-
-
 def s_transpose(a):
     if not a:
         return []
     return [list(col) for col in zip(*a)]
-
-
-def s_eq(field, a, b):
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
-        return False
-    return all(field.eq(x, y) for r1, r2 in zip(a, b) for x, y in zip(r1, r2))
-
-
-def s_is_zero(field, a):
-    return all(field.is_zero(x) for r in a for x in r)
 
 
 def s_mul(field, a, b):

@@ -67,6 +67,10 @@ class MonomialIdeal:
         self.names = tuple(str(n) for n in names)
         if len(set(self.names)) != len(self.names):
             raise InputError("variable names must be distinct")
+        if not isinstance(generators, (list, tuple)):
+            raise InputError(
+                f"the generators must be a list of exponent lists, "
+                f"got {generators!r}")
         gens = []
         for g in generators:
             if not isinstance(g, (list, tuple)):

@@ -371,9 +371,6 @@ class FunctionField:
     def pd_is_zero(self, a):
         return not a
 
-    def pd_eq(self, a, b):
-        return a == b
-
     def pd_vars_used(self, a):
         used = set()
         k = reduce(or_, a, 0)

@@ -676,8 +676,7 @@ def split_stratum(tag, mode: str, c_base: BasedComplex, c_work: BasedComplex,
             field = c_work.ring.field
             m = count_choices(options)
             weights = [field.inv(field.from_int(m))] * m
-        D = hat(c_work, matroidal_average(c_base, c_work, options, weights),
-                verify=False)
+        D = hat(c_work, matroidal_average(c_base, c_work, options, weights))
     cls = classify(c_work, D)
     if not cls.is_splitting:
         raise VerificationError(

@@ -6,7 +6,7 @@ from chainflow.flows import (
     ExtractedSummand, Homotopy, _column, _stratum_tag, dmat,
 )
 from chainflow.linalg import (
-    RingMatrix, rref, s_eq, s_inverse, s_mul, s_transpose,
+    RingMatrix, rref, s_inverse, s_mul, s_transpose,
 )
 from chainflow.scalars import QQ
 from chainflow.splittings import _coerce_scalar
@@ -16,10 +16,10 @@ def mp_identities_hold(a, ap):
     """Check the four Moore-Penrose identities for A and candidate A^+."""
     aap = s_mul(QQ, a, ap)
     apa = s_mul(QQ, ap, a)
-    return (s_eq(QQ, s_mul(QQ, aap, a), a)
-            and s_eq(QQ, s_mul(QQ, apa, ap), ap)
-            and s_eq(QQ, s_transpose(aap), aap)
-            and s_eq(QQ, s_transpose(apa), apa))
+    return (s_mul(QQ, aap, a) == a
+            and s_mul(QQ, apa, ap) == ap
+            and s_transpose(aap) == aap
+            and s_transpose(apa) == apa)
 
 
 def coerce_homotopy(D: Homotopy, new_complex: BasedComplex) -> Homotopy:
@@ -28,8 +28,15 @@ def coerce_homotopy(D: Homotopy, new_complex: BasedComplex) -> Homotopy:
     dst_field = new_complex.ring.field
     if src_field is dst_field:
         return D
-    return D.map_coefficients(
-        lambda v: _coerce_scalar(v, src_field, dst_field), new_complex)
+    ring = new_complex.ring
+
+    def coerce(v):
+        return _coerce_scalar(v, src_field, dst_field)
+
+    mats = [RingMatrix(ring, [[e.map_coefficients(coerce, ring) for e in row]
+                              for row in m.rows], ncols=m.ncols)
+            for m in D.mats]
+    return Homotopy(new_complex, mats)
 
 
 def flow(c: BasedComplex, D: Homotopy) -> list:

@@ -335,6 +335,20 @@ class TestInputHandling:
         assert out == ""
         assert "unit ideal" in err
 
+    @pytest.mark.parametrize("bad", [5, None, True, 1.5, "xy", {"a": 1}],
+                             ids=["int", "null", "true", "float", "string",
+                                  "object"])
+    def test_generators_must_be_a_list(self, bad, tmp_path, capsys):
+        # Numbers, null and true were uncaught TypeErrors (exit 1); a string
+        # or an object was read element by element and misreported.
+        doc = {"variables": ["x", "y"], "generators": bad}
+        for cmd in ("lattice", "resolve", "matroidal"):
+            rc, out, err = self.run_doc(doc, tmp_path, capsys, cmd=cmd)
+            assert rc == 2, cmd
+            assert out == ""
+            assert (f"the generators must be a list of exponent lists, "
+                    f"got {bad!r}") in err
+
     def test_variables_must_be_a_list(self, tmp_path, capsys):
         doc = {"variables": "xy", "generators": [[1, 0], [0, 1]]}
         rc, out, err = self.run_doc(doc, tmp_path, capsys)

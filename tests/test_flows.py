@@ -12,9 +12,9 @@ from chainflow.flows import (
     Homotopy, affine_combination, assemble_field, classify, hat, iterate_flow,
     moore_penrose,
 )
-from chainflow.linalg import RingMatrix
+from chainflow.linalg import PolyRing, RingMatrix
 from chainflow.monomial import order_complex_resolution
-from chainflow.scalars import GF, QQ
+from chainflow.scalars import GF, QQ, FunctionField
 from chainflow.splittings import build_stratum_splitting
 from chainflow import cyclefam
 import golden_data as G
@@ -38,6 +38,60 @@ def scalar_homotopy(c, n, rows):
         ring, [[ring.const(Fraction(x)) for x in r] for r in rows],
         ncols=c.rank(n)))
     return Homotopy(c, mats)
+
+
+def int_complex(ring, ranks, diffs, maps):
+    """A complex with the given ranks and a homotopy on it, both from
+    integer rows: ``diffs[n]`` is d_{n+1} and ``maps[n]`` is D_n."""
+    def mat(rows, ncols):
+        return RingMatrix(ring, [[ring.from_int(v) for v in r] for r in rows],
+                          ncols=ncols)
+    c = BasedComplex(ring, [[f"e{n}.{i}" for i in range(r)]
+                            for n, r in enumerate(ranks)],
+                     [None] * len(ranks),
+                     [mat(m, ranks[n + 1]) for n, m in enumerate(diffs)])
+    return c, Homotopy(c, [mat(m, ranks[n]) for n, m in enumerate(maps)])
+
+
+def conjugate(c, D, x):
+    """``c`` and ``D`` in the basis changed by the unimodular
+    ``P_n = I + x E_01`` (n even) or ``I + x E_10`` (n odd) wherever
+    ``F_n`` has rank at least 2: ``d'_n = P_{n-1} d_n P_n^{-1}`` and
+    ``D'_n = P_{n+1} D_n P_n^{-1}``.  Every homotopy identity holds for
+    ``(c', D')`` exactly when it holds for ``(c, D)``."""
+    ring = c.ring
+
+    def P(n, sign):
+        m = RingMatrix.identity(ring, c.rank(n))
+        if c.rank(n) >= 2:
+            i, j = (0, 1) if n % 2 == 0 else (1, 0)
+            m.rows[i][j] = x if sign > 0 else -x
+        return m
+
+    diffs = [P(n - 1, 1) @ c.d(n) @ P(n, -1) for n in range(1, c.top + 1)]
+    c2 = BasedComplex(ring, c.labels, c.multidegrees, diffs)
+    return c2, Homotopy(c2, [P(n + 1, 1) @ D.D(n) @ P(n, -1)
+                             for n in range(c.top)])
+
+
+# Each case: ranks, the rows of d_1.., the rows of D_0.., and the flags
+# (pre-vector field, vector field, partial splitting, splitting).  Each
+# case but the splitting breaks one identity and no identity it does not
+# force to break: D D d != d D D forces D^2 != 0, and D^2 != 0 with
+# D D d = d D D forces D d D != D (D_{n+1} D_n = D_{n+1} D_n d D_n
+# = d D_{n+2} D_{n+1} D_n, and repeating gives d d (...) = 0).
+FLAG_CASES = {
+    "splitting": ([1, 2, 1], [[[1, 0]], [[0], [1]]],
+                  [[[1], [0]], [[0, 1]]], (True, True, True, True)),
+    "D^2 != 0": ([2, 2, 1], [[[1, 0], [0, 0]], [[0], [0]]],
+                 [[[1, 0], [0, 1]], [[0, 1]]], (True, False, False, False)),
+    "DDd != dDD": ([1, 2, 1], [[[1, 0]], [[0], [1]]],
+                   [[[1], [0]], [[1, 1]]], (False, False, False, False)),
+    "DdD != D": ([2, 2], [[[1, 0], [0, 0]]], [[[1, 0], [0, 1]]],
+                 (True, True, False, False)),
+    "dDd != d": ([2, 2], [[[1, 0], [0, 1]]], [[[1, 0], [0, 0]]],
+                 (True, True, True, False)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +139,28 @@ class TestClassify:
                      + len(cls.decomposition.m_basis[n]))
             assert total == c.rank(n)
 
+    @pytest.mark.parametrize("case", FLAG_CASES)
+    @pytest.mark.parametrize("field", [QQ, GF(5), FunctionField(5, ["y"])],
+                             ids=["Q", "F5", "F5(y)"])
+    def test_flags_per_broken_identity(self, case, field):
+        ranks, diffs, maps, want = FLAG_CASES[case]
+        c, D = int_complex(scalar_ring(field), ranks, diffs, maps)
+        cls = classify(c, D)
+        assert (cls.is_pre_vector_field, cls.is_vector_field,
+                cls.is_partial_splitting, cls.is_splitting) == want
+        assert cls.is_weak_partial_splitting is None
+        assert cls.decomposition is None
+
+    @pytest.mark.parametrize("case", FLAG_CASES)
+    def test_flags_on_non_scalar_complex(self, case):
+        ranks, diffs, maps, want = FLAG_CASES[case]
+        R = PolyRing(QQ, ["x"])
+        c, D = conjugate(*int_complex(R, ranks, diffs, maps), R.var("x"))
+        assert not (c.is_scalar() and D.is_scalar())
+        cls = classify(c, D)
+        assert (cls.is_pre_vector_field, cls.is_vector_field,
+                cls.is_partial_splitting, cls.is_splitting) == want
+
     def test_decomposition_needs_scalar_data(self):
         I = cyclefam.build_Ip(3).ideal
         s = order_complex_resolution(I, QQ)
@@ -101,15 +177,16 @@ class TestHat:
             assert H.D(n).eq(D.D(n))
 
     def test_postcondition_failure_raises(self):
+        # hat checks nothing itself; classify is the certificate, and it
+        # rejects the hat of a homotopy with dDd = 4d != d.
         c = two_term(2)
-        bad = scalar_homotopy(c, 0, [[1]])   # dDd = 4d != d
-        with pytest.raises(VerificationError, match="hat postcondition failed"):
-            hat(c, bad)
+        bad = scalar_homotopy(c, 0, [[1]])
+        assert not classify(c, hat(c, bad)).is_splitting
 
     def test_unverified_hat_returns_raw_formula(self):
         c = two_term(2)
         bad = scalar_homotopy(c, 0, [[1]])
-        H = hat(c, bad, verify=False)
+        H = hat(c, bad)
         # degree 0: (D_0 d_1 D_0)(I - D_{-1} d_0) = 1*2*1*(1 - 0) = 2
         assert H.D(0).rows[0][0].constant_term() == Fraction(2)
 
@@ -134,6 +211,18 @@ class TestAffineCombination:
             affine_combination(hexagon, [(Fraction(1, 2), D)])
         with pytest.raises(InputError):
             affine_combination(hexagon, [])
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+    def test_non_scalar_complex(self, field):
+        # d_1 = [1, x] and D_0 = [[1], [0]] over k[x]: d D d = d holds, and
+        # the half-and-half combination of D with itself is D.
+        R = PolyRing(field, ["x"])
+        d1 = RingMatrix(R, [[R.one(), R.var("x")]])
+        c = BasedComplex(R, [["a"], ["b", "c"]], [None, None], [d1])
+        D = Homotopy(c, [RingMatrix(R, [[R.one()], [R.zero()]])])
+        half = field.inv(field.from_int(2))
+        A = affine_combination(c, [(half, D), (half, D)])
+        assert A.D(0).eq(D.D(0))
 
     def test_singleton_identity(self, hexagon):
         D = moore_penrose(hexagon)

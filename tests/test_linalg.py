@@ -9,7 +9,7 @@ import sympy
 from chainflow.errors import InputError
 from chainflow.linalg import (
     MultiPoly, PolyRing, RingMatrix, char_poly, kernel, mp_inverse, rref,
-    s_eq, s_mul, s_rank, s_inverse, s_transpose, solve,
+    s_mul, s_rank, s_inverse, s_transpose, solve,
 )
 from chainflow.scalars import GF, QQ, FunctionField, pack_exponents
 
@@ -101,7 +101,8 @@ def poly_to_sympy(p, xs):
 SHAPES = [(0, 3, 2), (2, 3, 0), (2, 0, 3), (1, 1, 1), (3, 4, 2), (5, 5, 5),
           (4, 7, 3)]
 # A row list cannot carry the column count of a 0 x n factor, so ``s_mul``
-# takes no zero inner dimension (SMat in flows carries shapes instead).
+# takes no zero inner dimension; ``RingMatrix`` carries its shape and takes
+# every one.
 S_SHAPES = [shape for shape in SHAPES if shape[1]]
 
 
@@ -155,7 +156,7 @@ class TestEliminationOracle:
                 break
         inv = s_inverse(QQ, a)
         eye = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-        assert s_eq(QQ, s_mul(QQ, a, inv), eye)
+        assert s_mul(QQ, a, inv) == eye
 
     def test_prime_field_rank(self):
         F = GF(5)
@@ -219,9 +220,20 @@ class TestProducts:
     @pytest.mark.parametrize("field", [GF(3), FunctionField(3, ["y1", "y2"])],
                              ids=["F3", "F3(y)"])
     def test_ring_matmul_fold(self, shape, field):
+        self.check_fold(PolyRing(field, ["x", "y"]), random.Random(80 + sum(shape)),
+                        shape)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("field", [QQ, GF(3), FunctionField(3, ["y1", "y2"])],
+                             ids=["Q", "F3", "F3(y)"])
+    def test_constant_ring_matmul_fold(self, shape, field):
+        """With no ring variables the product takes its constants-only path."""
+        self.check_fold(PolyRing(field, []), random.Random(90 + sum(shape)),
+                        shape)
+
+    @staticmethod
+    def check_fold(R, rng, shape):
         nr, ni, nc = shape
-        R = PolyRing(field, ["x", "y"])
-        rng = random.Random(80 + sum(shape))
         a = rand_ring_matrix(R, rng, nr, ni)
         b = rand_ring_matrix(R, rng, ni, nc)
         got = a @ b
