@@ -249,7 +249,7 @@ def moore_penrose(c: BasedComplex) -> Homotopy:
     """Degreewise Moore-Penrose pseudoinverse homotopy ``D_n = (d_{n+1})^+``.
 
     Only defined over the rationals; each pseudoinverse is computed exactly
-    through the characteristic polynomial of ``d d^T``.
+    by :func:`linalg.mp_inverse`, MacDuffee's formula on integer rows.
     """
     if c.ring.field.char != 0:
         raise InputError("Moore-Penrose requires characteristic zero")

@@ -1,6 +1,6 @@
 """Multivariate polynomials over an exact field, matrices, and exact
-linear algebra (rref/rank/solve/kernel, characteristic polynomials, and
-pseudoinverses of rational matrices).
+linear algebra (rref/rank/solve/kernel, and pseudoinverses of rational
+matrices).
 
 A PolyRing is field + named variables; MultiPoly stores terms in a dict
 keyed by packed exponents (16 bits per variable).  RingMatrix is a dense
@@ -9,7 +9,8 @@ dimension are plain zero matrices, and it is the one matrix type of the
 homotopy algebra in ``flows``.  Scalar row lists (plain lists of lists of
 field values) exist only for elimination: ``rref``, ``s_rank``, ``solve``,
 ``kernel`` and ``s_inverse`` take a RingMatrix's ``scalar_rows()``, and the
-pseudoinverse works on them throughout.
+pseudoinverse works on them throughout.  Over Q, elimination and the
+pseudoinverse run on integer rows and build each Fraction once, at the end.
 
 Every exact product (``MultiPoly.__mul__``, ``RingMatrix.__matmul__`` and
 ``s_mul``) hands the factor pairs of each output coefficient to one
@@ -21,12 +22,15 @@ of constants go to ``field.dot`` directly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import InputError, InternalError
 from .scalars import QQ
 
 XBITS = 16
 XMASK = (1 << XBITS) - 1
+_ZERO = Fraction(0)
 
 
 class PolyRing:
@@ -402,7 +406,31 @@ def s_mul(field, a, b):
 
 
 def rref(field, mat):
-    """Row-reduce a copy of mat; returns (reduced, pivot_columns)."""
+    """Row-reduce a copy of mat; returns (reduced, pivot_columns).
+
+    Over Q the elimination runs on integer rows (:func:`_int_echelon`) and
+    each pivot row is divided by its pivot once, at the end.  The result is
+    ``==`` to what :func:`_gauss_jordan` returns: scaling a row by a nonzero
+    rational and the fraction-free row updates are invertible row
+    operations, so both paths reach a reduced row echelon form of the same
+    row space, and that form is unique (two reduced echelon matrices with
+    the same row space are equal).  The pivot columns are those not in the
+    span of the columns before them, which row operations do not change.
+    Other fields take the generic loop.
+    """
+    if field.char != 0:
+        return _gauss_jordan(field, mat)
+    nc = len(mat[0]) if mat else 0
+    rows, pivots = _int_echelon(mat, nc)
+    reduced = [[Fraction(x, row[c]) if x else _ZERO for x in row]
+               for row, c in zip(rows, pivots)]
+    reduced.extend([_ZERO] * nc for _ in range(len(rows) - len(pivots)))
+    return reduced, pivots
+
+
+def _gauss_jordan(field, mat):
+    """:func:`rref` by Gauss-Jordan elimination through the field's
+    operations, over any field."""
     a = [list(r) for r in mat]
     nr = len(a)
     nc = len(a[0]) if a else 0
@@ -423,6 +451,47 @@ def rref(field, mat):
             if i != r and not field.is_zero(a[i][c]):
                 f = a[i][c]
                 a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return a, pivots
+
+
+def _int_echelon(mat, nc):
+    """Fraction-free Gauss-Jordan elimination of the rational rows ``mat``
+    in their first ``nc`` columns; returns ``(rows, pivots)``.
+
+    Each row is scaled by the lcm of its denominators, and every row update
+    ``u*row - v*pivot_row`` is divided by the gcd of its entries, so all
+    arithmetic is on integers of moderate size.  Row ``r`` of the result,
+    for ``r < len(pivots)``, is a nonzero multiple of row ``r`` of the
+    reduced row echelon form: its entry in column ``pivots[r]`` is nonzero
+    and its entries in the other pivot columns are zero.  The other rows
+    vanish in the first ``nc`` columns.  ``mat`` is not modified.
+    """
+    a = []
+    for row in mat:
+        den = lcm(*[x.denominator for x in row])
+        a.append([x.numerator * (den // x.denominator) for x in row])
+    nr = len(a)
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        prow = a[r]
+        p = prow[c]
+        for i in range(nr):
+            f = a[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                u, v = p // g, f // g
+                row = [u * x - v * y for x, y in zip(a[i], prow)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nr:
@@ -480,60 +549,49 @@ def s_inverse(field, a):
     return [r[n:] for r in red]
 
 
-def char_poly(a):
-    """Characteristic polynomial det(xI - A) of a rational square matrix,
-    by the trace-recursion method.  Returns coefficients from the leading
-    power down: [1, c_1, ..., c_n] meaning x^n + c_1 x^{n-1} + ... + c_n.
-    """
-    n = len(a)
-    a = [[Fraction(x) for x in row] for row in a]
-    coeffs = [Fraction(1)]
-    m = s_identity(QQ, n)
-    for k in range(1, n + 1):
-        am = s_mul(QQ, a, m)
-        tr = sum((am[i][i] for i in range(n)), Fraction(0))
-        ck = -tr / k
-        coeffs.append(ck)
-        m = [[am[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
-    return coeffs
-
-
-def poly_eval_matrix(coeffs_desc, a):
-    """Evaluate a polynomial (descending coefficients) at a square matrix."""
-    n = len(a)
-    out = s_zeros(QQ, n, n)
-    for c in coeffs_desc:
-        out = s_mul(QQ, a, out)
-        for i in range(n):
-            out[i][i] += c
-    return out
+def _int_mul(a, b):
+    """Product of integer row lists; ``b`` has at least one row."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def mp_inverse(a):
-    """Moore-Penrose pseudoinverse of a rational matrix, computed exactly
-    through the characteristic polynomial of A A^T.
+    """Moore-Penrose pseudoinverse of a rational matrix, exactly, by
+    MacDuffee's formula on integer rows.
 
-    Write det(xI - AA^T) = x^s g(x) with g(0) != 0, and
-    q(x) = (1 - g(x)/g(0))/x.  Then A^+ = A^T q(B) B q(B) with B = AA^T.
+    Write A = A'/s with s the lcm of the denominators, so A' is an integer
+    m x n matrix of rank r.  Let P be the pivot columns of A' and Q those of
+    A'^T; B = A'[:, P] has full column rank and C = A'[Q, :] full row rank.
+    Every column of A' is a combination of B's, A' = B F, and the rows Q
+    give C = M F with M = A'[Q, P]; C has rank r, so the r x r matrix M is
+    invertible and A' = B M^-1 C.  Then K = B^T A' C^T = (B^T B) M^-1 (C C^T)
+    is invertible, and X = C^T K^-1 B^T satisfies
+
+        A' X = B (B^T B)^-1 B^T,    X A' = C^T (C C^T)^-1 C.
+
+    Both are symmetric, A' X A' = B M^-1 C = A' and X A' X = X, so X is the
+    pseudoinverse of A' (MacDuffee's formula; Ben-Israel and Greville,
+    *Generalized Inverses*, Ch. 1), and A^+ = s X.
+
+    K^-1 B^T comes from one fraction-free elimination of [K | B^T].  Its
+    rows are brought over one common denominator L, so X = C^T Y / L with Y
+    an integer matrix, and each entry of A^+ is built as one Fraction.
     """
     if not a or not a[0]:
         return s_transpose(a)
-    a = [[Fraction(x) for x in row] for row in a]
-    at = s_transpose(a)
-    b = s_mul(QQ, a, at)
-    f = char_poly(b)  # descending, degree n
-    # strip trailing zeros: f = x^s * g
-    g = list(f)
-    while len(g) > 1 and g[-1] == 0:
-        g.pop()
-    g0 = g[-1]
-    if g0 == 0:  # A was zero
-        return [[Fraction(0)] * len(a) for _ in range(len(at))]
-    # q(x) = (1 - g(x)/g0)/x ; numerator has zero constant term
-    scaled = [-c / g0 for c in g]
-    scaled[-1] += 1  # now this polynomial is 1 - g/g0, descending coeffs
-    if scaled[-1] != 0:
-        raise InternalError("pseudoinverse: constant term did not cancel")
-    q = scaled[:-1]  # divide by x
-    qb = poly_eval_matrix(q, b)
-    return s_mul(QQ, at, s_mul(QQ, qb, s_mul(QQ, b, qb)))
+    m, n = len(a), len(a[0])
+    s = lcm(*[x.denominator for row in a for x in row])
+    ai = [[x.numerator * (s // x.denominator) for x in row] for row in a]
+    _, cols = _int_echelon(ai, n)
+    if not cols:
+        return s_zeros(QQ, n, m)
+    _, rows = _int_echelon(s_transpose(ai), m)
+    r = len(cols)
+    bt = [[row[j] for row in ai] for j in cols]
+    ct = s_transpose([ai[i] for i in rows])
+    k = _int_mul(_int_mul(bt, ai), ct)
+    red, _ = _int_echelon([kr + br for kr, br in zip(k, bt)], r)
+    den = lcm(*[row[i] for i, row in enumerate(red)])
+    y = [[x * (den // row[i]) for x in row[r:]] for i, row in enumerate(red)]
+    return [[Fraction(s * x, den) if x else _ZERO for x in row]
+            for row in _int_mul(ct, y)]

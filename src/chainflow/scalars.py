@@ -40,18 +40,43 @@ YMASK = (1 << YBITS) - 1
 _FOLD = tuple(1 << i for i in reversed(range(YBITS.bit_length() - 1)))
 
 
+# Miller-Rabin with the first 13 prime bases, 2..41, is exact below
+# _MR_LIMIT (the least strong pseudoprime to all of them; Sorenson and
+# Webster, Math. Comp. 86 (2017)).  The first 12 bases, 2..37, are not
+# enough there: 318665857834031151167461 passes all 12 and is composite.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Whether ``p`` is prime, by deterministic Miller-Rabin.
+
+    Numbers with a factor among the bases are decided by it; any other
+    number from ``_MR_LIMIT`` up cannot be certified and raises
+    ``InputError``.
+    """
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if p >= _MR_LIMIT:
+        raise InputError(f"cannot certify that {p} is prime: deterministic "
+                         f"primality testing stops below {_MR_LIMIT}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -608,14 +608,7 @@ def stratum_core(c: BasedComplex, D: Homotopy) -> list:
             if not combos:
                 out.append([])
                 continue
-        vecs = []
-        for comb in combos:
-            v = [field.zero] * r
-            for t, coef in enumerate(comb):
-                if not field.is_zero(coef):
-                    for i in range(r):
-                        v[i] = field.add(v[i], field.mul(coef, ker[t][i]))
-            vecs.append(v)
+        vecs = s_mul(field, combos, ker)
         clear = getattr(field, "clear_vector_denominators", None)
         if clear is not None:
             vecs = [clear(v) for v in vecs]

@@ -5,8 +5,11 @@ from chainflow.errors import VerificationError
 from chainflow.flows import (
     ExtractedSummand, Homotopy, _column, _stratum_tag, dmat,
 )
+from fractions import Fraction
+
+from chainflow.errors import InternalError
 from chainflow.linalg import (
-    RingMatrix, rref, s_inverse, s_mul, s_transpose,
+    RingMatrix, rref, s_identity, s_inverse, s_mul, s_transpose, s_zeros,
 )
 from chainflow.scalars import QQ
 from chainflow.splittings import _coerce_scalar
@@ -20,6 +23,65 @@ def mp_identities_hold(a, ap):
             and s_mul(QQ, apa, ap) == ap
             and s_transpose(aap) == aap
             and s_transpose(apa) == apa)
+
+
+def char_poly(a):
+    """Characteristic polynomial det(xI - A) of a rational square matrix,
+    by the trace-recursion method.  Returns coefficients from the leading
+    power down: [1, c_1, ..., c_n] meaning x^n + c_1 x^{n-1} + ... + c_n.
+    """
+    n = len(a)
+    a = [[Fraction(x) for x in row] for row in a]
+    coeffs = [Fraction(1)]
+    m = s_identity(QQ, n)
+    for k in range(1, n + 1):
+        am = s_mul(QQ, a, m)
+        tr = sum((am[i][i] for i in range(n)), Fraction(0))
+        ck = -tr / k
+        coeffs.append(ck)
+        m = [[am[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
+    return coeffs
+
+
+def poly_eval_matrix(coeffs_desc, a):
+    """Evaluate a polynomial (descending coefficients) at a square matrix."""
+    n = len(a)
+    out = s_zeros(QQ, n, n)
+    for c in coeffs_desc:
+        out = s_mul(QQ, a, out)
+        for i in range(n):
+            out[i][i] += c
+    return out
+
+
+def decell_mp_inverse(a):
+    """Moore-Penrose pseudoinverse of a rational matrix, computed exactly
+    through the characteristic polynomial of A A^T (Decell's method).
+
+    Write det(xI - AA^T) = x^s g(x) with g(0) != 0, and
+    q(x) = (1 - g(x)/g(0))/x.  Then A^+ = A^T q(B) B q(B) with B = AA^T.
+    """
+    if not a or not a[0]:
+        return s_transpose(a)
+    a = [[Fraction(x) for x in row] for row in a]
+    at = s_transpose(a)
+    b = s_mul(QQ, a, at)
+    f = char_poly(b)  # descending, degree n
+    # strip trailing zeros: f = x^s * g
+    g = list(f)
+    while len(g) > 1 and g[-1] == 0:
+        g.pop()
+    g0 = g[-1]
+    if g0 == 0:  # A was zero
+        return [[Fraction(0)] * len(a) for _ in range(len(at))]
+    # q(x) = (1 - g(x)/g0)/x ; numerator has zero constant term
+    scaled = [-c / g0 for c in g]
+    scaled[-1] += 1  # now this polynomial is 1 - g/g0, descending coeffs
+    if scaled[-1] != 0:
+        raise InternalError("pseudoinverse: constant term did not cancel")
+    q = scaled[:-1]  # divide by x
+    qb = poly_eval_matrix(q, b)
+    return s_mul(QQ, at, s_mul(QQ, qb, s_mul(QQ, b, qb)))
 
 
 def coerce_homotopy(D: Homotopy, new_complex: BasedComplex) -> Homotopy:

@@ -8,12 +8,12 @@ import sympy
 
 from chainflow.errors import InputError
 from chainflow.linalg import (
-    MultiPoly, PolyRing, RingMatrix, char_poly, kernel, mp_inverse, rref,
+    MultiPoly, PolyRing, RingMatrix, kernel, mp_inverse, rref,
     s_mul, s_rank, s_inverse, s_transpose, solve,
 )
 from chainflow.scalars import GF, QQ, FunctionField, pack_exponents
 
-from oracles import mp_identities_hold
+from oracles import char_poly, mp_identities_hold
 
 
 def rand_matrix(rng, nr, nc, lo=-4, hi=4):

@@ -1,14 +1,17 @@
 """Field arithmetic: rationals, prime fields, rational function fields."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from chainflow.cli import main
 from chainflow.errors import InputError, InternalError
 from chainflow.scalars import (
-    GF, QQ, YBITS, YMASK, FunctionField, field_descriptor,
-    field_from_descriptor, pack_exponents, unpack_exponents,
+    _MR_BASES, _MR_LIMIT, GF, QQ, YBITS, YMASK, FunctionField, _is_prime,
+    field_descriptor, field_from_descriptor, pack_exponents, unpack_exponents,
 )
 
 
@@ -125,6 +128,83 @@ class TestPrimeField:
 
     def test_interned(self):
         assert GF(5) is GF(5)
+
+
+def strong_probable_prime(n, a):
+    """Whether odd ``n`` passes the Miller-Rabin round to base ``a``."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(
+        pow(x, 2 ** i, n) == n - 1 for i in range(1, s))
+
+
+class TestPrimality:
+    def test_matches_sympy_on_small_numbers(self):
+        assert [n for n in range(-3, 20000) if _is_prime(n)] == \
+            list(sympy.primerange(20000))
+
+    def test_matches_sympy_below_the_limit(self):
+        rng = random.Random(11)
+        for bits in range(20, _MR_LIMIT.bit_length()):
+            n = rng.getrandbits(bits) | 1
+            p = sympy.nextprime(n)
+            if p < _MR_LIMIT:
+                assert _is_prime(p)
+            assert _is_prime(n) == sympy.isprime(n)
+
+    # The last three are (6k+1)(12k+1)(18k+1) with no factor among the
+    # bases, so the Miller-Rabin rounds, not the base divisions, decide them.
+    @pytest.mark.parametrize("n", [561, 1105, 1729, 2465, 2821, 6601, 8911,
+                                   41041, 825265, 321197185, 9746347772161,
+                                   56052361, 172947529, 1299963601])
+    def test_carmichael_numbers(self, n):
+        # Korselt: squarefree and p - 1 | n - 1 for each prime factor p.
+        factors = sympy.factorint(n)
+        assert len(factors) > 1 and all(
+            e == 1 and (n - 1) % (p - 1) == 0 for p, e in factors.items())
+        assert not _is_prime(n)
+
+    @pytest.mark.parametrize("n, bases", [
+        (2047, 1),                       # 23 * 89, base 2
+        (3215031751, 4),                 # 151 * 751 * 28351, bases 2..7
+        (318665857834031151167461, 12),  # bases 2..37
+    ])
+    def test_strong_pseudoprimes(self, n, bases):
+        assert all(strong_probable_prime(n, a) for a in _MR_BASES[:bases])
+        assert not sympy.isprime(n)
+        assert not _is_prime(n)
+
+    def test_limit_is_a_strong_pseudoprime_to_every_base(self):
+        assert all(strong_probable_prime(_MR_LIMIT, a) for a in _MR_BASES)
+        assert not sympy.isprime(_MR_LIMIT)
+        with pytest.raises(InputError, match="cannot certify"):
+            _is_prime(_MR_LIMIT)
+        assert not _is_prime(_MR_LIMIT + 1)   # even: decided by its factor 2
+
+    def test_largest_certified_primes(self):
+        assert _is_prime(sympy.prevprime(_MR_LIMIT))
+        assert _is_prime(10 ** 18 + 3)
+        with pytest.raises(InputError, match="cannot certify"):
+            _is_prime(2 ** 127 - 1)
+
+    @pytest.mark.parametrize("char, rc, err", [
+        ("1000000000000000003", 0, "critical primes"),
+        (str(2 ** 127 - 1), 2, "cannot certify"),
+        (str(10 ** 40), 2, "must be 0 or a prime"),
+    ])
+    def test_cli_answers_at_once(self, char, rc, err, tmp_path, capsys):
+        # Trial division ran for longer than 10 s on 10^18 + 3.
+        t = time.perf_counter()
+        got = main(["resolve", "--fixture", "cycle3", "--char", char,
+                    "--out", str(tmp_path / "art.json")])
+        elapsed = time.perf_counter() - t
+        out = capsys.readouterr()
+        assert got == rc
+        assert err in out.out + out.err
+        assert elapsed < 1.0
 
 
 class TestPackedExponents:
