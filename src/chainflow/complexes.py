@@ -20,7 +20,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import InputError, InternalError
 from .linalg import MultiPoly, PolyRing, RingMatrix

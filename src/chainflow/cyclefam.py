@@ -15,6 +15,16 @@ characteristic coprime to ``n`` the resolution can be chosen intrinsically
 (equivariantly); in characteristic ``p`` dividing ``n`` no equivariant choice
 exists — an exhaustive obstruction search certifies this — but a canonical
 choice does exist over a transcendental extension ``F_p(y_1..y_{n-1})``.
+
+The three resolutions differ only in the ``g_0`` column of ``d_2``, which
+kills the top degree by an affine combination of the ``n`` cycle choices:
+
+    phi_2(g_0) = v_0^2 h_0 - sum_i w_i e_{i-1,i} v_i e_{i,i+1} h_i,
+
+with weights summing to 1.  The explicit resolution takes the first choice,
+``w = (1, 0, ..., 0)``; the intrinsic one takes the plain average,
+``w = (1/n, ..., 1/n)``, which needs ``n`` invertible; the transcendental
+one takes generic affine weights, ``w = (y_1, ..., y_{n-1}, 1 - sum)``.
 """
 
 from __future__ import annotations
@@ -23,8 +33,8 @@ from dataclasses import dataclass
 from itertools import product as _product
 
 from .errors import InputError, InternalError, VerificationError
-from .scalars import QQ, GF, FunctionField, _is_prime, field_descriptor
-from .linalg import PolyRing, RingMatrix
+from .scalars import QQ, GF, FunctionField, _is_prime
+from .linalg import PolyRing, RingMatrix, s_identity, s_mul, s_zeros
 from .complexes import BasedComplex, verify_strands
 from .monomial import MonomialIdeal, lcm_lattice, render_monomial
 
@@ -57,12 +67,20 @@ class CycleFamily:
 
     def edge(self, i: int) -> int:
         """Position of ``e_{i,i+1}`` for cyclic i in 1..n."""
-        i = ((i - 1) % self.n) + 1
-        return self.n + i
+        return self.n + _cyc(i, self.n)
 
 
 def _cyc(i: int, n: int) -> int:
     return ((i - 1) % n) + 1
+
+
+def _rotate(i: int, n: int) -> int:
+    """The cyclic symmetry on indices 0..n: 0 fixed, i -> i + 1 cyclic in 1..n.
+
+    It moves ``v_i`` and ``h_i`` by index, and ``e_{i,i+1}`` and
+    ``g_{i,i+1}`` by their first index, with ``g_0`` at index 0.
+    """
+    return 0 if i == 0 else _cyc(i + 1, n)
 
 
 def build_Ip(p: int) -> CycleFamily:
@@ -72,213 +90,155 @@ def build_Ip(p: int) -> CycleFamily:
     n = 4 if p == 2 else p
     names = tuple(f"v{i}" for i in range(n + 1)) + tuple(
         f"e{i}{_cyc(i + 1, n)}" for i in range(1, n + 1))
-    nv = len(names)
-    full = [1] * nv
-
-    def drop(exps, pos, k=1):
-        out = list(exps)
-        out[pos] -= k
-        return out
-
-    vpos = lambda i: i
-    epos = lambda i: n + _cyc(i, n)
+    fam = CycleFamily(p, n, names, ideal=None)
+    # Each generator divides v_0^2 * (every other variable once), m_0 with
+    # the cofactor v_0^2 and m_i with the cofactor e_{i-1,i} v_i e_{i,i+1}.
+    v, e = fam.vertex, fam.edge
+    cofactors = [(v(0), v(0))] + [(e(i - 1), v(i), e(i))
+                                  for i in range(1, n + 1)]
     gens = []
-    # m_0 = M / v_0
-    gens.append(tuple(drop(full, vpos(0))))
-    # m_i = v_0 * M / (e_{i-1,i} v_i e_{i,i+1})
-    for i in range(1, n + 1):
-        exps = list(full)
-        exps[vpos(0)] += 1
-        exps[epos(i - 1)] -= 1
-        exps[vpos(i)] -= 1
-        exps[epos(i)] -= 1
+    for cofactor in cofactors:
+        exps = [2] + [1] * (2 * n)
+        for pos in cofactor:
+            exps[pos] -= 1
         gens.append(tuple(exps))
-    I = MonomialIdeal(names, gens)
-    if I.dropped or len(I.generators) != n + 1:
+    fam.ideal = MonomialIdeal(names, gens)
+    if fam.ideal.dropped or len(fam.ideal.generators) != n + 1:
         raise InternalError("family generators unexpectedly not minimal")
-    return CycleFamily(p, n, names, I)
+    return fam
 
 
-def _resolution_shell(fam: CycleFamily, field):
-    """Common frame: ring, labels and multidegrees of the length-3 shell.
+def _weighted_resolution(fam: CycleFamily, field, weights, kind: str
+                         ) -> BasedComplex:
+    """The length-3 resolution whose ``g_0`` column carries ``weights``.
 
-    Homological degrees carry: h (rank 1, degree 0 of the quotient shell is
-    the free module on the empty generator), then the ideal generators
-    ``h_0..h_n`` in degree 1, then ``g_0, g_{1,2}, ..., g_{n,1}`` in degree
-    2, then the single top generator ``f``.  Multidegrees: |h_0| = 2n,
-    |h_i| = 2n - 1, |g_0| = 2n + 2, |g_{i,i+1}| = 2n + 1, |f| = 2n + 2 in
-    total degree; as exponent vectors they are the obvious lcms.
+    The basis is 1 in degree 0, the generators ``h_0..h_n`` in degree 1,
+    the relations ``g_0, g_{1,2}, ..., g_{n,1}`` in degree 2 and the top
+    generator ``f`` in degree 3.  Each basis element sits in the lcm of the
+    generators it involves: ``|h_i| = m_i``, ``|g_{i,i+1}| = lcm(m_i,
+    m_{i+1})`` and ``|g_0| = |f|`` = the lcm of all generators.  Every entry
+    is a scalar times the quotient of the column's multidegree by the row's:
+
+        phi_1(h_i) = m_i,
+        phi_2(g_0) = v_0^2 h_0 - sum_i w_i e_{i-1,i} v_i e_{i,i+1} h_i,
+        phi_2(g_{i,i+1}) = v_{i+1} e_{i+1,i+2} h_{i+1} - e_{i-1,i} v_i h_i,
+        phi_3(f) = sum_i e_{i,i+1} g_{i,i+1},
+
+    indices cyclic, for the weights ``w = (w_1, ..., w_n)``.  ``d_2 d_3 = 0``
+    for any weights, and ``d_1 d_2 = 0`` exactly when they sum to 1.
     """
     n = fam.n
-    ring = PolyRing(field, fam.names)
-    nv = len(fam.names)
     gens = fam.ideal.generators
-
-    def join(a, b):
-        return tuple(max(x, y) for x, y in zip(a, b))
-
-    top = gens[0]
-    for g in gens[1:]:
-        top = join(top, g)
-    # top = v_0^2 * (every other variable once) -- the lcm of all generators
+    top = tuple(map(max, *gens))
+    multidegrees = [
+        [(0,) * len(fam.names)],
+        list(gens),
+        [top] + [tuple(map(max, gens[i], gens[_rotate(i, n)]))
+                 for i in range(1, n + 1)],
+        [top],
+    ]
     labels = [
         ["1"],
         [f"h{i}" for i in range(n + 1)],
-        ["g0"] + [f"g{i}{_cyc(i + 1, n)}" for i in range(1, n + 1)],
+        ["g0"] + [f"g{i}{_rotate(i, n)}" for i in range(1, n + 1)],
         ["f"],
     ]
-    multidegrees = [
-        [tuple([0] * nv)],
-        [tuple(g) for g in gens],
-        [top] + [join(gens[i], gens[_cyc(i + 1, n)]) for i in range(1, n + 1)],
-        [top],
-    ]
-    return ring, labels, multidegrees
+    one = field.one
+    phi2 = s_zeros(field, n + 1, n + 1)
+    phi2[0][0] = one
+    for i in range(1, n + 1):
+        phi2[i][0] = field.neg(weights[i - 1])
+        phi2[_rotate(i, n)][i] = one
+        phi2[i][i] = field.neg(one)
+    scalars = [[[one] * (n + 1)], phi2, [[field.zero]] + [[one]] * n]
+    ring = PolyRing(field, fam.names)
+    diffs = [
+        RingMatrix(ring, [
+            [ring.monomial(tuple(a - b for a, b in zip(col, row)), x)
+             for x, col in zip(xs, multidegrees[k])]
+            for xs, row in zip(scalars[k - 1], multidegrees[k - 1])],
+            ncols=len(multidegrees[k]))
+        for k in (1, 2, 3)]
+    c = BasedComplex(ring, labels, multidegrees, diffs)
+    issues = c.validate()
+    if issues:
+        raise VerificationError(
+            f"{kind} resolution failed validation: " + "; ".join(issues))
+    return c
 
 
 def explicit_resolution(fam: CycleFamily, field) -> BasedComplex:
     """The hand-built resolution of the quotient ring, over any field.
 
-    ``phi_1`` has the generators as columns; ``phi_2`` sends ``g_0`` to
-    ``v_0^2 h_0 - e_{n,1} v_1 e_{1,2} h_1`` and each ``g_{i,i+1}`` to
-    ``v_{i+1} e_{i+1,i+2} h_{i+1} - e_{i-1,i} v_i h_i`` (indices cyclic);
-    ``phi_3`` sends ``f`` to the sum of ``e_{i,i+1} g_{i,i+1}``.
+    Its weights are ``(1, 0, ..., 0)``: ``phi_2`` sends ``g_0`` to
+    ``v_0^2 h_0 - e_{n,1} v_1 e_{1,2} h_1``.
     """
-    n = fam.n
-    ring, labels, multidegrees = _resolution_shell(fam, field)
-    nv = len(fam.names)
-    vpos = lambda i: i
-    epos = lambda i: n + _cyc(i, n)
-    gens = fam.ideal.generators
-    one = field.one
-    neg = field.neg(one)
-
-    # phi_1: 1 x (n+1), column i = generator monomial m_i
-    phi1 = RingMatrix(ring, [[ring.monomial(g, one) for g in gens]],
-                      ncols=n + 1)
-    # phi_2: (n+1) x (n+1); rows h_0..h_n, columns g_0, g_{1,2}, ..., g_{n,1}
-    rows = [[ring.zero() for _ in range(n + 1)] for _ in range(n + 1)]
-    # g_0 column
-    e = [0] * nv
-    e[vpos(0)] = 2
-    rows[0][0] = ring.monomial(tuple(e), one)
-    e = [0] * nv
-    e[epos(n)] += 1
-    e[vpos(1)] += 1
-    e[epos(1)] += 1
-    rows[1][0] = ring.monomial(tuple(e), neg)
-    # g_{i,i+1} columns, i = 1..n: v_{i+1} e_{i+1,i+2} h_{i+1} - e_{i-1,i} v_i h_i
-    for i in range(1, n + 1):
-        col = i
-        ip1 = _cyc(i + 1, n)
-        e = [0] * nv
-        e[vpos(ip1)] += 1
-        e[epos(i + 1)] += 1
-        rows[ip1][col] = rows[ip1][col] + ring.monomial(tuple(e), one)
-        e = [0] * nv
-        e[epos(i - 1)] += 1
-        e[vpos(i)] += 1
-        rows[i][col] = rows[i][col] + ring.monomial(tuple(e), neg)
-    phi2 = RingMatrix(ring, rows, ncols=n + 1)
-    # phi_3: (n+1) x 1: f -> sum_i e_{i,i+1} g_{i,i+1}
-    rows = [[ring.zero()] for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        e = [0] * nv
-        e[epos(i)] += 1
-        rows[i][0] = ring.monomial(tuple(e), one)
-    phi3 = RingMatrix(ring, rows, ncols=1)
-    c = BasedComplex(ring, labels, multidegrees, [phi1, phi2, phi3])
-    issues = c.validate()
-    if issues:
-        raise VerificationError(
-            "explicit resolution failed validation: " + "; ".join(issues))
-    return c
+    weights = [field.one] + [field.zero] * (fam.n - 1)
+    return _weighted_resolution(fam, field, weights, "explicit")
 
 
 def intrinsic_resolution(fam: CycleFamily, field) -> BasedComplex:
     """The equivariant variant: ``g_0``'s column is symmetrised.
 
-    ``phi_2(g_0) = v_0^2 h_0 - (1/n) sum_i e_{i-1,i} v_i e_{i,i+1} h_i``.
-    Requires ``n`` invertible; in characteristic dividing ``n`` the inverse
-    does not exist and this raises an input error.
+    Its weights are the plain average ``(1/n, ..., 1/n)``.  Requires ``n``
+    invertible; in characteristic dividing ``n`` the inverse does not exist
+    and this raises an input error.
     """
     n = fam.n
     if field.char != 0 and n % field.char == 0:
         raise InputError("1/n undefined")
-    inv_n = field.inv(field.from_int(n))
-    c = explicit_resolution(fam, field)
-    ring = c.ring
-    nv = len(fam.names)
-    vpos = lambda i: i
-    epos = lambda i: n + _cyc(i, n)
-    phi2 = c.d(2)
-    rows = [list(r) for r in phi2.rows]
-    coeff = field.neg(inv_n)
-    for i in range(1, n + 1):
-        e = [0] * nv
-        e[epos(i - 1)] += 1
-        e[vpos(i)] += 1
-        e[epos(i)] += 1
-        rows[i][0] = ring.monomial(tuple(e), coeff)
-    out = BasedComplex(ring, [list(l) for l in c.labels],
-                       [list(m) for m in c.multidegrees],
-                       [c.d(1), RingMatrix(ring, rows, ncols=n + 1), c.d(3)])
-    issues = out.validate()
-    if issues:
-        raise VerificationError(
-            "intrinsic resolution failed validation: " + "; ".join(issues))
-    return out
+    weights = [field.inv(field.from_int(n))] * n
+    return _weighted_resolution(fam, field, weights, "intrinsic")
 
 
 def transcendental_resolution(fam: CycleFamily):
     """The canonical choice in characteristic ``p``: generic affine weights.
 
     Over ``F_p(y_1..y_{n-1})`` with ``y_n`` eliminated as ``1 - sum``, the
-    ``g_0`` column becomes ``v_0^2 h_0 - sum_i y_i e_{i-1,i} v_i e_{i,i+1}
-    h_i``.  Substituting ``y_i -> 1/n`` (possible only when ``n`` is
-    invertible) recovers the intrinsic resolution.
+    weights are ``(y_1, ..., y_n)``.  Substituting ``y_i -> 1/n`` (possible
+    only when ``n`` is invertible) recovers the intrinsic resolution.
     """
     n = fam.n
-    p = fam.p
-    names = [f"y{i}" for i in range(1, n)]
-    field = FunctionField(p, names, label="generic affine weights")
+    field = FunctionField(fam.p, [f"y{i}" for i in range(1, n)],
+                          label="generic affine weights")
     y_n = field.pd_const(1)
     for j in range(n - 1):
         y_n = field.pd_sub(y_n, field.pd_var(j))
     field.eliminations[f"y{n}"] = y_n
-    c = explicit_resolution(fam, field)
-    ring = c.ring
-    nv = len(fam.names)
-    vpos = lambda i: i
-    epos = lambda i: n + _cyc(i, n)
-    phi2 = c.d(2)
-    rows = [list(r) for r in phi2.rows]
-    for i in range(1, n + 1):
-        e = [0] * nv
-        e[epos(i - 1)] += 1
-        e[vpos(i)] += 1
-        e[epos(i)] += 1
-        w = (field.pd_var(i - 1), None) if i < n else (y_n, None)
-        rows[i][0] = ring.monomial(tuple(e), field.neg(w))
-    out = BasedComplex(ring, [list(l) for l in c.labels],
-                       [list(m) for m in c.multidegrees],
-                       [c.d(1), RingMatrix(ring, rows, ncols=n + 1), c.d(3)])
-    issues = out.validate()
-    if issues:
-        raise VerificationError(
-            "transcendental resolution failed validation: " + "; ".join(issues))
-    return out, field
+    weights = [field.var(j) for j in range(n - 1)] + [(y_n, None)]
+    return _weighted_resolution(fam, field, weights, "transcendental"), field
 
 
 def rotation_permutation(fam: CycleFamily) -> list:
     """The cyclic symmetry on variables: ``v_0`` fixed, ``v_i -> v_{i+1}``
     and ``e_{i,i+1} -> e_{i+1,i+2}``, indices cyclic in 1..n."""
     n = fam.n
-    perm = list(range(len(fam.names)))
-    for i in range(1, n + 1):
-        perm[i] = _cyc(i + 1, n)
-        perm[n + i] = n + _cyc(i + 1, n)
-    return perm
+    return [_rotate(i, n) for i in range(n + 1)] + [
+        n + _rotate(i, n) for i in range(1, n + 1)]
+
+
+def _psi(field, n: int, a=None):
+    """The rotation's candidate chain map on generators and relations.
+
+    ``P1`` sends ``h_i`` to ``h_{rho(i)}``.  ``P2`` sends ``g_{i,i+1}`` to
+    ``g_{rho(i),rho(i+1)}`` and ``g_0`` to ``g_0 + sum_i a_i g_{i,i+1}``,
+    with ``a = 0`` when omitted.  Both are scalar matrices over ``field``.
+    """
+    P1 = s_zeros(field, n + 1, n + 1)
+    P2 = s_zeros(field, n + 1, n + 1)
+    for i in range(n + 1):
+        P1[_rotate(i, n)][i] = P2[_rotate(i, n)][i] = field.one
+    if a is not None:
+        for i in range(1, n + 1):
+            P2[i][0] = field.from_int(a[i - 1])
+    return P1, P2
+
+
+def _power(field, m, k: int):
+    out = m
+    for _ in range(k - 1):
+        out = s_mul(field, out, m)
+    return out
 
 
 def equivariance_report(c: BasedComplex, fam: CycleFamily,
@@ -297,40 +257,18 @@ def equivariance_report(c: BasedComplex, fam: CycleFamily,
     ring = c.ring
     field = ring.field
     perm = rotation_permutation(fam)
-
-    def rho_h(i):
-        return 0 if i == 0 else _cyc(i + 1, n)
-
-    def rho_g(j):
-        return 0 if j == 0 else _cyc(j + 1, n)
-
-    def perm_matrix(images, size):
-        rows = [[ring.zero() for _ in range(size)] for _ in range(size)]
-        for src in range(size):
-            rows[images(src)][src] = ring.one()
-        return RingMatrix(ring, rows, ncols=size)
-
-    P = [
-        RingMatrix.identity(ring, 1),
-        perm_matrix(rho_h, n + 1),
-        perm_matrix(rho_g, n + 1),
-        RingMatrix.identity(ring, 1),
-    ]
+    one = RingMatrix.identity(ring, 1)
+    P = [one] + [RingMatrix.from_scalar_rows(ring, m)
+                 for m in _psi(field, n)] + [one]
     subst = None
     if rotate_weights:
-        if not isinstance(field, FunctionField):
+        if (not isinstance(field, FunctionField)
+                or f"y{n}" not in field.eliminations):
             raise InputError(
                 "weight rotation only applies to a transcendental resolution")
-        subst = {}
-        y_n = field.pd_const(1)
-        for j in range(n - 1):
-            y_n = field.pd_sub(y_n, field.pd_var(j))
-        for i in range(1, n):
-            idx = field.index[f"y{i}"]
-            if i < n - 1:
-                subst[idx] = field.pd_var(field.index[f"y{i + 1}"])
-            else:
-                subst[idx] = y_n
+        subst = {field.index[f"y{i}"]: field.pd_var(field.index[f"y{i + 1}"])
+                 for i in range(1, n - 1)}
+        subst[field.index[f"y{n - 1}"]] = field.eliminations[f"y{n}"]
 
     def act(e):
         e = e.permute_vars(perm)
@@ -362,14 +300,10 @@ def verify_family_resolution(c: BasedComplex, fam: CycleFamily) -> dict:
         for b in L.elements))
 
 
-def _augmentation_quotient(c: BasedComplex):
+def _augmentation_quotient(c: BasedComplex) -> list:
     """Set all ring variables to 1 in the differentials (scalar matrices)."""
-    field = c.ring.field
-    mats = []
-    for k in range(1, c.top + 1):
-        m = c.d(k)
-        mats.append([[e.augment() for e in row] for row in m.rows])
-    return field, mats
+    return [[[e.augment() for e in row] for row in c.d(k).rows]
+            for k in range(1, c.top + 1)]
 
 
 def obstruction_search(fam: CycleFamily) -> dict:
@@ -398,75 +332,35 @@ def obstruction_search(fam: CycleFamily) -> dict:
         raise InputError(
             "the obstruction occurs only when the characteristic divides n")
     field = GF(p)
-    expl = explicit_resolution(fam, field)
-    _, (phi1, phi2, phi3) = _augmentation_quotient(expl)
-
-    # rho on basis indices: vertices h_i -> h_{i+1} (h_0 fixed is NOT the
-    # vertex rotation: h_0 is the special generator m_0, fixed by rho), and
-    # edges g_{i,i+1} -> g_{i+1,i+2}.
-    def rho_h(i):
-        return 0 if i == 0 else _cyc(i + 1, n)
-
-    def rho_g(col):
-        return 0 if col == 0 else _cyc(col + 1, n)
-
-    dim = n + 1
-
-    def mat_mul(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(len(b))) % p
-                 for j in range(len(b[0]))] for i in range(len(a))]
-
-    def psi1():
-        m = [[0] * dim for _ in range(dim)]
-        for i in range(dim):
-            m[rho_h(i)][i] = 1
-        return m
-
-    def psi2(a):
-        m = [[0] * dim for _ in range(dim)]
-        m[0][0] = 1
-        for i in range(1, n + 1):
-            m[rho_g(i)][i] = 1
-            m[i][0] = a[i - 1] % p
-        return m
-
-    P1 = psi1()
+    phi1, phi2, phi3 = _augmentation_quotient(explicit_resolution(fam, field))
+    # P1 does not depend on the tuple: check the level-1 condition
+    # phi1 P1 = phi1 and form the level-2 right side P1 phi2 once.
+    P1, _ = _psi(field, n)
+    if s_mul(field, phi1, P1) != phi1:
+        raise VerificationError("vertex rotation is not a chain map at level 1")
+    rotated = s_mul(field, P1, phi2)
+    ident = s_identity(field, n + 1)
     chain_ok = []
     both_ok = []
-    invariant_checked = 0
     for a in _product(range(p), repeat=n):
-        P2 = psi2(a)
-        # chain map: phi2 P2 = P1 phi2 (phi1 and phi3 conditions hold by
-        # construction for every tuple; they are checked once below).
-        if mat_mul(phi2, P2) != mat_mul(P1, phi2):
+        _, P2 = _psi(field, n, a)
+        # chain map at levels 2 and 3: phi2 P2 = P1 phi2 and phi3 = P2 phi3
+        if s_mul(field, phi2, P2) != rotated:
             continue
-        chain_ok.append(a)
-        # periodicity: psi^n = id on the g-level
-        Pk = P2
-        for _ in range(n - 1):
-            Pk = mat_mul(Pk, P2)
-        ident = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-        if Pk == ident:
-            both_ok.append(a)
-        else:
-            # invariant: psi^n(g_0) - g_0 is a nonzero multiple of sum g_i
-            delta = [Pk[i][0] - (1 if i == 0 else 0) for i in range(dim)]
-            vals = {delta[i] % p for i in range(1, n + 1)}
-            if delta[0] % p != 0 or len(vals) != 1 or vals == {0}:
-                raise VerificationError(
-                    "obstruction invariant failed for a chain-map tuple")
-            invariant_checked += 1
-    # sanity: psi commutes with phi1 and phi3 for every tuple
-    P0 = [[1]]
-    if mat_mul(phi1, P1) != mat_mul(P0, phi1):
-        raise VerificationError("vertex rotation is not a chain map at level 1")
-    P3 = [[1]]
-    # phi3 P3 = P2 phi3 must hold for chain-map tuples; check on them
-    for a in chain_ok:
-        P2 = psi2(a)
-        if mat_mul(phi3, P3) != mat_mul(P2, phi3):
+        if s_mul(field, P2, phi3) != phi3:
             raise VerificationError(
                 "edge rotation breaks the top-level chain condition")
+        chain_ok.append(a)
+        # periodicity: psi^n = id on the g-level
+        Pk = _power(field, P2, n)
+        if Pk == ident:
+            both_ok.append(a)
+            continue
+        # invariant: psi^n(g_0) - g_0 is a nonzero multiple of sum g_i
+        multiples = {Pk[i][0] for i in range(1, n + 1)}
+        if Pk[0][0] != field.one or len(multiples) != 1 or 0 in multiples:
+            raise VerificationError(
+                "obstruction invariant failed for a chain-map tuple")
     return {
         "p": p,
         "n": n,
@@ -475,7 +369,7 @@ def obstruction_search(fam: CycleFamily) -> dict:
         "equivariant_tuples": both_ok,
         "obstructed": not both_ok,
         "invariant_violations": 0,
-        "periodicity_failures_checked": invariant_checked,
+        "periodicity_failures_checked": len(chain_ok) - len(both_ok),
     }
 
 
@@ -483,37 +377,9 @@ def characteristic_zero_control(fam: CycleFamily) -> dict:
     """Over Q the intrinsic resolution is honestly equivariant: the zero
     tuple gives a chain map with ``psi^n = id`` on the augmented quotient."""
     n = fam.n
-    field = QQ
-    intr = intrinsic_resolution(fam, field)
-    _, (phi1, phi2, phi3) = _augmentation_quotient(intr)
-
-    def rho_h(i):
-        return 0 if i == 0 else _cyc(i + 1, n)
-
-    def rho_g(col):
-        return 0 if col == 0 else _cyc(col + 1, n)
-
-    dim = n + 1
-    from fractions import Fraction
-
-    def mat_mul(a, b):
-        return [[sum((a[i][k] * b[k][j] for k in range(len(b))),
-                     Fraction(0))
-                 for j in range(len(b[0]))] for i in range(len(a))]
-
-    P1 = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        P1[rho_h(i)][i] = Fraction(1)
-    P2 = [[Fraction(0)] * dim for _ in range(dim)]
-    P2[0][0] = Fraction(1)
-    for i in range(1, n + 1):
-        P2[rho_g(i)][i] = Fraction(1)
-    chain = (mat_mul(phi2, P2) == mat_mul(P1, phi2))
-    Pk = P2
-    for _ in range(n - 1):
-        Pk = mat_mul(Pk, P2)
-    ident = [[Fraction(1 if i == j else 0) for j in range(dim)]
-             for i in range(dim)]
-    periodic = (Pk == ident)
+    _, phi2, _ = _augmentation_quotient(intrinsic_resolution(fam, QQ))
+    P1, P2 = _psi(QQ, n)
+    chain = s_mul(QQ, phi2, P2) == s_mul(QQ, P1, phi2)
+    periodic = _power(QQ, P2, n) == s_identity(QQ, n + 1)
     return {"chain_map": chain, "periodic": periodic,
             "ok": chain and periodic}

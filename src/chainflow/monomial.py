@@ -602,11 +602,7 @@ def _weight_substitution(I, field, elem_map, choice_actions, result):
             src_var = field.index[weight_name(tag, j)]
             if jp == 0:
                 # image is the eliminated weight: 1 - sum of the others
-                pd = field.pd_const(1)
-                for t in range(1, len(src_choices)):
-                    pd = field.pd_sub(
-                        pd, field.pd_var(field.index[weight_name(btag, t)]))
-                subst[src_var] = pd
+                subst[src_var] = field.eliminations[weight_name(btag, 0)]
             else:
                 subst[src_var] = field.pd_var(
                     field.index[weight_name(btag, jp)])

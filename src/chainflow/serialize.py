@@ -21,8 +21,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .scalars import (
+    YMASK,
     FunctionField,
     PrimeField,
     Rationals,
@@ -121,7 +122,12 @@ class _FFParser:
         return int(self.text[start:self.pos])
 
     def parse(self):
-        v = self.expr()
+        try:
+            v = self.expr()
+        except InternalError as e:  # a product left the packed exponent range
+            self.error(str(e))
+        except ZeroDivisionError:
+            self.error("division by zero")
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("trailing input")
@@ -186,6 +192,8 @@ class _FFParser:
             e = self.try_int()
             if e is None:
                 self.error("expected an integer exponent")
+            if e > YMASK:
+                self.error(f"exponent {e} above the packed range [0, {YMASK}]")
             out = self.field.one
             for _ in range(e):
                 out = self.field.mul(out, v)

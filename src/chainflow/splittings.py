@@ -561,7 +561,6 @@ def _coerce_scalar(value, src_field, dst_field):
 
 def coerce_complex(c: BasedComplex, dst_field) -> BasedComplex:
     """Base-change a complex along a prime-field-to-extension embedding."""
-    from .complexes import scalar_ring
     from .linalg import PolyRing
 
     src_field = c.ring.field

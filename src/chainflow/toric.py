@@ -30,6 +30,7 @@ from .complexes import (
     verify_strands,
 )
 from .splittings import ResolveResult, resolve_stratified
+from .monomial import render_monomial
 
 __all__ = [
     "BettiCategoryData",
@@ -195,7 +196,8 @@ def bar_resolution(data: BettiCategoryData, field) -> StratifiedComplex:
             for seq in tier:
                 terminal = morphs[seq[-1]].target
                 labs.append("[" + "|".join(
-                    _render_morphism(data, morphs[i]) for i in seq) + "]")
+                    render_monomial(data.names, morphs[i].monomial)
+                    for i in seq) + "]")
                 mdegs.append(terminal)
                 strat.append(poset.index[terminal])
             labels.append(labs)
@@ -237,16 +239,6 @@ def bar_resolution(data: BettiCategoryData, field) -> StratifiedComplex:
     complex = BasedComplex(ring, labels, multidegrees, diffs,
                            deg_map=data.deg_map)
     return StratifiedComplex(complex, poset, strata)
-
-
-def _render_morphism(data: BettiCategoryData, f: Morphism) -> str:
-    parts = []
-    for nm, e in zip(data.names, f.monomial):
-        if e == 1:
-            parts.append(nm)
-        elif e > 1:
-            parts.append(f"{nm}^{e}")
-    return "*".join(parts) if parts else "1"
 
 
 def resolve_toric(

@@ -225,3 +225,65 @@ class TestCharacteristicZeroControl:
     def test_p2(self):
         assert characteristic_zero_control(build_Ip(2)) == {
             "chain_map": True, "periodic": True, "ok": True}
+
+
+# The three resolutions differ only in the g_0 column of d_2, which is
+# v_0^2 h_0 - sum_i w_i e_{i-1,i} v_i e_{i,i+1} h_i for the weight vector w:
+# explicit (1, 0, ..., 0), intrinsic (1/n, ..., 1/n) and transcendental
+# (y_1, ..., y_{n-1}, 1 - sum).
+G0_COLUMNS = {
+    (2, "explicit", "QQ"): [
+        "v0^2", "-v1*e12*e41", "0", "0", "0"],
+    (2, "explicit", "GF5"): [
+        "v0^2", "4*v1*e12*e41", "0", "0", "0"],
+    (2, "intrinsic", "QQ"): [
+        "v0^2", "-1/4*v1*e12*e41", "-1/4*v2*e12*e23", "-1/4*v3*e23*e34",
+        "-1/4*v4*e34*e41"],
+    (2, "intrinsic", "GF5"): [
+        "v0^2", "v1*e12*e41", "v2*e12*e23", "v3*e23*e34", "v4*e34*e41"],
+    (2, "transcendental", "Fp(y)"): [
+        "v0^2", "y1*v1*e12*e41", "y2*v2*e12*e23", "y3*v3*e23*e34",
+        "(y3 + y2 + y1 + 1)*v4*e34*e41"],
+    (3, "explicit", "QQ"): ["v0^2", "-v1*e12*e31", "0", "0"],
+    (3, "explicit", "GF5"): ["v0^2", "4*v1*e12*e31", "0", "0"],
+    (3, "intrinsic", "QQ"): [
+        "v0^2", "-1/3*v1*e12*e31", "-1/3*v2*e12*e23", "-1/3*v3*e23*e31"],
+    (3, "intrinsic", "GF5"): [
+        "v0^2", "3*v1*e12*e31", "3*v2*e12*e23", "3*v3*e23*e31"],
+    (3, "transcendental", "Fp(y)"): [
+        "v0^2", "2*y1*v1*e12*e31", "2*y2*v2*e12*e23",
+        "(y2 + y1 + 2)*v3*e23*e31"],
+}
+FIELDS = {"QQ": QQ, "GF5": GF(5)}
+
+
+def _resolution(fam, kind, field_name):
+    if kind == "transcendental":
+        return transcendental_resolution(fam)[0]
+    build = {"explicit": explicit_resolution,
+             "intrinsic": intrinsic_resolution}[kind]
+    return build(fam, FIELDS[field_name])
+
+
+def _rendered_off_g0(c):
+    """Every entry of d_1, d_2 and d_3 except d_2's g_0 column, rendered."""
+    return [[e.render() for e in (row[1:] if k == 2 else row)]
+            for k in (1, 2, 3) for row in c.d(k).rows]
+
+
+class TestWeightVectors:
+    @pytest.mark.parametrize("key", sorted(G0_COLUMNS), ids=str)
+    def test_g0_column(self, key):
+        p, kind, field_name = key
+        c = _resolution(build_Ip(p), kind, field_name)
+        assert [row[0].render() for row in c.d(2).rows] == G0_COLUMNS[key]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_other_entries_agree(self, p):
+        fam = build_Ip(p)
+        for field in FIELDS.values():
+            assert (_rendered_off_g0(intrinsic_resolution(fam, field))
+                    == _rendered_off_g0(explicit_resolution(fam, field)))
+        c, field = transcendental_resolution(fam)
+        assert (_rendered_off_g0(c)
+                == _rendered_off_g0(explicit_resolution(fam, field)))

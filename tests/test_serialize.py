@@ -92,6 +92,28 @@ class TestCoefficients:
         assert F.eq(coeff_from_string(F, "y1^3 + 2"),
                     F.add(F.mul(F.mul(y1, y1), y1), F.from_int(2)))
 
+    @pytest.mark.parametrize("text", ["y1^300", "2^3000000", "(y1)^256"])
+    def test_exponent_above_packed_range(self, text):
+        F = FunctionField(3, ["y1", "y2"])
+        with pytest.raises(InputError, match="exponent"):
+            coeff_from_string(F, text)
+
+    @pytest.mark.parametrize("text", ["y1^200*y1^100", "(y2^128)^2"])
+    def test_product_leaving_packed_range(self, text):
+        F = FunctionField(3, ["y1", "y2"])
+        with pytest.raises(InputError, match="packed range"):
+            coeff_from_string(F, text)
+
+    def test_largest_exponent_parses(self):
+        F = FunctionField(3, ["y1", "y2"])
+        assert coeff_to_string(F, coeff_from_string(F, "y2^255")) == "y2^255"
+
+    @pytest.mark.parametrize("text", ["1/0", "y1/(y2 - y2)"])
+    def test_division_by_zero(self, text):
+        F = FunctionField(3, ["y1", "y2"])
+        with pytest.raises(InputError, match="division by zero"):
+            coeff_from_string(F, text)
+
     def test_bracketed_names(self):
         # extension-field names contain brackets and digits; the tokenizer
         # must match them greedily
