@@ -8,52 +8,11 @@ a prime divides a splitting count.
 """
 
 from .errors import ChainflowError, InputError, InternalError, VerificationError
-from .scalars import QQ, GF, FunctionField, Rationals, field_descriptor
-from .linalg import MultiPoly, PolyRing, RingMatrix
-from .complexes import (
-    BasedComplex,
-    Poset,
-    StratifiedComplex,
-    StratumView,
-    homology_ranks,
-    minimality_report,
-    strand,
-)
-from .flows import (
-    ClassifyResult,
-    ExtractedSummand,
-    Homotopy,
-    affine_combination,
-    assemble_field,
-    classify,
-    extract_minimal_summand,
-    hat,
-    iterate_flow,
-    moore_penrose,
-)
-from .splittings import (
-    ExtensionPlan,
-    MatroidalChoice,
-    StratumSplitting,
-    build_extension_field,
-    build_stratum_splitting,
-    critical_analysis,
-    enumerate_matroidal,
-    matroidal_average,
-    matroidal_count,
-    matroidal_options,
-    stratum_core,
-)
+from .scalars import QQ, GF
 from .monomial import (
-    LcmLattice,
     MonomialIdeal,
     ResolveResult,
-    lcm_lattice,
-    order_complex_resolution,
-    render_monomial,
     resolve_minimal,
-    taylor_resolution,
-    verify_equivariance,
     verify_resolution,
 )
 

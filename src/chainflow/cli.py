@@ -54,14 +54,14 @@ def _load_input(args) -> dict:
                 + ", ".join(available))
         text = ref.read_text()
     elif getattr(args, "infile", None):
-        if args.infile == "-":
-            text = sys.stdin.read()
-        else:
-            try:
-                with open(args.infile) as fh:
+        try:
+            if args.infile == "-":
+                text = sys.stdin.read()
+            else:
+                with open(args.infile, encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as e:
-                raise InputError(f"cannot read {args.infile}: {e}")
+        except (OSError, UnicodeDecodeError) as e:
+            raise InputError(f"cannot read {args.infile}: {e}")
     else:
         raise InputError("provide --in FILE or --fixture NAME")
     try:
@@ -106,8 +106,11 @@ def _parse_toric(doc: dict) -> BettiCategoryData:
 def _emit(args, payload: dict):
     text = serialize.dumps(payload)
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise InputError(f"cannot write {args.out}: {e}")
     else:
         sys.stdout.write(text)
 
@@ -185,10 +188,9 @@ def cmd_matroidal(args) -> int:
         "counts": counts,
         "critical_primes": analysis["critical_primes"],
         "per_prime": {str(p): v for p, v in analysis["per_prime"].items()},
+        "critical_strata": analysis["critical_strata"],
+        "transcendence_degree": analysis["transcendence_degree"],
     }
-    if "critical_strata" in analysis:
-        payload["critical_strata"] = analysis["critical_strata"]
-        payload["transcendence_degree"] = analysis["transcendence_degree"]
     _emit(args, payload)
     _say(f"{len(counts)} occupied strata; critical primes "
          f"{analysis['critical_primes']}")
@@ -294,14 +296,13 @@ def cmd_counterexample(args) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
-def _add_io(sp, with_out=True):
+def _add_io(sp):
     sp.add_argument("--in", dest="infile", metavar="FILE",
                     help="input JSON file ('-' for stdin)")
     sp.add_argument("--fixture", metavar="NAME",
                     help="bundled input (cycle3, cycle2, semigroup23)")
-    if with_out:
-        sp.add_argument("--out", metavar="FILE",
-                        help="write the JSON artifact here instead of stdout")
+    sp.add_argument("--out", metavar="FILE",
+                    help="write the JSON artifact here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -105,10 +105,10 @@ class Poset:
             self._depth = depths
         return self._depth[i]
 
-    def dimension(self, subset=None):
-        """Longest chain length within ``subset`` (default: everything)."""
-        idx = range(len(self.elements)) if subset is None else sorted(subset)
-        idx = list(idx)
+    def dimension(self, subset):
+        """Longest chain length (edge count) within the indices ``subset``;
+        -1 when it is empty."""
+        idx = sorted(subset)
         if not idx:
             return -1
         sub = set(idx)

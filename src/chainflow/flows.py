@@ -17,23 +17,21 @@ or a power of it.
 Every homotopy identity and correction is one ``RingMatrix`` computation,
 whatever the entries are (field constants on the stratum complexes,
 polynomials elsewhere).  Scalar row lists appear only where elimination
-needs them: the weak-partial decomposition, the Moore-Penrose inverse and
-the core solves of the extraction.
+needs them: the Moore-Penrose inverse and the core solves of the
+extraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from dataclasses import dataclass
 
 from .errors import InputError, VerificationError
-from .linalg import PolyRing, RingMatrix, kernel, mp_inverse, rref, s_inverse, s_rank
+from .linalg import PolyRing, RingMatrix, mp_inverse, rref, s_inverse
 from .complexes import BasedComplex, StratifiedComplex
 
 __all__ = [
     "Homotopy",
     "ClassifyResult",
-    "SplittingDecomposition",
     "ExtractedSummand",
     "classify",
     "iterate_flow",
@@ -82,30 +80,14 @@ class Homotopy:
 
 
 @dataclass
-class SplittingDecomposition:
-    """Per-degree bases splitting each ``F_n`` into ``N + C + M``.
-
-    ``N`` is the image of ``d D`` (boundary-like part), ``M`` the image of
-    ``D d`` (cone-like part) and ``C = Ker(D d) ∩ Ker(d D)`` is the core that
-    survives projection.  Bases are lists of coefficient-field column vectors.
-    """
-
-    n_basis: list = dc_field(default_factory=list)
-    c_basis: list = dc_field(default_factory=list)
-    m_basis: list = dc_field(default_factory=list)
-
-
-@dataclass
 class ClassifyResult:
     is_pre_vector_field: bool
     is_vector_field: bool
     is_partial_splitting: bool
     is_splitting: bool
-    is_weak_partial_splitting: Optional[bool]
-    decomposition: Optional[SplittingDecomposition]
 
 
-def classify(c: BasedComplex, D: Homotopy, want_decomposition: bool = False) -> ClassifyResult:
+def classify(c: BasedComplex, D: Homotopy) -> ClassifyResult:
     """Decide exactly which homotopy identities hold for ``D`` on ``c``.
 
     Flags: pre-vector field (``D D d = d D D`` degreewise), vector field
@@ -115,13 +97,8 @@ def classify(c: BasedComplex, D: Homotopy, want_decomposition: bool = False) -> 
     identity is tested with ``RingMatrix`` products, so entries may be
     polynomials.  Each ``D_{n+1} D_n`` is formed once and serves both the
     ``D^2 = 0`` test and the ``D D d = d D D`` test, which holds with no
-    further product when every ``D_{n+1} D_n`` vanishes.  The weak-partial
-    check and its ``N + C + M`` decomposition need field linear algebra,
-    so they run only on scalar data and only when ``want_decomposition``
-    is set.
+    further product when every ``D_{n+1} D_n`` vanishes.
     """
-    if want_decomposition and not (c.is_scalar() and D.is_scalar()):
-        raise InputError("decomposition requires a scalar complex and homotopy")
     top = c.top
     d = [dmat(c, n) for n in range(top + 3)]
     Ds = {n: D.D(n) for n in range(-1, top + 2)}
@@ -132,49 +109,7 @@ def classify(c: BasedComplex, D: Homotopy, want_decomposition: bool = False) -> 
     is_partial = is_vf and all(((Ds[n] @ d[n + 1]) @ Ds[n]).eq(Ds[n])
                                for n in range(top + 1))
     is_split = is_partial and _satisfies_pdp(c, D)
-    weak: Optional[bool] = None
-    decomp: Optional[SplittingDecomposition] = None
-    if want_decomposition:
-        weak, decomp = _weak_partial_decomposition(c, d, Ds)
-    return ClassifyResult(is_pre, is_vf, is_partial, is_split, weak, decomp)
-
-
-def _image_basis_cols(field, rows: list) -> list:
-    """Columns of the scalar ``rows`` forming a basis of their column space."""
-    _, pivots = rref(field, rows)
-    return [[row[j] for row in rows] for j in pivots]
-
-
-def _weak_partial_decomposition(c: BasedComplex, d: list, Ds: dict):
-    """Check ``F_n = im(dD) + C + im(Dd)`` with both automorphism conditions."""
-    field = c.ring.field
-    decomp = SplittingDecomposition()
-    ok = True
-    for n in range(0, c.top + 1):
-        r = c.rank(n)
-        A = Ds[n - 1] @ d[n]      # D d on F_n
-        B = d[n + 1] @ Ds[n]      # d D on F_n
-        a_rows, b_rows = A.scalar_rows(), B.scalar_rows()
-        n_cols = _image_basis_cols(field, b_rows)
-        m_cols = _image_basis_cols(field, a_rows)
-        c_cols = [list(v) for v in kernel(field, a_rows + b_rows)] if r else []
-        if len(n_cols) + len(c_cols) + len(m_cols) != r:
-            ok = False
-        elif r:
-            joint = [
-                [col[i] for col in n_cols + c_cols + m_cols] for i in range(r)
-            ]
-            if s_rank(field, joint) != r:
-                ok = False
-        if ok and r:
-            if s_rank(field, (B @ B).scalar_rows()) != s_rank(field, b_rows):
-                ok = False
-            if s_rank(field, (A @ A).scalar_rows()) != s_rank(field, a_rows):
-                ok = False
-        decomp.n_basis.append(n_cols)
-        decomp.c_basis.append(c_cols)
-        decomp.m_basis.append(m_cols)
-    return ok, decomp
+    return ClassifyResult(is_pre, is_vf, is_partial, is_split)
 
 
 def iterate_flow(s: StratifiedComplex, W: Homotopy):

@@ -57,14 +57,6 @@ class PolyRing:
     def unpack(self, key):
         return tuple((key >> (XBITS * i)) & XMASK for i in range(self.nvars))
 
-    def key_divides(self, ka, kb):
-        while ka or kb:
-            if (ka & XMASK) > (kb & XMASK):
-                return False
-            ka >>= XBITS
-            kb >>= XBITS
-        return True
-
     def zero(self):
         return MultiPoly(self, {})
 

@@ -219,23 +219,6 @@ def GF(p):
     return f
 
 
-# ---------------------------------------------------------------------------
-# packed-exponent polynomial helpers (module level so they inline well)
-
-
-def pack_exponents(exps):
-    key = 0
-    for i, e in enumerate(exps):
-        if e < 0 or e > YMASK:
-            raise InputError(f"exponent {e} out of packed range")
-        key |= e << (YBITS * i)
-    return key
-
-
-def unpack_exponents(key, nvars):
-    return tuple((key >> (YBITS * i)) & YMASK for i in range(nvars))
-
-
 class FunctionField:
     """F_p(y_1, ..., y_k): fractions of packed-exponent polynomial dicts.
 
@@ -249,8 +232,7 @@ class FunctionField:
     Each variable's exponent lives in a ``YBITS``-bit field, so it ranges
     over [0, YMASK] = [0, 255].  A product whose exponent would leave that
     range raises ``InternalError`` (``pd_mul``, ``pd_mul_acc``) instead of
-    carrying into the next variable; ``pd_parse`` rejects such exponents
-    with ``InputError``.
+    carrying into the next variable.
     """
 
     def __init__(self, p, names, label=""):
@@ -393,9 +375,6 @@ class FunctionField:
         p = self.p
         return {k: v % p for k, v in acc.items() if v % p}
 
-    def pd_is_zero(self, a):
-        return not a
-
     def pd_vars_used(self, a):
         used = set()
         k = reduce(or_, a, 0)
@@ -427,48 +406,6 @@ class FunctionField:
                 i += 1
             parts.append("*".join(factors))
         return " + ".join(parts)
-
-    def pd_parse(self, s):
-        """Inverse of :meth:`pd_render` for plain polynomial strings."""
-        s = s.strip()
-        if s == "0":
-            return {}
-        out = {}
-        for term in s.split(" + "):
-            coeff = 1
-            exps = {}
-            for factor in term.strip().split("*"):
-                factor = factor.strip()
-                if not factor:
-                    raise InputError(f"malformed polynomial term {term!r}")
-                try:
-                    if factor[0].isdigit() or factor[0] == "-":
-                        coeff = (coeff * int(factor)) % self.p
-                        continue
-                    if "^" in factor:
-                        nm, _, e = factor.rpartition("^")
-                        exp = int(e)
-                    else:
-                        nm, exp = factor, 1
-                except ValueError:
-                    raise InputError(f"malformed polynomial factor {factor!r}")
-                i = self.index.get(nm)
-                if i is None:
-                    raise InputError(f"unknown transcendental {nm!r}")
-                exps[i] = exps.get(i, 0) + exp
-            key = 0
-            for i, exp in exps.items():
-                if not 0 <= exp <= YMASK:
-                    raise InputError(
-                        f"exponent {exp} of {self.names[i]!r} outside the "
-                        f"packed range [0, {YMASK}] in term {term!r}")
-                key += exp << (YBITS * i)
-            v = (out.get(key, 0) + coeff) % self.p
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        return out
 
     # -- univariate helpers for gcd cancellation ------------------------------
 
@@ -812,18 +749,3 @@ def field_descriptor(field):
             }
         return desc
     raise InputError(f"unknown field object {field!r}")
-
-
-def field_from_descriptor(desc):
-    if desc in ("Q", "QQ", "rationals", 0):
-        return QQ
-    if isinstance(desc, dict) and "p" in desc:
-        if "transcendentals" in desc:
-            f = FunctionField(desc["p"], desc["transcendentals"], desc.get("note", ""))
-            for nm, expr in desc.get("eliminations", {}).items():
-                f.eliminations[nm] = f.pd_parse(expr)
-            return f
-        return GF(desc["p"])
-    if isinstance(desc, int):
-        return GF(desc)
-    raise InputError(f"unrecognised field descriptor {desc!r}")

@@ -8,12 +8,17 @@ byte-identical across runs:
   "diff": [matrix, ...], "deg_map": [[...]]?}``
 * a matrix: list of rows; each entry is a map from a comma-joined exponent
   key to a coefficient string (``{}`` is zero)
+* a field: ``"Q"``, ``{"p": p}``, or for F_p(y) ``{"p": p,
+  "transcendentals": [...], "note": ...?, "eliminations": {...}?}``, each
+  elimination a rendered polynomial in the transcendentals
 * coefficients: ``"7"``, ``"-3/5"`` over Q; a decimal residue over F_p; a
   rendered expression over a function field (sums of scaled monomials in the
   transcendental names, with a parenthesised denominator when present).
 
-The expression parser tokenises greedily against the field's actual variable
-names, so bracketed names like ``y[a][1]`` need no escaping.
+One expression parser reads every F_p(y) string, coefficients and
+eliminations alike.  It tokenises greedily against the field's actual
+variable names, so names like ``y[a][1]`` or ``y[v0^2*v1][1]``, which hold
+brackets and operator characters, need no escaping.
 """
 
 from __future__ import annotations
@@ -23,12 +28,13 @@ from fractions import Fraction
 
 from .errors import InputError, InternalError
 from .scalars import (
+    GF,
+    QQ,
     YMASK,
     FunctionField,
     PrimeField,
     Rationals,
     field_descriptor,
-    field_from_descriptor,
 )
 from .linalg import MultiPoly, PolyRing, RingMatrix
 from .complexes import BasedComplex, Poset, StratifiedComplex
@@ -203,6 +209,26 @@ class _FFParser:
 
 def _parse_ff(field, s):
     return _FFParser(field, s).parse()
+
+
+def field_from_descriptor(desc):
+    """The field that :func:`~chainflow.scalars.field_descriptor` wrote as
+    ``desc``.  Each elimination must parse to a polynomial."""
+    if desc == "Q":
+        return QQ
+    if not (isinstance(desc, dict) and "p" in desc):
+        raise InputError(f"unrecognised field descriptor {desc!r}")
+    if "transcendentals" not in desc:
+        return GF(desc["p"])
+    field = FunctionField(desc["p"], desc["transcendentals"],
+                          desc.get("note", ""))
+    for name, text in desc.get("eliminations", {}).items():
+        num, den = _parse_ff(field, text)
+        if den is not None:
+            raise InputError(
+                f"elimination of {name!r} has a denominator: {text!r}")
+        field.eliminations[name] = num
+    return field
 
 
 # -- polynomial entries ------------------------------------------------------

@@ -32,8 +32,6 @@ times that pair's block; :func:`matroidal_average` inverts each minor once.
 :func:`resolve_stratified` is the one resolve core behind the monomial and
 toric entry points: it splits every stratum with :func:`split_stratum`,
 assembles the vector field, flows to the minimal summand and verifies it.
-:func:`build_stratum_splitting` runs the per-stratum step on a single
-complex.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ from .linalg import (
 )
 from .complexes import BasedComplex, StratifiedComplex
 from .flows import (
-    ClassifyResult,
     Homotopy,
     _satisfies_pdp,
     assemble_field,
@@ -67,7 +64,6 @@ from .flows import (
 __all__ = [
     "MatroidalChoice",
     "ExtensionPlan",
-    "StratumSplitting",
     "enumerate_matroidal",
     "matroidal_options",
     "count_choices",
@@ -77,7 +73,6 @@ __all__ = [
     "critical_analysis",
     "weight_name",
     "build_extension_field",
-    "build_stratum_splitting",
     "coerce_complex",
     "stratum_core",
     "split_stratum",
@@ -109,18 +104,6 @@ class ExtensionPlan:
     transcendence_degree: int
     weights: dict                # stratum key -> list of field elements
     field: object
-
-
-@dataclass
-class StratumSplitting:
-    """Output of :func:`build_stratum_splitting`."""
-
-    homotopy: Homotopy
-    complex: BasedComplex        # over the working field
-    field: object
-    classification: ClassifyResult
-    mode: str
-    count: int                   # number of matroidal splittings
 
 
 def _scalar_diff(c: BasedComplex, n: int):
@@ -455,13 +438,15 @@ def _prime_factors(n: int) -> list:
     return out
 
 
-def critical_analysis(counts: dict, characteristic: Optional[int] = None) -> dict:
+def critical_analysis(counts: dict, characteristic: int) -> dict:
     """Critical primes of a family of stratum counts.
 
     A prime is critical when it divides some stratum's number of matroidal
     splittings (so the plain average cannot be formed over that prime field).
     The per-prime transcendence degree is the total number of fresh weights a
     generic affine combination needs: ``sum (m(a) - 1)`` over critical strata.
+    The report also gives the critical strata and transcendence degree at
+    ``characteristic``; in characteristic 0 there are none.
     """
     primes = set()
     for m in counts.values():
@@ -479,16 +464,11 @@ def critical_analysis(counts: dict, characteristic: Optional[int] = None) -> dic
             "critical_strata": crit,
             "transcendence_degree": sum(counts[a] - 1 for a in crit),
         }
-    if characteristic is not None and characteristic != 0:
-        p = characteristic
-        crit = [a for a, m in counts.items() if m % p == 0]
-        report["characteristic"] = p
-        report["critical_strata"] = crit
-        report["transcendence_degree"] = sum(counts[a] - 1 for a in crit)
-    elif characteristic == 0:
-        report["characteristic"] = 0
-        report["critical_strata"] = []
-        report["transcendence_degree"] = 0
+    crit = ([a for a, m in counts.items() if m % characteristic == 0]
+            if characteristic else [])
+    report["characteristic"] = characteristic
+    report["critical_strata"] = crit
+    report["transcendence_degree"] = sum(counts[a] - 1 for a in crit)
     return report
 
 
@@ -496,19 +476,21 @@ def weight_name(stratum_key, j: int) -> str:
     return f"y[{stratum_key}][{j}]"
 
 
-def build_extension_field(counts: dict, p: int, order: Optional[list] = None):
+def build_extension_field(counts: dict, p: int, order: list):
     """The working field and weight assignment for characteristic ``p``.
 
-    Critical strata (``p`` divides the count ``m``) get ``m - 1`` fresh
-    transcendentals ``y[a][1..m-1]``; the first weight ``y[a][0]`` is
-    eliminated as ``1 - sum`` of the others, which keeps the weights affine
-    and the field purely transcendental of the stated degree.  Non-critical
-    strata keep the constant weight ``1/m``.  With no critical stratum the
-    field is simply the prime field.
+    ``order`` lists the stratum keys of ``counts`` in stratum order; the
+    transcendentals are numbered in that order.  Critical strata (``p``
+    divides the count ``m``) get ``m - 1`` fresh transcendentals
+    ``y[a][1..m-1]``; the first weight ``y[a][0]`` is eliminated as
+    ``1 - sum`` of the others, which keeps the weights affine and the field
+    purely transcendental of the stated degree.  Non-critical strata keep
+    the constant weight ``1/m``.  With no critical stratum the field is
+    simply the prime field.
     """
     if not _is_prime(p):
         raise InputError(f"characteristic must be prime, got {p}")
-    keys = list(order) if order is not None else sorted(counts)
+    keys = list(order)
     for k in counts:
         if k not in keys:
             raise InputError(f"stratum {k!r} missing from the given order")
@@ -639,17 +621,16 @@ def _count_and_plan(complexes: dict, characteristic: int, mode: str,
     options = {tag: matroidal_options(c) for tag, c in complexes.items()}
     counts = {tag: count_choices(opts) for tag, opts in options.items()}
     critical = critical_analysis(counts, characteristic)
-    if mode == "matroidal_average" and critical.get("critical_strata"):
+    if mode == "matroidal_average" and critical["critical_strata"]:
         field, plan = build_extension_field(counts, characteristic,
-                                            order=list(complexes))
+                                            list(complexes))
         return options, counts, critical, field, plan
     return options, counts, critical, base_field, None
 
 
 def split_stratum(tag, mode: str, c_base: BasedComplex, c_work: BasedComplex,
-                  options: list, plan: Optional[ExtensionPlan]):
-    """The certified splitting homotopy of one stratum and its
-    classification.
+                  options: list, plan: Optional[ExtensionPlan]) -> Homotopy:
+    """The certified splitting homotopy of one stratum.
 
     ``c_base`` is the stratum complex over the base field and ``c_work`` the
     same complex over the work field.  ``moore_penrose`` takes the degreewise
@@ -669,36 +650,10 @@ def split_stratum(tag, mode: str, c_base: BasedComplex, c_work: BasedComplex,
             m = count_choices(options)
             weights = [field.inv(field.from_int(m))] * m
         D = hat(c_work, matroidal_average(c_base, c_work, options, weights))
-    cls = classify(c_work, D)
-    if not cls.is_splitting:
+    if not classify(c_work, D).is_splitting:
         raise VerificationError(
             f"stratum {tag}: the {mode} homotopy is not a splitting")
-    return D, cls
-
-
-def build_stratum_splitting(
-    c: BasedComplex,
-    characteristic: int,
-    mode: str,
-    stratum_key="a",
-) -> StratumSplitting:
-    """Construct the canonical splitting of one scalar stratum complex.
-
-    This is the per-stratum step of :func:`resolve_stratified` on its own:
-    ``moore_penrose`` (characteristic 0 only) uses the degreewise
-    pseudoinverse, which is already a splitting.  ``matroidal_average``
-    averages all matroidal splittings — over the given prime field when the
-    count is invertible, else over a fresh transcendental extension with
-    generic affine weights — and applies the hat correction; the returned
-    classification certifies the result exactly.
-    """
-    mode = _splitting_mode(characteristic, mode)
-    options, counts, _, field, plan = _count_and_plan(
-        {stratum_key: c}, characteristic, mode, c.ring.field)
-    work = coerce_complex(c, field)
-    D, cls = split_stratum(stratum_key, mode, c, work, options[stratum_key],
-                           plan)
-    return StratumSplitting(D, work, field, cls, mode, counts[stratum_key])
+    return D
 
 
 @dataclass
@@ -707,24 +662,10 @@ class ResolveResult:
     field: object
     start: StratifiedComplex          # the start resolution over the work field
     homotopy: Homotopy                # the assembled vector field W
-    iterations: int
-    generators: list                  # per degree: ambient columns of the generators
-    generator_strata: list
-    counts: dict                      # stratum tag -> number of matroidal splittings
     options: dict                     # stratum tag -> per-degree matroidal options
-    critical: dict                    # full critical-prime analysis
     plan: object                      # ExtensionPlan or None
     verification: dict
     report: dict
-
-    @property
-    def betti(self):
-        """Sorted list of (degree, multidegree tuple) with multiplicity."""
-        out = []
-        for n, degs in enumerate(self.resolution.multidegrees):
-            for m in degs:
-                out.append((n, tuple(m)))
-        return sorted(out)
 
 
 def resolve_stratified(start, characteristic: int, mode: Optional[str],
@@ -764,7 +705,7 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
     cores = {}
     for tag, ai in zip(tags, occupied):
         c = s_work.stratum(ai).complex
-        D, _ = split_stratum(tag, mode, views_base[tag], c, options[tag], plan)
+        D = split_stratum(tag, mode, views_base[tag], c, options[tag], plan)
         splittings[ai] = D
         cores[ai] = stratum_core(c, D)
 
@@ -791,8 +732,8 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
         "field": field_descriptor(work_field),
         "stratum_counts": counts,
         "critical_primes": critical["critical_primes"],
-        "critical_strata": critical.get("critical_strata", []),
-        "transcendence_degree": critical.get("transcendence_degree", 0),
+        "critical_strata": critical["critical_strata"],
+        "transcendence_degree": critical["transcendence_degree"],
         "iterations": iterations,
         "stabilization": f"stabilized after {iterations} iterations",
         "ranks": list(extracted.complex.ranks),
@@ -812,12 +753,7 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
         field=work_field,
         start=s_work,
         homotopy=W,
-        iterations=iterations,
-        generators=extracted.generators,
-        generator_strata=extracted.generator_strata,
-        counts=counts,
         options=options,
-        critical=critical,
         plan=plan,
         verification=verification,
         report=report,

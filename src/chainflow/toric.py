@@ -111,16 +111,10 @@ class BettiCategoryData:
             self.morphisms.append(Morphism(src, tgt, mono))
         if len(set(self.morphisms)) != len(self.morphisms):
             raise InputError("duplicate morphisms")
-        self._out = {o: [] for o in self.objects}
-        for f in self.morphisms:
-            self._out[f.source].append(f)
 
     def monomial_degree(self, exps):
         return tuple(
             sum(row[i] * e for i, e in enumerate(exps)) for row in self.deg_map)
-
-    def outgoing(self, obj):
-        return self._out[obj]
 
     def compose(self, f: Morphism, g: Morphism) -> Morphism:
         """The composite of consecutive morphisms f then g."""

@@ -1,0 +1,43 @@
+"""Small front ends to package internals that only tests need."""
+
+from chainflow.errors import InputError
+from chainflow.scalars import YBITS, YMASK
+from chainflow.serialize import coeff_from_string
+from chainflow.splittings import (
+    _count_and_plan, _splitting_mode, coerce_complex, split_stratum,
+)
+
+
+def split_one_stratum(c, characteristic, mode, tag="a"):
+    """The per-stratum step of ``resolve_stratified`` on one scalar complex.
+
+    Returns ``(D, work, m)``: the certified splitting homotopy, the complex
+    over the work field (a transcendental extension when ``characteristic``
+    divides the number ``m`` of matroidal splittings) and ``m``.
+    """
+    mode = _splitting_mode(characteristic, mode)
+    options, counts, _, field, plan = _count_and_plan(
+        {tag: c}, characteristic, mode, c.ring.field)
+    work = coerce_complex(c, field)
+    return split_stratum(tag, mode, c, work, options[tag], plan), work, counts[tag]
+
+
+def pack_exponents(exps):
+    """The packed F_p(y) monomial key of an exponent vector."""
+    key = 0
+    for i, e in enumerate(exps):
+        if e < 0 or e > YMASK:
+            raise InputError(f"exponent {e} out of packed range")
+        key |= e << (YBITS * i)
+    return key
+
+
+def unpack_exponents(key, nvars):
+    return tuple((key >> (YBITS * i)) & YMASK for i in range(nvars))
+
+
+def poly(F, text):
+    """The polynomial dict that ``text`` denotes in the function field ``F``."""
+    num, den = coeff_from_string(F, text)
+    assert den is None, text
+    return num

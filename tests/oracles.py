@@ -9,7 +9,8 @@ from fractions import Fraction
 
 from chainflow.errors import InternalError
 from chainflow.linalg import (
-    RingMatrix, rref, s_identity, s_inverse, s_mul, s_transpose, s_zeros,
+    RingMatrix, kernel, rref, s_identity, s_inverse, s_mul, s_rank,
+    s_transpose, s_zeros,
 )
 from chainflow.scalars import QQ
 from chainflow.splittings import _coerce_scalar
@@ -23,6 +24,43 @@ def mp_identities_hold(a, ap):
             and s_mul(QQ, apa, ap) == ap
             and s_transpose(aap) == aap
             and s_transpose(apa) == apa)
+
+
+def weak_partial_decomposition(c: BasedComplex, D: Homotopy):
+    """Whether ``D`` is a weak partial splitting of the scalar complex ``c``.
+
+    Checks ``F_n = N + C + M`` in every degree, where ``N`` is the image of
+    ``d D``, ``M`` the image of ``D d`` and ``C = Ker(D d) ∩ Ker(d D)``, and
+    that ``d D`` and ``D d`` restrict to automorphisms of their images
+    (their squares keep their ranks).  Returns ``(ok, pieces)`` with
+    ``pieces[n] = (N basis, C basis, M basis)`` as lists of column vectors.
+    """
+    field = c.ring.field
+
+    def image_basis(rows):
+        _, pivots = rref(field, rows)
+        return [[row[j] for row in rows] for j in pivots]
+
+    ok = True
+    pieces = []
+    for n in range(c.top + 1):
+        r = c.rank(n)
+        A = D.D(n - 1) @ dmat(c, n)      # D d on F_n
+        B = dmat(c, n + 1) @ D.D(n)      # d D on F_n
+        a_rows, b_rows = A.scalar_rows(), B.scalar_rows()
+        n_cols, m_cols = image_basis(b_rows), image_basis(a_rows)
+        c_cols = [list(v) for v in kernel(field, a_rows + b_rows)] if r else []
+        joint = [[col[i] for col in n_cols + c_cols + m_cols]
+                 for i in range(r)]
+        if len(n_cols) + len(c_cols) + len(m_cols) != r or (
+                r and s_rank(field, joint) != r):
+            ok = False
+        if ok and r and (
+                s_rank(field, (B @ B).scalar_rows()) != s_rank(field, b_rows)
+                or s_rank(field, (A @ A).scalar_rows()) != s_rank(field, a_rows)):
+            ok = False
+        pieces.append((n_cols, c_cols, m_cols))
+    return ok, pieces
 
 
 def char_poly(a):

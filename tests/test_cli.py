@@ -386,6 +386,21 @@ class TestInputHandling:
         assert rc == 2
         assert "cannot read" in err
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        f = tmp_path / "latin1.json"
+        f.write_bytes('{"variables": ["\u00e9"]}'.encode("latin-1"))
+        rc, out, err = run(["lattice", "--in", str(f)], capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"input error: cannot read {f}: ")
+
+    def test_out_into_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "absent" / "art.json"
+        rc, out, err = run(
+            ["lattice", "--fixture", "cycle3", "--out", str(target)], capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"input error: cannot write {target}: ")
+        assert not target.parent.exists()
+
 
 class TestVerificationFailures:
     """Exit 3, with a message naming what failed."""

@@ -44,7 +44,7 @@ class TestPoset:
         poset = Poset([0, 1, 2, 3],
                       [frozenset(), frozenset({0}), frozenset({0, 1}), frozenset()])
         assert [poset.depth(i) for i in range(4)] == [0, 1, 2, 0]
-        assert poset.dimension() == 2
+        assert poset.dimension(range(4)) == 2
         assert poset.dimension({0, 3}) == 0
         assert poset.dimension(set()) == -1
 

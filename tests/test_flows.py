@@ -15,12 +15,12 @@ from chainflow.flows import (
 from chainflow.linalg import PolyRing, RingMatrix
 from chainflow.monomial import order_complex_resolution
 from chainflow.scalars import GF, QQ, FunctionField
-from chainflow.splittings import build_stratum_splitting
 from chainflow import cyclefam
 import golden_data as G
+from helpers import split_one_stratum
 from oracles import (
     dense_degree_indices, dense_iterate_flow, flow, flow_is_chain_map,
-    mp_identities_hold,
+    mp_identities_hold, weak_partial_decomposition,
 )
 from randgen import random_stratified_complex
 
@@ -128,16 +128,12 @@ class TestClassify:
                     for i in range(dn1.ncols)]
             mats.append(RingMatrix(ring, rows, ncols=c.rank(n)))
         adj = Homotopy(c, mats)
-        cls = classify(c, adj, want_decomposition=True)
-        assert cls.is_weak_partial_splitting
-        assert not cls.is_partial_splitting
-        assert cls.decomposition is not None
+        weak, pieces = weak_partial_decomposition(c, adj)
+        assert weak
+        assert not classify(c, adj).is_partial_splitting
         # the N+C+M pieces fill every degree
         for n in range(c.top + 1):
-            total = (len(cls.decomposition.n_basis[n])
-                     + len(cls.decomposition.c_basis[n])
-                     + len(cls.decomposition.m_basis[n]))
-            assert total == c.rank(n)
+            assert sum(len(basis) for basis in pieces[n]) == c.rank(n)
 
     @pytest.mark.parametrize("case", FLAG_CASES)
     @pytest.mark.parametrize("field", [QQ, GF(5), FunctionField(5, ["y"])],
@@ -148,8 +144,6 @@ class TestClassify:
         cls = classify(c, D)
         assert (cls.is_pre_vector_field, cls.is_vector_field,
                 cls.is_partial_splitting, cls.is_splitting) == want
-        assert cls.is_weak_partial_splitting is None
-        assert cls.decomposition is None
 
     @pytest.mark.parametrize("case", FLAG_CASES)
     def test_flags_on_non_scalar_complex(self, case):
@@ -160,13 +154,6 @@ class TestClassify:
         cls = classify(c, D)
         assert (cls.is_pre_vector_field, cls.is_vector_field,
                 cls.is_partial_splitting, cls.is_splitting) == want
-
-    def test_decomposition_needs_scalar_data(self):
-        I = cyclefam.build_Ip(3).ideal
-        s = order_complex_resolution(I, QQ)
-        D = Homotopy(s.complex, [])
-        with pytest.raises(InputError):
-            classify(s.complex, D, want_decomposition=True)
 
 
 class TestHat:
@@ -238,11 +225,11 @@ class TestStratumSplittingExamples:
         for a in s.occupied():
             c = s.stratum(a).complex
             if c.ranks == [1, 2]:
-                sp = build_stratum_splitting(c, 0, "matroidal_average")
-                col = [e.constant_term() for row in sp.homotopy.D(0).rows for e in row]
+                D, work, m = split_one_stratum(c, 0, "matroidal_average")
+                col = [e.constant_term() for row in D.D(0).rows for e in row]
                 assert col == [Fraction(1, 2), Fraction(1, 2)]
-                assert sp.classification.is_splitting
-                assert sp.count == 2
+                assert classify(work, D).is_splitting
+                assert m == 2
                 return
         pytest.fail("no edge-pair stratum found")
 
@@ -252,21 +239,21 @@ class TestStratumSplittingExamples:
         for a in s.occupied():
             c = s.stratum(a).complex
             if c.ranks == [1, 2]:
-                sp = build_stratum_splitting(c, 2, "matroidal_average",
-                                             stratum_key="epair")
-                F = sp.field
+                D, work, _ = split_one_stratum(c, 2, "matroidal_average",
+                                               tag="epair")
+                F = work.ring.field
                 assert F.names == ("y[epair][1]",)
                 col = [F.render(e.constant_term())
-                       for row in sp.homotopy.D(0).rows for e in row]
+                       for row in D.D(0).rows for e in row]
                 # first weight eliminated as 1 + y, second is y itself
                 assert col == ["y[epair][1] + 1", "y[epair][1]"]
-                assert sp.classification.is_splitting
+                assert classify(work, D).is_splitting
                 return
         pytest.fail("no edge-pair stratum found")
 
     def test_moore_penrose_mode_rejects_char_p(self, hexagon):
         with pytest.raises(InputError):
-            build_stratum_splitting(hexagon, 5, "moore_penrose")
+            split_one_stratum(hexagon, 5, "moore_penrose")
 
 
 class TestFlowAndIteration:
@@ -288,7 +275,7 @@ class TestFlowAndIteration:
         I = cyclefam.build_Ip(3).ideal
         res = resolve_minimal(I, 0)
         Pi, k = dense_iterate_flow(res.start, res.homotopy)
-        assert res.iterations == k
+        assert res.report["iterations"] == k
         c = res.start.complex
         # Pi is idempotent and commutes with the flow (Pi * Phi = Pi)
         phi = flow(c, res.homotopy)

@@ -11,8 +11,9 @@ from chainflow.linalg import (
     MultiPoly, PolyRing, RingMatrix, kernel, mp_inverse, rref,
     s_mul, s_rank, s_inverse, s_transpose, solve,
 )
-from chainflow.scalars import GF, QQ, FunctionField, pack_exponents
+from chainflow.scalars import GF, QQ, FunctionField
 
+from helpers import pack_exponents
 from oracles import char_poly, mp_identities_hold
 
 

@@ -11,8 +11,11 @@ from chainflow.cli import main
 from chainflow.errors import InputError, InternalError
 from chainflow.scalars import (
     _MR_BASES, _MR_LIMIT, GF, QQ, YBITS, YMASK, FunctionField, _is_prime,
-    field_descriptor, field_from_descriptor, pack_exponents, unpack_exponents,
+    field_descriptor,
 )
+from chainflow.serialize import field_from_descriptor
+
+from helpers import pack_exponents, poly, unpack_exponents
 
 
 def divexact_oracle(F, num, den):
@@ -220,7 +223,7 @@ class TestFunctionField:
         self.F = FunctionField(3, ["y1", "y2", "y3"])
 
     def poly(self, s):
-        return self.F.pd_parse(s)
+        return poly(self.F, s)
 
     def test_pd_mul(self):
         F = self.F
@@ -229,13 +232,13 @@ class TestFunctionField:
         # (y1 + 2 y2)(y1 + y2) = y1^2 + 3 y1 y2 + 2 y2^2 = y1^2 + 2 y2^2 mod 3
         assert F.pd_mul(a, b) == self.poly("y1^2 + 2*y2^2")
 
-    def test_pd_parse_render_round_trip(self):
+    def test_render_parse_round_trip(self):
         F = self.F
         # rendering is canonical (terms in decreasing packed-key order), so
         # parse(render(.)) is the identity on polynomial dicts
         for s in ("0", "1", "2*y1^2*y3 + y2", "y1 + y2 + y3"):
             d = self.poly(s)
-            assert F.pd_parse(F.pd_render(d)) == d
+            assert self.poly(F.pd_render(d)) == d
         assert F.pd_render(self.poly("y1 + y2 + y3")) == "y3 + y2 + y1"
 
     def test_exact_division_cancels(self):
@@ -343,14 +346,14 @@ class TestExactDivision:
 
     def test_equal_denominators_counted_once(self):
         F = FunctionField(3, ["y1", "y2"])
-        d1, d2 = F.pd_parse("y1 + y2"), F.pd_parse("y1 + y2")
+        d1, d2 = poly(F, "y1 + y2"), poly(F, "y1 + y2")
         assert d1 is not d2
-        vec = [(F.pd_parse("y1"), d1), (F.pd_parse("y2"), d2),
-               (F.pd_parse("1"), None)]
+        vec = [(poly(F, "y1"), d1), (poly(F, "y2"), d2),
+               (poly(F, "1"), None)]
         cleared = F.clear_vector_denominators(vec)
-        assert cleared == [(F.pd_parse("y1"), None),
-                           (F.pd_parse("y2"), None),
-                           (F.pd_parse("y2 + y1"), None)]
+        assert cleared == [(poly(F, "y1"), None),
+                           (poly(F, "y2"), None),
+                           (poly(F, "y2 + y1"), None)]
         assert cleared == clear_oracle(F, vec)
 
 
@@ -370,21 +373,28 @@ class TestExponentOverflow:
         # both operands set guard bits, but in different variables
         assert F.pd_mul(F.pd_var(0, 200), F.pd_var(1, 100)) == \
             {200 | (100 << YBITS): 1}
-        assert F.pd_render(F.pd_mul(F.pd_parse("a^200 + b"),
-                                    F.pd_parse("a^55"))) == "a^55*b + a^255"
+        assert F.pd_render(F.pd_mul(poly(F, "a^200 + b"),
+                                    poly(F, "a^55"))) == "a^55*b + a^255"
         acc = {}
         F.pd_mul_acc(acc, F.pd_var(0, 128), F.pd_var(0, 127))
         assert F.pd_reduce(acc) == F.pd_var(0, 255)
 
+    @staticmethod
+    def eliminating(text):
+        """A field descriptor whose one elimination is ``text``."""
+        return {"p": 3, "transcendentals": ["a", "b"],
+                "eliminations": {"c": text}}
+
     def test_parse_rejects_out_of_range_exponent(self):
-        F = self.F
-        with pytest.raises(InputError, match="exponent 300"):
-            F.pd_parse("a^300")
-        with pytest.raises(InputError, match="exponent 256"):
-            F.pd_parse("a^200*a^56")
-        with pytest.raises(InputError, match="malformed"):
-            F.pd_parse("a^x")
-        assert F.pd_parse("a^255") == F.pd_var(0, 255)
+        for text, message in [("a^300", "exponent 300 above the packed range"),
+                              ("a^200*a^56", "exceeds the packed range"),
+                              ("a^x", "expected an integer exponent"),
+                              ("a*z", "expected a name, number"),
+                              ("a/b", "has a denominator")]:
+            with pytest.raises(InputError, match=message):
+                field_from_descriptor(self.eliminating(text))
+        F = field_from_descriptor(self.eliminating("a^255"))
+        assert F.eliminations == {"c": F.pd_var(0, 255)}
 
 
 class TestDot:
@@ -444,8 +454,8 @@ class TestDot:
 
     def test_function_field_cancels_to_zero(self):
         F = FunctionField(3, ["y1", "y2"])
-        a = (F.pd_parse("y1 + 2*y2"), None)
-        b = (F.pd_parse("y1^2 + y2"), None)
+        a = (poly(F, "y1 + 2*y2"), None)
+        b = (poly(F, "y1^2 + y2"), None)
         assert F.dot([(a, b), (F.neg(a), b)]) == F.zero
         assert F.dot([(a, b), (b, F.neg(a))]) == ({}, None)
 
@@ -499,13 +509,18 @@ class TestFieldDescriptors:
         assert field_descriptor(QQ) == "Q"
         assert field_from_descriptor("Q") is QQ
 
+    @pytest.mark.parametrize("desc", ["QQ", "rationals", 0, 5, {"q": 5}])
+    def test_unwritten_spellings_rejected(self, desc):
+        with pytest.raises(InputError, match="unrecognised field descriptor"):
+            field_from_descriptor(desc)
+
     def test_prime_field(self):
         d = field_descriptor(GF(5))
         assert field_from_descriptor(d) is GF(5)
 
     def test_function_field_round_trip(self):
         F = FunctionField(3, ["y1", "y2"], "generic affine weights")
-        F.eliminations["y1"] = F.pd_parse("1 + 2*y2")
+        F.eliminations["y1"] = poly(F, "1 + 2*y2")
         d = field_descriptor(F)
         G = field_from_descriptor(d)
         assert isinstance(G, FunctionField)

@@ -1,6 +1,7 @@
 """JSON round-trips for complexes, homotopies and stratifications, plus the
 coefficient grammar for each field kind."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -117,7 +118,7 @@ class TestCoefficients:
     def test_bracketed_names(self):
         # extension-field names contain brackets and digits; the tokenizer
         # must match them greedily
-        F, _ = build_extension_field({"a": 2}, 2)
+        F, _ = build_extension_field({"a": 2}, 2, ["a"])
         v = coeff_from_string(F, "y[a][1] + 1")
         assert coeff_to_string(F, v) == "y[a][1] + 1"
 
@@ -171,6 +172,31 @@ class TestComplexRoundTrip:
         doc["diff"][0][row][col] = {bad_key + ",0": "1"}
         with pytest.raises(InputError, match="exponent key"):
             complex_from_json(doc)
+
+
+class TestCriticalArtifactRoundTrip:
+    """Artifacts over F_p(y) whose weight names hold ``^`` and ``*``, as in
+    ``y[v0^2*v1*v2*v3*e23*e31][1]``, read back byte for byte."""
+
+    @staticmethod
+    def reread(doc):
+        return json.loads(dumps(doc))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_cycle3_taylor_resolution(self, p):
+        res = resolve_minimal(cyclefam.build_Ip(3).ideal, p, start="taylor")
+        doc = self.reread(complex_to_json(res.resolution))
+        assert "^" in doc["field"]["transcendentals"][0]
+        assert dumps(complex_to_json(complex_from_json(doc))) == dumps(doc)
+
+    def test_cycle3_taylor_with_field(self):
+        res = resolve_minimal(cyclefam.build_Ip(3).ideal, 2, start="taylor")
+        start = self.reread(stratified_to_json(res.start))
+        s = stratified_from_json(start)
+        assert dumps(stratified_to_json(s)) == dumps(start)
+        field = self.reread(homotopy_to_json(res.homotopy))
+        W = homotopy_from_json(field, s.complex)
+        assert dumps(homotopy_to_json(W)) == dumps(field)
 
 
 class TestHomotopyRoundTrip:

@@ -17,14 +17,14 @@ from chainflow.monomial import (
 )
 from chainflow.scalars import GF, QQ, FunctionField
 from chainflow.splittings import (
-    _build_homotopy, _degree_options, build_extension_field, build_stratum_splitting,
-    coerce_complex, count_choices, critical_analysis,
+    _build_homotopy, _degree_options, build_extension_field, coerce_complex, count_choices, critical_analysis,
     enumerate_matroidal, list_choices, matroidal_average, matroidal_count,
     matroidal_options, stratum_core, weight_name,
 )
 from chainflow.toric import BettiCategoryData, bar_resolution, resolve_toric
 from chainflow import cyclefam, flows, monomial, splittings, toric
 import golden_data as G
+from helpers import split_one_stratum
 from oracles import coerce_homotopy
 from randgen import random_rational_complex
 
@@ -61,8 +61,10 @@ class TestMatroidalEnumeration:
 
 class TestCriticalAnalysis:
     def test_cycle3_golden(self):
-        crit = critical_analysis(dict(G.MATROIDAL_COUNTS))
+        crit = critical_analysis(dict(G.MATROIDAL_COUNTS), 0)
         assert crit["critical_primes"] == G.CRITICAL_PRIMES
+        assert crit["critical_strata"] == []
+        assert crit["transcendence_degree"] == 0
         for p in (2, 3):
             per = crit["per_prime"][p]
             assert per["critical_strata"] == G.CRITICAL_STRATA[p]
@@ -136,15 +138,15 @@ class TestStratumCore:
     def test_core_ranks_are_homology_ranks(self, cycle3_strata):
         from chainflow.complexes import homology_ranks
         for tag, c in cycle3_strata.items():
-            sp = build_stratum_splitting(c, 0, "matroidal_average")
-            cores = stratum_core(c, sp.homotopy)
+            D, _, _ = split_one_stratum(c, 0, "matroidal_average")
+            cores = stratum_core(c, D)
             hom = homology_ranks(c)
             assert [len(v) for v in cores] == hom, tag
 
     def test_core_vectors_are_cycles(self, cycle3_strata):
         hexagon = cycle3_strata[G.MTOP]
-        sp = build_stratum_splitting(hexagon, 0, "matroidal_average")
-        cores = stratum_core(hexagon, sp.homotopy)
+        D, _, _ = split_one_stratum(hexagon, 0, "matroidal_average")
+        cores = stratum_core(hexagon, D)
         field = hexagon.ring.field
         for n in range(1, hexagon.top + 1):
             d = hexagon.d(n).scalar_rows()
@@ -185,7 +187,7 @@ def _pipeline_strata(kind, start, p):
     counts = {a: count_choices(o) for a, o in options.items()}
     field, plan = base, None
     if p and any(m % p == 0 for m in counts.values()):
-        field, plan = build_extension_field(counts, p, order=list(views))
+        field, plan = build_extension_field(counts, p, list(views))
     out = []
     for a, c in views.items():
         m = counts[a]
@@ -295,9 +297,9 @@ class TestMatroidalAverage:
         s = taylor_resolution(I, GF(3))
         top = max((s.stratum(a).complex for a in s.occupied()),
                   key=lambda c: sum(c.ranks))
-        sp = build_stratum_splitting(top, 3, "matroidal_average")
-        assert sp.count == 18 and isinstance(sp.field, FunctionField)
-        assert sp.classification.is_splitting
+        D, work, m = split_one_stratum(top, 3, "matroidal_average")
+        assert m == 18 and isinstance(work.ring.field, FunctionField)
+        assert classify(work, D).is_splitting
 
     def test_pipelines_do_not_form_the_dense_flow(self, monkeypatch):
         # Phi = I - dW - Wd and its powers start from an ambient identity.
