@@ -66,7 +66,8 @@ def _load_input(args) -> dict:
         raise InputError("provide --in FILE or --fixture NAME")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
+        # RecursionError: nesting deeper than the decoder's stack allows
         raise InputError(f"invalid JSON input: {e}")
 
 

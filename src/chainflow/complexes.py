@@ -50,9 +50,8 @@ class Poset:
 
     @classmethod
     def from_leq(cls, elements, leq):
-        """Build from a comparability callable; reorders elements into a
-        linear extension (stable by the given order).  Returns the poset and
-        the permutation old_index -> new_index."""
+        """Build from a comparability callable, reordering the elements into
+        a linear extension; among unrelated elements the given order wins."""
         n = len(elements)
         strictly_below = [set() for _ in range(n)]
         for i in range(n):
@@ -65,7 +64,7 @@ class Poset:
         newpos = {old: new for new, old in enumerate(order)}
         elems = [elements[old] for old in order]
         below = [frozenset(newpos[j] for j in strictly_below[old]) for old in order]
-        return cls(elems, below), newpos
+        return cls(elems, below)
 
     @staticmethod
     def _topo_order(n, strictly_below):
@@ -260,8 +259,6 @@ class StratumView:
 
     complex: BasedComplex
     indices: list  # indices[n] = list of global basis positions at degree n
-    element: object  # the poset element
-    poset_index: int
 
 
 class StratifiedComplex:
@@ -333,7 +330,7 @@ class StratifiedComplex:
                 rows.append(row)
             diffs.append(RingMatrix(sring, rows))
         sub = BasedComplex(sring, labels, mdegs, diffs)
-        return StratumView(sub, indices[:top + 1], self.poset.elements[ai], ai)
+        return StratumView(sub, indices[:top + 1])
 
     def __repr__(self):
         return f"StratifiedComplex(ranks={self.complex.ranks}, poset={len(self.poset)})"

@@ -32,7 +32,6 @@ from .complexes import BasedComplex, StratifiedComplex
 __all__ = [
     "Homotopy",
     "ClassifyResult",
-    "ExtractedSummand",
     "classify",
     "iterate_flow",
     "hat",
@@ -265,13 +264,6 @@ def assemble_field(s: StratifiedComplex, splittings: dict) -> Homotopy:
     return W
 
 
-@dataclass
-class ExtractedSummand:
-    complex: BasedComplex
-    generators: list        # per degree: list of ambient column RingMatrix
-    generator_strata: list  # per degree: poset element per generator
-
-
 def _column(ring: PolyRing, entries: list) -> RingMatrix:
     return RingMatrix(ring, [[e] for e in entries], ncols=1)
 
@@ -296,7 +288,7 @@ def extract_minimal_summand(
     s: StratifiedComplex,
     W: Homotopy,
     core_bases: dict,
-) -> ExtractedSummand:
+) -> BasedComplex:
     """Project per-stratum core vectors along the flow of ``W`` and
     re-express ``d``.
 
@@ -424,14 +416,13 @@ def extract_minimal_summand(
     topdim = c.top
     while topdim > 0 and not gens[topdim]:
         topdim -= 1
-    out = BasedComplex(
+    return BasedComplex(
         ring,
         labels[: topdim + 1],
         multidegrees[: topdim + 1],
         diffs[:topdim],
         deg_map=c.deg_map,
     )
-    return ExtractedSummand(out, gens[: topdim + 1], gen_strata[: topdim + 1])
 
 
 def _stratum_tag(a) -> str:

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .errors import InputError, VerificationError
-from .scalars import FunctionField
+from .errors import InputError
 from .linalg import PolyRing, RingMatrix
 from .complexes import BasedComplex, Poset, StratifiedComplex, verify_strands
 from .splittings import (
@@ -212,6 +211,29 @@ def _chain_tiers(poset) -> list:
     return chains
 
 
+def _face_differentials(ring, tiers, multidegrees) -> list:
+    """The differentials of a start whose degree ``n`` basis is the tier
+    ``tiers[n]`` of increasing ``(n+1)``-tuples, with multidegrees ``m``.
+
+    Dropping entry ``t`` of ``s`` gives the face ``f`` with coefficient
+    ``(-1)^t x^(m(s) - m(f))``.
+    """
+    field = ring.field
+    signs = (field.one, field.neg(field.one))
+    diffs = []
+    for n in range(1, len(tiers)):
+        index_of = {face: i for i, face in enumerate(tiers[n - 1])}
+        rows = [[ring.zero() for _ in tiers[n]] for _ in tiers[n - 1]]
+        for j, s in enumerate(tiers[n]):
+            for t in range(n + 1):
+                i = index_of[s[:t] + s[t + 1:]]
+                quot = tuple(x - y for x, y in zip(
+                    multidegrees[n][j], multidegrees[n - 1][i]))
+                rows[i][j] = ring.monomial(quot, signs[t % 2])
+        diffs.append(RingMatrix(ring, rows, ncols=len(tiers[n])))
+    return diffs
+
+
 def order_complex_resolution(I: MonomialIdeal, field) -> StratifiedComplex:
     """Resolution supported on chains of the (bottom-removed) lcm-lattice.
 
@@ -219,84 +241,51 @@ def order_complex_resolution(I: MonomialIdeal, field) -> StratifiedComplex:
     bottom, listed lexicographically by canonical element positions.  The
     differential drops one element at a time with alternating signs; dropping
     the top multiplies by the monomial quotient of the two top elements,
-    every other face has coefficient one.  Stratum of a chain: its top.
+    every other face has coefficient one.  Stratum and multidegree of a
+    chain: its top.
     """
     L = lcm_lattice(I)
-    poset = L.poset
     proper = L.proper()
     ring = PolyRing(field, I.names)
-    chains = _chain_tiers(poset)
-    labels = []
-    multidegrees = []
-    strata = []
-    index_of = []
-    for tier in chains:
-        labels.append([_chain_label(I.names, [proper[i] for i in ch])
-                       for ch in tier])
-        multidegrees.append([proper[ch[-1]] for ch in tier])
-        strata.append([ch[-1] for ch in tier])
-        index_of.append({ch: j for j, ch in enumerate(tier)})
-    diffs = []
-    for n in range(1, len(chains)):
-        rows = [[ring.zero() for _ in chains[n]] for _ in chains[n - 1]]
-        for j, ch in enumerate(chains[n]):
-            for t in range(n + 1):
-                face = ch[:t] + ch[t + 1:]
-                i = index_of[n - 1][face]
-                sign = field.one if t % 2 == 0 else field.neg(field.one)
-                if t < n:
-                    rows[i][j] = rows[i][j] + ring.const(sign)
-                else:
-                    quot = tuple(x - y for x, y in zip(
-                        proper[ch[n]], proper[ch[n - 1]]))
-                    rows[i][j] = rows[i][j] + ring.monomial(quot, sign)
-        diffs.append(RingMatrix(ring, rows, ncols=len(chains[n])))
-    complex = BasedComplex(ring, labels, multidegrees, diffs)
-    return StratifiedComplex(complex, poset, strata)
+    chains = _chain_tiers(L.poset)
+    labels = [[_chain_label(I.names, [proper[i] for i in ch]) for ch in tier]
+              for tier in chains]
+    multidegrees = [[proper[ch[-1]] for ch in tier] for tier in chains]
+    strata = [[ch[-1] for ch in tier] for tier in chains]
+    complex = BasedComplex(ring, labels, multidegrees,
+                           _face_differentials(ring, chains, multidegrees))
+    return StratifiedComplex(complex, L.poset, strata)
 
 
-def _taylor_tiers(r: int):
+def _taylor_tiers(r: int) -> list:
     """The ``(n+1)``-subsets of ``r`` generators, one tier per degree ``n``,
-    each listed lexicographically, and per tier the map from a subset to its
-    position."""
-    tiers = [list(combinations(range(r), n + 1)) for n in range(r)]
-    return tiers, [{s: j for j, s in enumerate(tier)} for tier in tiers]
+    each listed lexicographically."""
+    return [list(combinations(range(r), n + 1)) for n in range(r)]
 
 
 def taylor_resolution(I: MonomialIdeal, field) -> StratifiedComplex:
     """Taylor resolution: degree ``n`` basis indexed by (n+1)-subsets of the
     generators, boundary faces signed alternately and scaled by the monomial
-    quotient ``lcm(subset) / lcm(subset minus one)``.  Stratum of a subset:
-    its lcm."""
-    L = lcm_lattice(I)
-    poset = L.poset
+    quotient ``lcm(subset) / lcm(subset minus one)``.  Stratum and
+    multidegree of a subset: its lcm."""
+    poset = lcm_lattice(I).poset
     gens = I.generators
-    r = len(gens)
     ring = PolyRing(field, I.names)
-    tiers, index_of = _taylor_tiers(r)
-    lcm_of = {}
+    tiers = _taylor_tiers(len(gens))
+    multidegrees = []
     for tier in tiers:
+        layer = []
         for s in tier:
             e = gens[s[0]]
             for i in s[1:]:
                 e = _join(e, gens[i])
-            lcm_of[s] = e
+            layer.append(e)
+        multidegrees.append(layer)
     labels = [["{" + ",".join(str(i) for i in s) + "}" for s in tier]
               for tier in tiers]
-    multidegrees = [[lcm_of[s] for s in tier] for tier in tiers]
-    strata = [[poset.index[lcm_of[s]] for s in tier] for tier in tiers]
-    diffs = []
-    for n in range(1, r):
-        rows = [[ring.zero() for _ in tiers[n]] for _ in tiers[n - 1]]
-        for j, s in enumerate(tiers[n]):
-            for t in range(n + 1):
-                face = s[:t] + s[t + 1:]
-                i = index_of[n - 1][face]
-                sign = field.one if t % 2 == 0 else field.neg(field.one)
-                quot = tuple(x - y for x, y in zip(lcm_of[s], lcm_of[face]))
-                rows[i][j] = rows[i][j] + ring.monomial(quot, sign)
-        diffs.append(RingMatrix(ring, rows, ncols=len(tiers[n])))
-    complex = BasedComplex(ring, labels, multidegrees, diffs)
+    strata = [[poset.index[e] for e in layer] for layer in multidegrees]
+    complex = BasedComplex(ring, labels, multidegrees,
+                           _face_differentials(ring, tiers, multidegrees))
     return StratifiedComplex(complex, poset, strata)
 
 
@@ -323,17 +312,8 @@ def resolve_minimal(
     """
     if start not in _STARTS:
         raise InputError(f"unknown start resolution {start!r}")
-
-    def build_start(field):
-        s = _STARTS[start](I, field)
-        issues = s.validate()
-        if issues:
-            raise VerificationError(
-                "start resolution failed validation: " + "; ".join(issues))
-        return s
-
     res = resolve_stratified(
-        build_start, characteristic, mode,
+        lambda field: _STARTS[start](I, field), characteristic, mode,
         lambda e: render_monomial(I.names, e),
         lambda M: verify_resolution(M, I))
     report = res.report
@@ -344,7 +324,7 @@ def resolve_minimal(
     report["start"] = start
     if I.dropped:
         report["notes"].append(f"{I.dropped} redundant generator(s) removed")
-    if res.plan is not None:
+    if report["critical_strata"]:
         report["notes"].append(
             "averaging weights are generic affine transcendentals; the first "
             "weight of each critical stratum is eliminated as one minus the "
@@ -500,7 +480,8 @@ def _lcm_basis_action(s: StratifiedComplex, elem_map, result):
 
 
 def _taylor_basis_action(I, s: StratifiedComplex, gen_map, elem_map, result):
-    tiers, index_of = _taylor_tiers(len(I.generators))
+    tiers = _taylor_tiers(len(I.generators))
+    index_of = [{s: j for j, s in enumerate(tier)} for tier in tiers]
     perm_pairs = []
     for n, tier in enumerate(tiers):
         pairs = []
@@ -571,10 +552,8 @@ def _weight_substitution(I, field, elem_map, choice_actions, result):
     weight ``y[a][j]`` must be sent to the weight of the image choice —
     ``y[b][j']``, or ``1 - sum`` when the image is the eliminated choice 0.
     """
-    plan = result.plan
-    if plan is None or not plan.critical:
-        return None
-    if not isinstance(field, FunctionField):
+    critical = result.report["critical_strata"]
+    if not critical:
         return None
     s = result.start
     poset = s.poset
@@ -583,13 +562,13 @@ def _weight_substitution(I, field, elem_map, choice_actions, result):
     tag_to_idx = {t: ai for ai, t in tag_of.items()}
     # The matroidal choices in weight order, on both sides of the symmetry.
     choice_lists = {tag_to_idx[tag]: list_choices(result.options[tag])
-                    for tag in plan.critical}
+                    for tag in critical}
     subst = {}
-    for tag in plan.critical:
+    for tag in critical:
         ai = tag_to_idx[tag]
         bi = elem_map[ai]
         btag = tag_of[bi]
-        if btag not in plan.critical:
+        if btag not in critical:
             raise InputError("not a symmetry")
         src_choices = choice_lists[ai]
         dst_index = {ch: t for t, ch in enumerate(choice_lists[bi])}

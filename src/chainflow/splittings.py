@@ -63,7 +63,6 @@ from .flows import (
 
 __all__ = [
     "MatroidalChoice",
-    "ExtensionPlan",
     "enumerate_matroidal",
     "matroidal_options",
     "count_choices",
@@ -91,19 +90,6 @@ class MatroidalChoice:
 
     x_sets: tuple
     z_sets: tuple
-
-
-@dataclass
-class ExtensionPlan:
-    """How stratum averages are realized over a given characteristic."""
-
-    characteristic: int
-    counts: dict                 # stratum key -> number of matroidal splittings
-    critical: list               # stratum keys whose count the prime divides
-    names: list                  # transcendental variable names, in order
-    transcendence_degree: int
-    weights: dict                # stratum key -> list of field elements
-    field: object
 
 
 def _scalar_diff(c: BasedComplex, n: int):
@@ -477,16 +463,18 @@ def weight_name(stratum_key, j: int) -> str:
 
 
 def build_extension_field(counts: dict, p: int, order: list):
-    """The working field and weight assignment for characteristic ``p``.
+    """The working field and the critical strata's weights at ``p``.
 
     ``order`` lists the stratum keys of ``counts`` in stratum order; the
     transcendentals are numbered in that order.  Critical strata (``p``
     divides the count ``m``) get ``m - 1`` fresh transcendentals
     ``y[a][1..m-1]``; the first weight ``y[a][0]`` is eliminated as
     ``1 - sum`` of the others, which keeps the weights affine and the field
-    purely transcendental of the stated degree.  Non-critical strata keep
-    the constant weight ``1/m``.  With no critical stratum the field is
-    simply the prime field.
+    purely transcendental of degree ``len(field.names)``.  Returns
+    ``(field, weights)`` with ``weights`` mapping each critical stratum to
+    its ``m`` affine weights; with no critical stratum the field is the
+    prime field and ``weights`` is empty.  Non-critical strata keep the
+    constant weight ``1/m``, which :func:`split_stratum` forms.
     """
     if not _is_prime(p):
         raise InputError(f"characteristic must be prime, got {p}")
@@ -496,38 +484,26 @@ def build_extension_field(counts: dict, p: int, order: list):
             raise InputError(f"stratum {k!r} missing from the given order")
     critical = [a for a in keys if counts[a] % p == 0]
     if not critical:
-        field = GF(p)
-        weights = {}
-        for a in keys:
-            m = counts[a]
-            inv = field.inv(field.from_int(m))
-            weights[a] = [inv] * m
-        return field, ExtensionPlan(p, dict(counts), [], [], 0, weights, field)
+        return GF(p), {}
     names = []
     for a in critical:
         names.extend(weight_name(a, j) for j in range(1, counts[a]))
     field = FunctionField(p, names, label="generic affine weights")
     weights = {}
     pos = 0
-    for a in keys:
+    for a in critical:
         m = counts[a]
-        if a in critical:
-            ws = []
-            first_num = field.pd_const(1)
-            for j in range(1, m):
-                var = field.pd_var(pos + (j - 1))
-                first_num = field.pd_sub(first_num, var)
-                ws.append((var, None))
-            ws.insert(0, (first_num, None))
-            field.eliminations[weight_name(a, 0)] = first_num
-            weights[a] = ws
-            pos += m - 1
-        else:
-            inv = field.inv(field.from_int(m))
-            weights[a] = [inv] * m
-    plan = ExtensionPlan(p, dict(counts), list(critical), names,
-                         len(names), weights, field)
-    return field, plan
+        ws = []
+        first_num = field.pd_const(1)
+        for j in range(1, m):
+            var = field.pd_var(pos + (j - 1))
+            first_num = field.pd_sub(first_num, var)
+            ws.append((var, None))
+        ws.insert(0, (first_num, None))
+        field.eliminations[weight_name(a, 0)] = first_num
+        weights[a] = ws
+        pos += m - 1
+    return field, weights
 
 
 def _coerce_scalar(value, src_field, dst_field):
@@ -610,42 +586,41 @@ def _splitting_mode(characteristic: int, mode: Optional[str]) -> str:
 
 def _count_and_plan(complexes: dict, characteristic: int, mode: str,
                     base_field):
-    """Options, counts, critical analysis, work field and extension plan.
+    """Options, counts, critical analysis, work field and critical weights.
 
     ``complexes`` maps stratum tags, in stratum order, to the stratum
     complexes over ``base_field``.  The work field is a transcendental
-    extension, with its :class:`ExtensionPlan`, only when the mode is the
-    matroidal average and the characteristic divides some count; otherwise
-    it is ``base_field`` and the plan is ``None``.
+    extension, with affine weights for each critical stratum, only when the
+    mode is the matroidal average and the characteristic divides some count;
+    otherwise it is ``base_field`` and the weights are ``{}``.
     """
     options = {tag: matroidal_options(c) for tag, c in complexes.items()}
     counts = {tag: count_choices(opts) for tag, opts in options.items()}
     critical = critical_analysis(counts, characteristic)
     if mode == "matroidal_average" and critical["critical_strata"]:
-        field, plan = build_extension_field(counts, characteristic,
-                                            list(complexes))
-        return options, counts, critical, field, plan
-    return options, counts, critical, base_field, None
+        field, weights = build_extension_field(counts, characteristic,
+                                               list(complexes))
+        return options, counts, critical, field, weights
+    return options, counts, critical, base_field, {}
 
 
 def split_stratum(tag, mode: str, c_base: BasedComplex, c_work: BasedComplex,
-                  options: list, plan: Optional[ExtensionPlan]) -> Homotopy:
+                  options: list, weights: Optional[list]) -> Homotopy:
     """The certified splitting homotopy of one stratum.
 
     ``c_base`` is the stratum complex over the base field and ``c_work`` the
     same complex over the work field.  ``moore_penrose`` takes the degreewise
     pseudoinverse.  ``matroidal_average`` averages the matroidal splittings
-    of ``options`` with the stratum's weights in ``plan`` (``1/m`` each
-    without a plan) and applies the ``hat`` correction.  :func:`classify`
-    certifies the result; a homotopy that is not a splitting raises, naming
-    the stratum ``tag`` and the mode.
+    of ``options`` with ``weights``, the affine weights of a critical
+    stratum, or with ``1/m`` each when ``weights`` is ``None``, and applies
+    the ``hat`` correction.  :func:`classify` certifies the result; a
+    homotopy that is not a splitting raises, naming the stratum ``tag`` and
+    the mode.
     """
     if mode == "moore_penrose":
         D = moore_penrose(c_work)
     else:
-        if plan is not None:
-            weights = plan.weights[tag]
-        else:
+        if weights is None:
             field = c_work.ring.field
             m = count_choices(options)
             weights = [field.inv(field.from_int(m))] * m
@@ -663,7 +638,6 @@ class ResolveResult:
     start: StratifiedComplex          # the start resolution over the work field
     homotopy: Homotopy                # the assembled vector field W
     options: dict                     # stratum tag -> per-degree matroidal options
-    plan: object                      # ExtensionPlan or None
     verification: dict
     report: dict
 
@@ -673,8 +647,9 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
     """Minimal summand of a stratified start resolution, any characteristic.
 
     The one construction behind the monomial and toric entry points.
-    ``start(field)`` builds the validated start over the prime field (or Q)
-    of ``characteristic``; it is called after the mode check.  Every
+    ``start(field)`` builds the start over the prime field (or Q) of
+    ``characteristic``; it is called after the mode check, and a start that
+    fails :meth:`StratifiedComplex.validate` raises.  Every
     stratum is split by :func:`split_stratum` — over a transcendental
     extension when the mode is the matroidal average and the characteristic
     divides a stratum count — and its core taken; the splittings are
@@ -689,15 +664,19 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
     base_field = QQ if characteristic == 0 else GF(characteristic)
     mode = _splitting_mode(characteristic, mode)
     s_base = start(base_field)
+    issues = s_base.validate()
+    if issues:
+        raise VerificationError(
+            "start resolution failed validation: " + "; ".join(issues))
     poset = s_base.poset
     occupied = s_base.occupied()
     tags = [render(poset.elements[ai]) for ai in occupied]
     views_base = {tag: s_base.stratum(ai).complex
                   for tag, ai in zip(tags, occupied)}
-    options, counts, critical, work_field, plan = _count_and_plan(
+    options, counts, critical, work_field, weights = _count_and_plan(
         views_base, characteristic, mode, base_field)
     s_work = s_base
-    if plan is not None:
+    if work_field is not base_field:
         s_work = StratifiedComplex(coerce_complex(s_base.complex, work_field),
                                    poset, s_base.strata)
 
@@ -705,14 +684,15 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
     cores = {}
     for tag, ai in zip(tags, occupied):
         c = s_work.stratum(ai).complex
-        D = split_stratum(tag, mode, views_base[tag], c, options[tag], plan)
+        D = split_stratum(tag, mode, views_base[tag], c, options[tag],
+                          weights.get(tag))
         splittings[ai] = D
         cores[ai] = stratum_core(c, D)
 
     W = assemble_field(s_work, splittings)
     _, iterations = iterate_flow(s_work, W)
-    extracted = extract_minimal_summand(s_work, W, cores)
-    verification = verify(extracted.complex)
+    resolution = extract_minimal_summand(s_work, W, cores)
+    verification = verify(resolution)
     if not verification["ok"]:
         raise VerificationError(
             "extracted summand is not a minimal resolution: "
@@ -720,7 +700,7 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
                         + verification["validate_issues"]))
 
     betti = {}
-    for n, degs in enumerate(extracted.complex.multidegrees):
+    for n, degs in enumerate(resolution.multidegrees):
         layer = {}
         for mdeg in degs:
             t = render(mdeg)
@@ -736,7 +716,7 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
         "transcendence_degree": critical["transcendence_degree"],
         "iterations": iterations,
         "stabilization": f"stabilized after {iterations} iterations",
-        "ranks": list(extracted.complex.ranks),
+        "ranks": list(resolution.ranks),
         "betti": betti,
         "verification": {
             "minimal": verification["minimal"],
@@ -749,12 +729,11 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
         ],
     }
     return ResolveResult(
-        resolution=extracted.complex,
+        resolution=resolution,
         field=work_field,
         start=s_work,
         homotopy=W,
         options=options,
-        plan=plan,
         verification=verification,
         report=report,
     )

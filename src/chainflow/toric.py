@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .errors import InputError, VerificationError
+from .errors import InputError
 from .linalg import PolyRing, RingMatrix
 from .complexes import (
     BasedComplex,
@@ -116,21 +116,6 @@ class BettiCategoryData:
         return tuple(
             sum(row[i] * e for i, e in enumerate(exps)) for row in self.deg_map)
 
-    def compose(self, f: Morphism, g: Morphism) -> Morphism:
-        """The composite of consecutive morphisms f then g."""
-        if f.target != g.source:
-            raise InputError("morphisms are not composable")
-        mono = tuple(a + b for a, b in zip(f.monomial, g.monomial))
-        return Morphism(f.source, g.target, mono)
-
-    def find(self, f: Morphism) -> Morphism:
-        """The stored morphism equal to ``f`` (composites must be present)."""
-        for g in self.morphisms:
-            if g == f:
-                return g
-        raise InputError(
-            "the category is not closed under composition of its morphisms")
-
 
 def _componentwise_leq(a, b):
     return all(x <= y for x, y in zip(a, b))
@@ -148,7 +133,7 @@ def bar_resolution(data: BettiCategoryData, field) -> StratifiedComplex:
     """
     ring = PolyRing(field, data.names)
     morph_index = {f: i for i, f in enumerate(data.morphisms)}
-    poset, _ = Poset.from_leq(list(data.objects), _componentwise_leq)
+    poset = Poset.from_leq(list(data.objects), _componentwise_leq)
 
     # seqs[0]: one singleton (object,) per object; seqs[n] for n >= 1: tuples
     # of morphism indices (f_1, ..., f_n) with target(f_i) = source(f_{i+1}),
@@ -215,8 +200,13 @@ def bar_resolution(data: BettiCategoryData, field) -> StratifiedComplex:
             rows[face_j][j] = rows[face_j][j] + ring.one()
             # inner faces: compose consecutive morphisms
             for t in range(1, n):
-                comp = data.find(data.compose(fs[t - 1], fs[t]))
-                face = seq[:t - 1] + (morph_index[comp],) + seq[t + 1:]
+                f, g = fs[t - 1], fs[t]
+                comp = morph_index.get(Morphism(f.source, g.target, tuple(
+                    a + b for a, b in zip(f.monomial, g.monomial))))
+                if comp is None:
+                    raise InputError("the category is not closed under "
+                                     "composition of its morphisms")
+                face = seq[:t - 1] + (comp,) + seq[t + 1:]
                 face_j = index_of[n - 1][face]
                 sign = field.one if t % 2 == 0 else field.neg(field.one)
                 rows[face_j][j] = rows[face_j][j] + ring.const(sign)
@@ -249,20 +239,12 @@ def resolve_toric(
     construction is :func:`~chainflow.splittings.resolve_stratified`;
     strata and Betti numbers are keyed by degree vectors.
     """
-    def build_start(field):
-        s = bar_resolution(data, field)
-        issues = s.validate()
-        if issues:
-            raise VerificationError(
-                "bar resolution failed validation: " + "; ".join(issues))
-        return s
-
     res = resolve_stratified(
-        build_start, characteristic, mode, _render_degree,
-        lambda M: verify_toric_resolution(M, data))
+        lambda field: bar_resolution(data, field), characteristic, mode,
+        _render_degree, lambda M: verify_toric_resolution(M, data))
     res.report["objects"] = [list(o) for o in data.objects]
     res.report["morphisms"] = len(data.morphisms)
-    if res.plan is not None:
+    if res.report["critical_strata"]:
         res.report["notes"].append(
             "the plain matroidal average is undefined at this characteristic; "
             "generic affine weights over a transcendental extension were used "

@@ -16,10 +16,11 @@ def split_one_stratum(c, characteristic, mode, tag="a"):
     divides the number ``m`` of matroidal splittings) and ``m``.
     """
     mode = _splitting_mode(characteristic, mode)
-    options, counts, _, field, plan = _count_and_plan(
+    options, counts, _, field, weights = _count_and_plan(
         {tag: c}, characteristic, mode, c.ring.field)
     work = coerce_complex(c, field)
-    return split_stratum(tag, mode, c, work, options[tag], plan), work, counts[tag]
+    D = split_stratum(tag, mode, c, work, options[tag], weights.get(tag))
+    return D, work, counts[tag]
 
 
 def pack_exponents(exps):

@@ -3,7 +3,7 @@
 from chainflow.complexes import BasedComplex
 from chainflow.errors import VerificationError
 from chainflow.flows import (
-    ExtractedSummand, Homotopy, _column, _stratum_tag, dmat,
+    Homotopy, _column, _stratum_tag, dmat,
 )
 from fractions import Fraction
 
@@ -295,12 +295,11 @@ def dense_extract_minimal_summand(s, Pi, core_bases):
     topdim = c.top
     while topdim > 0 and not gens[topdim]:
         topdim -= 1
-    out = BasedComplex(
+    return BasedComplex(
         ring,
         labels[: topdim + 1],
         multidegrees[: topdim + 1],
         diffs[:topdim],
         deg_map=c.deg_map,
     )
-    return ExtractedSummand(out, gens[: topdim + 1], gen_strata[: topdim + 1])
 

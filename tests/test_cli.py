@@ -256,6 +256,13 @@ class TestToricResolve:
             dict(SEMI23, morphisms=SEMI23["morphisms"]
                  + SEMI23["morphisms"][:1]),
             "duplicate morphisms"),
+        # a: 0 -> 1 and a: 1 -> 2 compose to a^2: 0 -> 2, which is missing
+        "composite missing": (
+            {"variables": ["a"], "deg_map": [[1]],
+             "objects": [[0], [1], [2]],
+             "morphisms": [[[0], [1], [1]], [[1], [2], [1]]]},
+            "the category is not closed under composition of its "
+            "morphisms"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -367,6 +374,13 @@ class TestInputHandling:
         rc, _, err = run(["lattice", "--in", str(f)], capsys)
         assert rc == 2
         assert "invalid JSON" in err
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        f = tmp_path / "nested.json"
+        f.write_text("[" * 100_000 + "]" * 100_000)
+        rc, out, err = run(["resolve", "--in", str(f)], capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith("input error: invalid JSON input: ")
 
     def test_missing_input(self, capsys):
         rc, _, err = run(["resolve"], capsys)

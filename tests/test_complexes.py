@@ -33,10 +33,10 @@ class TestPoset:
             Poset([0, 1, 2], [frozenset(), frozenset({0}), frozenset({1})])
 
     def test_from_leq_reorders(self):
-        poset, newpos = Poset.from_leq(
+        poset = Poset.from_leq(
             ["top", "bottom"], lambda a, b: a == b or (a, b) == ("bottom", "top"))
         assert poset.elements == ["bottom", "top"]
-        assert newpos == {0: 1, 1: 0}
+        assert poset.index == {"bottom": 0, "top": 1}
         assert poset.leq(0, 1) and not poset.leq(1, 0)
 
     def test_depth_and_dimension(self):

@@ -284,11 +284,11 @@ class TestFunctionField:
         # the eliminated weight of an affine family is not a field variable;
         # it is recorded as a polynomial in the surviving transcendentals
         from chainflow.splittings import build_extension_field
-        field, plan = build_extension_field({"a": 2}, 2, ["a"])
+        field, weights = build_extension_field({"a": 2}, 2, ["a"])
         assert isinstance(field, FunctionField)
         assert field.names == ("y[a][1]",)
         assert field.pd_render(field.eliminations["y[a][0]"]) == "y[a][1] + 1"
-        w0, w1 = plan.weights["a"]
+        w0, w1 = weights["a"]
         # the two weights sum to one
         s = field.add(w0, w1)
         assert field.eq(s, field.one)

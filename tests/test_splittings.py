@@ -81,30 +81,60 @@ class TestCriticalAnalysis:
 
 class TestExtensionField:
     def test_no_critical_stratum_stays_prime_field(self):
-        field, plan = build_extension_field({"a": 3}, 2, ["a"])
+        field, weights = build_extension_field({"a": 3}, 2, ["a"])
         assert field is GF(2)
-        assert plan.weights["a"] == [field.inv(3 % 2)] * 3
+        assert weights == {}
 
     def test_critical_stratum_gets_affine_weights(self):
-        field, plan = build_extension_field({"a": 4, "b": 3}, 2, ["a", "b"])
+        field, weights = build_extension_field({"a": 4, "b": 3}, 2, ["a", "b"])
         assert isinstance(field, FunctionField)
         assert field.names == tuple(weight_name("a", j) for j in (1, 2, 3))
-        ws = plan.weights["a"]
+        # only the critical stratum has weights; "b" is left to 1/m
+        assert list(weights) == ["a"]
+        ws = weights["a"]
         assert len(ws) == 4
         total = field.zero
         for w in ws:
             total = field.add(total, w)
         assert field.eq(total, field.one)
-        # non-critical stratum keeps the constant weight 1/3 = 1 in GF(2)
-        for w in plan.weights["b"]:
-            assert field.eq(w, field.one)
 
     def test_transcendence_degrees_match_golden(self):
         for p in (2, 3):
-            field, plan = build_extension_field(
+            field, weights = build_extension_field(
                 dict(G.MATROIDAL_COUNTS), p, list(G.MATROIDAL_COUNTS))
-            assert plan.transcendence_degree == G.TRANSCENDENCE_DEGREE[p]
             assert len(field.names) == G.TRANSCENDENCE_DEGREE[p]
+            assert list(weights) == G.CRITICAL_STRATA[p]
+            for a, ws in weights.items():
+                assert len(ws) == G.MATROIDAL_COUNTS[a]
+
+    def test_non_critical_stratum_averages_with_one_over_m(
+            self, cycle3_strata, monkeypatch):
+        seen = []
+        average = splittings.matroidal_average
+
+        def spy(c_base, c_work, options, weights):
+            seen.append(weights)
+            return average(c_base, c_work, options, weights)
+
+        monkeypatch.setattr(splittings, "matroidal_average", spy)
+        _, work, m = split_one_stratum(cycle3_strata[G.MTOP], 0,
+                                       "matroidal_average")
+        assert work.ring.field is QQ
+        assert seen == [[Fraction(1, m)] * m]
+        # Over F_3(y) beside critical strata: every stratum whose count 3
+        # does not divide averages with 1/m of the extension field.
+        seen.clear()
+        res = resolve_minimal(cyclefam.build_Ip(3).ideal, 3, start="taylor")
+        F = res.field
+        assert isinstance(F, FunctionField)
+        counts = res.report["stratum_counts"]
+        uniform = [ws for ws in seen if len(ws) % 3]
+        assert len(seen) == len(counts)
+        assert len(uniform) == len(counts) - len(res.report["critical_strata"])
+        assert uniform
+        for ws in uniform:
+            inv = F.inv(F.from_int(len(ws)))
+            assert all(F.eq(w, inv) for w in ws)
 
     def test_nonprime_rejected(self):
         with pytest.raises(InputError):
@@ -157,6 +187,41 @@ class TestStratumCore:
                 assert all(field.is_zero(x) for x in img)
 
 
+def _break_d_squared(s):
+    """Double one entry of ``d_1`` in a column that ``d_2`` hits, so that
+    ``d_1 d_2 != 0`` in characteristic zero."""
+    d1, d2 = s.complex.d(1), s.complex.d(2)
+    j = next(j for j, row in enumerate(d2.rows)
+             if any(not e.is_zero() for e in row))
+    i = next(i for i, row in enumerate(d1.rows) if not row[j].is_zero())
+    d1.rows[i][j] = d1.rows[i][j] + d1.rows[i][j]
+    return s
+
+
+class TestStartValidation:
+    """Both front ends reach the one start check in ``resolve_stratified``."""
+
+    def test_monomial_start_with_nonzero_square(self, monkeypatch):
+        monkeypatch.setitem(monomial._STARTS, "lcm", lambda I, field:
+                            _break_d_squared(order_complex_resolution(I, field)))
+        with pytest.raises(VerificationError, match=(
+                "^start resolution failed validation: d_1 d_2 != 0")):
+            resolve_minimal(cyclefam.build_Ip(3).ideal, 0)
+
+    def test_toric_start_with_nonzero_square(self, monkeypatch):
+        # a: 0 -> 1, a: 1 -> 2 and their composite a^2: 0 -> 2
+        data = BettiCategoryData(
+            ["a"], [[1]], [[0], [1], [2]],
+            [([0], [1], [1]), ([1], [2], [1]), ([0], [2], [2])])
+        assert resolve_toric(data, 0).verification["ok"]
+        build = toric.bar_resolution
+        monkeypatch.setattr(toric, "bar_resolution", lambda data, field:
+                            _break_d_squared(build(data, field)))
+        with pytest.raises(VerificationError, match=(
+                "^start resolution failed validation: d_1 d_2 != 0")):
+            resolve_toric(data, 0)
+
+
 # --------------------------------------------------------------------------
 # The matroidal average against the enumerate-then-sum oracle.
 
@@ -185,14 +250,15 @@ def _pipeline_strata(kind, start, p):
     views = {a: s.stratum(a).complex for a in s.occupied()}
     options = {a: matroidal_options(c) for a, c in views.items()}
     counts = {a: count_choices(o) for a, o in options.items()}
-    field, plan = base, None
+    field, critical = base, {}
     if p and any(m % p == 0 for m in counts.values()):
-        field, plan = build_extension_field(counts, p, list(views))
+        field, critical = build_extension_field(counts, p, list(views))
     out = []
     for a, c in views.items():
         m = counts[a]
-        weights = (plan.weights[a] if plan is not None
-                   else [field.inv(field.from_int(m))] * m)
+        weights = critical.get(a)
+        if weights is None:
+            weights = [field.inv(field.from_int(m))] * m
         out.append((c, coerce_complex(c, field), options[a], weights))
     return out
 
