@@ -23,7 +23,7 @@ import sys
 from importlib import resources
 
 from .errors import InputError, InternalError, VerificationError
-from .scalars import field_descriptor
+from .scalars import GF, QQ, field_descriptor
 from .monomial import (
     _STARTS,
     MonomialIdeal,
@@ -44,15 +44,15 @@ def _load_input(args) -> dict:
         name = args.fixture
         if not name.endswith(".json"):
             name += ".json"
-        ref = resources.files("chainflow.fixtures").joinpath(name)
-        if not ref.is_file():
-            available = sorted(
-                p.name for p in resources.files("chainflow.fixtures").iterdir()
-                if p.name.endswith(".json"))
+        # Only a bundled name is looked up: a path never leaves the package.
+        fixtures = resources.files("chainflow.fixtures")
+        available = sorted(p.name for p in fixtures.iterdir()
+                           if p.name.endswith(".json"))
+        if name not in available:
             raise InputError(
                 f"unknown fixture {args.fixture!r}; available: "
                 + ", ".join(available))
-        text = ref.read_text()
+        text = fixtures.joinpath(name).read_text()
     elif getattr(args, "infile", None):
         try:
             if args.infile == "-":
@@ -174,14 +174,13 @@ def cmd_resolve(args) -> int:
 def cmd_matroidal(args) -> int:
     I = _parse_ideal(_load_input(args))
     field_char = args.char
-    from .scalars import QQ, GF
     base = QQ if field_char == 0 else GF(field_char)
     s = _STARTS[args.start](I, base)
     poset = s.poset
     counts = {}
     for ai in s.occupied():
         tag = render_monomial(I.names, poset.elements[ai])
-        counts[tag] = matroidal_count(s.stratum(ai).complex)
+        counts[tag] = matroidal_count(s.stratum(ai))
     analysis = critical_analysis(counts, field_char)
     payload = {
         "start": args.start,
@@ -220,7 +219,6 @@ def cmd_toric_resolve(args) -> int:
 
 def cmd_counterexample(args) -> int:
     fam = cyclefam.build_Ip(args.prime)
-    from .scalars import QQ, GF
     which = args.check
     payload = {"p": fam.p, "n": fam.n, "variables": list(fam.names),
                "generators": fam.ideal.generator_strings()}

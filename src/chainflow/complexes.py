@@ -15,15 +15,17 @@ Conventions used throughout the package:
 * A stratification assigns each basis element to an element of a finite
   poset, such that the differential is triangular: the entry (b, a) can
   be nonzero only when strat(b) <= strat(a), and same-stratum blocks are
-  scalar.
+  scalar.  The stratification partitions the basis once, into the
+  per-stratum position lists ``members``; every stage reads those lists,
+  and :meth:`StratifiedComplex.stratum` slices a stratum complex from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
 
 from .errors import InputError, InternalError
-from .linalg import MultiPoly, PolyRing, RingMatrix
+from .linalg import MultiPoly, PolyRing, RingMatrix, s_rank
 
 
 class Poset:
@@ -73,8 +75,6 @@ class Poset:
         for i, s in enumerate(strictly_below):
             for j in s:
                 above[j].add(i)
-        import heapq
-
         ready = [i for i in range(n) if indeg[i] == 0]
         heapq.heapify(ready)
         order = []
@@ -229,8 +229,6 @@ def scalar_ring(field):
 
 def homology_ranks(c):
     """Homology dimensions of a complex with scalar entries."""
-    from .linalg import s_rank
-
     field = c.ring.field
     ranks = []
     dranks = [0] * (c.top + 2)
@@ -253,16 +251,13 @@ def minimality_report(c):
     return (not offenders, offenders)
 
 
-@dataclass
-class StratumView:
-    """A stratum complex plus the positions of its basis in the big complex."""
-
-    complex: BasedComplex
-    indices: list  # indices[n] = list of global basis positions at degree n
-
-
 class StratifiedComplex:
-    """A based complex whose basis is labelled by poset elements."""
+    """A based complex whose basis is labelled by poset elements.
+
+    ``members[a][n]`` lists the positions of stratum ``a``'s degree-``n``
+    basis in the whole complex, for ``n`` up to that stratum's own top
+    degree; only occupied strata have an entry.
+    """
 
     def __init__(self, complex, poset, strata):
         self.complex = complex
@@ -271,6 +266,13 @@ class StratifiedComplex:
         if len(self.strata) != complex.top + 1 or any(
                 len(s) != complex.rank(n) for n, s in enumerate(self.strata)):
             raise InputError("stratum assignment does not match the basis")
+        members = {}
+        for n, s in enumerate(self.strata):
+            for j, a in enumerate(s):
+                per = members.setdefault(a, [])
+                per.extend([] for _ in range(n + 1 - len(per)))
+                per[n].append(j)
+        self.members = members
 
     def validate(self):
         issues = self.complex.validate()
@@ -295,31 +297,24 @@ class StratifiedComplex:
         return issues
 
     def occupied(self):
-        out = set()
-        for s in self.strata:
-            out.update(s)
-        return sorted(out)
+        return sorted(self.members)
 
     def occupied_dimension(self):
         return self.poset.dimension(self.occupied())
 
     def stratum(self, a):
         """The scalar subquotient complex sitting over poset element ``a``
-        (given as a poset element or index)."""
+        (given as a poset element or index), sliced through ``members``."""
         ai = a if isinstance(a, int) else self.poset.index[a]
         c = self.complex
-        sring = scalar_ring(c.ring.field)
-        indices = [[j for j, s in enumerate(self.strata[n]) if s == ai]
-                   for n in range(c.top + 1)]
-        top = max((n for n, idx in enumerate(indices) if idx), default=-1)
-        labels = [[c.labels[n][j] for j in indices[n]] for n in range(top + 1)]
-        mdegs = [[c.multidegrees[n][j] for j in indices[n]] for n in range(top + 1)]
-        diffs = []
         field = c.ring.field
-        for n in range(1, top + 1):
-            if not indices[n - 1] or not indices[n]:
-                diffs.append(RingMatrix.zeros(sring, len(indices[n - 1]), len(indices[n])))
-                continue
+        sring = scalar_ring(field)
+        indices = self.members.get(ai, [])
+        labels = [[c.labels[n][j] for j in idx] for n, idx in enumerate(indices)]
+        mdegs = [[c.multidegrees[n][j] for j in idx]
+                 for n, idx in enumerate(indices)]
+        diffs = []
+        for n in range(1, len(indices)):
             mat = c.d(n)
             rows = []
             for i in indices[n - 1]:
@@ -328,9 +323,8 @@ class StratifiedComplex:
                     ct = mat.rows[i][j].constant_term()
                     row.append(MultiPoly(sring, {0: ct} if not field.is_zero(ct) else {}))
                 rows.append(row)
-            diffs.append(RingMatrix(sring, rows))
-        sub = BasedComplex(sring, labels, mdegs, diffs)
-        return StratumView(sub, indices[:top + 1])
+            diffs.append(RingMatrix(sring, rows, ncols=len(indices[n])))
+        return BasedComplex(sring, labels, mdegs, diffs)
 
     def __repr__(self):
         return f"StratifiedComplex(ranks={self.complex.ranks}, poset={len(self.poset)})"

@@ -238,16 +238,15 @@ def assemble_field(s: StratifiedComplex, splittings: dict) -> Homotopy:
     c = s.complex
     ring = c.ring
     field = ring.field
-    views = {a: s.stratum(a) for a in s.occupied()}
     mats = []
     for n in range(0, c.top):
         rows = [[ring.zero() for _ in range(c.rank(n))] for _ in range(c.rank(n + 1))]
         for a, D in splittings.items():
-            view = views.get(a)
-            if view is None:
+            indices = s.members.get(a)
+            if indices is None:
                 continue
-            up = view.indices[n + 1] if n + 1 < len(view.indices) else []
-            dn = view.indices[n] if n < len(view.indices) else []
+            up = indices[n + 1] if n + 1 < len(indices) else []
+            dn = indices[n] if n < len(indices) else []
             if not up or not dn:
                 continue
             block = D.D(n).scalar_rows()
@@ -329,22 +328,21 @@ def extract_minimal_summand(
     field = ring.field
     poset = s.poset
     order = sorted(range(len(poset.elements)), key=lambda i: (poset.depth(i), i))
-    views = {a: s.stratum(a) for a in s.occupied()}
+    members = s.members
     bound = 1 + max(s.occupied_dimension(), 0)
     gens: list = [[] for _ in range(c.top + 1)]
     gen_d: list = [[] for _ in range(c.top + 1)]  # d_n of each generator
     gen_strata: list = [[] for _ in range(c.top + 1)]
     gen_core: list = [dict() for _ in range(c.top + 1)]  # poset idx -> (start, cols)
     for ai in order:
-        if ai not in core_bases or ai not in views:
+        if ai not in core_bases or ai not in members:
             continue
-        view = views[ai]
         per_degree = core_bases[ai]
         for n in range(0, c.top + 1):
             cols = per_degree[n] if n < len(per_degree) else []
             if not cols:
                 continue
-            idxs = view.indices[n]
+            idxs = members[ai][n]
             start = len(gens[n])
             for vec in cols:
                 amb = [ring.zero() for _ in range(c.rank(n))]
@@ -387,8 +385,7 @@ def extract_minimal_summand(
                 key = (n - 1, ai)
                 if key not in solvers:
                     continue
-                view = views[ai]
-                idxs = view.indices[n - 1]
+                idxs = members[ai][n - 1]
                 rows_idx, inv = solvers[key]
                 start, _ = gen_core[n - 1][ai]
                 local = [wvec[idxs[i]] for i in rows_idx]

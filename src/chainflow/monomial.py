@@ -22,12 +22,7 @@ from typing import Optional
 from .errors import InputError
 from .linalg import PolyRing, RingMatrix
 from .complexes import BasedComplex, Poset, StratifiedComplex, verify_strands
-from .splittings import (
-    ResolveResult,
-    list_choices,
-    resolve_stratified,
-    weight_name,
-)
+from .splittings import ResolveResult, resolve_stratified
 
 __all__ = [
     "MonomialIdeal",
@@ -38,7 +33,6 @@ __all__ = [
     "taylor_resolution",
     "resolve_minimal",
     "verify_resolution",
-    "verify_equivariance",
     "render_monomial",
 ]
 
@@ -345,262 +339,3 @@ def verify_resolution(M: BasedComplex, I: MonomialIdeal) -> dict:
     return verify_strands(M, (
         (b, render_monomial(I.names, b), 0 if b == L.bottom else 1)
         for b in L.elements))
-
-
-def _permute_exps(exps, perm):
-    """Apply a variable permutation to an exponent tuple.
-
-    ``perm[i]`` is the image position of variable ``i``; exponents travel
-    with their variable."""
-    out = [0] * len(exps)
-    for i, e in enumerate(exps):
-        out[perm[i]] = e
-    return tuple(out)
-
-
-def _signed_basis_map(ring, perm_pairs, size_out, size_in) -> RingMatrix:
-    """Matrix of a signed basis bijection given as (target, source, sign)."""
-    field = ring.field
-    rows = [[ring.zero() for _ in range(size_in)] for _ in range(size_out)]
-    for tgt, src, sign in perm_pairs:
-        v = field.one if sign > 0 else field.neg(field.one)
-        rows[tgt][src] = ring.const(v)
-    return RingMatrix(ring, rows, ncols=size_in)
-
-
-def verify_equivariance(
-    I: MonomialIdeal,
-    variable_perm,
-    result: ResolveResult,
-) -> dict:
-    """Check that the pipeline respects a symmetry of the ideal.
-
-    ``variable_perm[i]`` is the image position of variable ``i``.  The
-    permutation must map the generator set to itself; otherwise it is not a
-    symmetry and an error is raised.  The check is on the start resolution:
-    the induced signed basis permutation ``P`` satisfies ``d P = P d^g`` and
-    ``W P = P W^g``, where ``g`` acts on differential entries by permuting
-    the ring variables, and on the (constant) field entries by relabelling
-    the transcendental weights along the induced permutation of matroidal
-    choices.  Order-complex chains carry no sign; Taylor subsets carry the
-    parity of the induced sorting permutation.
-    """
-    perm = list(variable_perm)
-    if sorted(perm) != list(range(I.nvars)):
-        raise InputError("variable_perm is not a permutation of the variables")
-    gens = I.generators
-    gen_map = {}
-    gen_set = {g: i for i, g in enumerate(gens)}
-    for i, g in enumerate(gens):
-        img = _permute_exps(g, perm)
-        if img not in gen_set:
-            raise InputError("not a symmetry")
-        gen_map[i] = gen_set[img]
-
-    s = result.start
-    c = s.complex
-    ring = c.ring
-    field = ring.field
-    poset = s.poset
-    elem_map = {}
-    for ai, e in enumerate(poset.elements):
-        img = _permute_exps(e, perm)
-        if img not in poset.index:
-            raise InputError("not a symmetry")
-        elem_map[ai] = poset.index[img]
-
-    # The signed basis permutation, degree by degree.  Basis labels are not
-    # consulted: positions are recovered through each start's combinatorics.
-    if result.report["start"] == "lcm":
-        perm_pairs, choice_actions = _lcm_basis_action(s, elem_map, result)
-    else:
-        perm_pairs, choice_actions = _taylor_basis_action(
-            I, s, gen_map, elem_map, result)
-    P = [
-        _signed_basis_map(ring, perm_pairs[n], c.rank(n), c.rank(n))
-        for n in range(c.top + 1)
-    ]
-
-    coeff_map = _weight_substitution(I, field, elem_map, choice_actions, result)
-
-    def act_entry(e):
-        e = e.permute_vars(perm)
-        if coeff_map is not None:
-            e = e.map_coefficients(coeff_map, ring)
-        return e
-
-    d_ok = True
-    for n in range(1, c.top + 1):
-        dg = RingMatrix(
-            ring,
-            [[act_entry(x) for x in row] for row in c.d(n).rows],
-            ncols=c.rank(n),
-        )
-        if not ((c.d(n) @ P[n]) - (P[n - 1] @ dg)).is_zero():
-            d_ok = False
-    W = result.homotopy
-    w_ok = True
-    for n in range(0, c.top):
-        wg = RingMatrix(
-            ring,
-            [[act_entry(x) for x in row] for row in W.D(n).rows],
-            ncols=c.rank(n),
-        )
-        if not ((W.D(n) @ P[n]) - (P[n + 1] @ wg)).is_zero():
-            w_ok = False
-    return {
-        "is_symmetry": True,
-        "generator_map": gen_map,
-        "d_commutes": d_ok,
-        "field_commutes": w_ok,
-        "ok": d_ok and w_ok,
-    }
-
-
-def _lcm_basis_action(s: StratifiedComplex, elem_map, result):
-    """Chain basis action: permute every chain element, order is preserved.
-
-    Returns per-degree (target, source, sign) triples (sign always +1) and
-    the per-stratum local basis index maps needed for the weight action.
-    """
-    c = s.complex
-    chains = _chain_tiers(s.poset)
-    index_of = [{ch: j for j, ch in enumerate(tier)} for tier in chains]
-    perm_pairs = []
-    for n, tier in enumerate(chains):
-        pairs = []
-        for j, ch in enumerate(tier):
-            img = tuple(sorted(elem_map[i] for i in ch))
-            pairs.append((index_of[n][img], j, +1))
-        perm_pairs.append(pairs)
-    # Local index maps per stratum: positions of a stratum's basis inside the
-    # stratum complex, before and after the ambient permutation.
-    choice_actions = _stratum_local_maps(s, elem_map, perm_pairs)
-    return perm_pairs, choice_actions
-
-
-def _taylor_basis_action(I, s: StratifiedComplex, gen_map, elem_map, result):
-    tiers = _taylor_tiers(len(I.generators))
-    index_of = [{s: j for j, s in enumerate(tier)} for tier in tiers]
-    perm_pairs = []
-    for n, tier in enumerate(tiers):
-        pairs = []
-        for j, sset in enumerate(tier):
-            imgs = [gen_map[i] for i in sset]
-            order = sorted(range(len(imgs)), key=lambda t: imgs[t])
-            sign = _sort_parity(order)
-            img = tuple(sorted(imgs))
-            pairs.append((index_of[n][img], j, sign))
-        perm_pairs.append(pairs)
-    choice_actions = _stratum_local_maps(s, elem_map, perm_pairs)
-    return perm_pairs, choice_actions
-
-
-def _sort_parity(order) -> int:
-    """+1 or -1: parity of the permutation that sorts the list."""
-    seen = [False] * len(order)
-    sign = 1
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _stratum_local_maps(s: StratifiedComplex, elem_map, perm_pairs):
-    """For each occupied stratum: the induced map of local basis positions.
-
-    Returns {poset index: per-degree list mapping local position in stratum a
-    to (local position in stratum elem_map[a], sign)}.
-    """
-    views = {ai: s.stratum(ai) for ai in s.occupied()}
-    local_pos = {}
-    for ai, view in views.items():
-        local_pos[ai] = [
-            {g: t for t, g in enumerate(view.indices[n])}
-            for n in range(len(view.indices))
-        ]
-    actions = {}
-    for ai, view in views.items():
-        bi = elem_map[ai]
-        tgt = views[bi]
-        per_degree = []
-        for n in range(len(view.indices)):
-            amb = {src: (dst, sg) for dst, src, sg in perm_pairs[n]} \
-                if n < len(perm_pairs) else {}
-            lmap = []
-            for g in view.indices[n]:
-                dst, sg = amb[g]
-                lmap.append((local_pos[bi][n][dst], sg))
-            per_degree.append(lmap)
-        actions[ai] = per_degree
-    return actions
-
-
-def _weight_substitution(I, field, elem_map, choice_actions, result):
-    """Coefficient action on transcendental weights, or None when trivial.
-
-    A critical stratum ``a`` maps to ``b = elem_map[a]``; the local basis
-    bijection sends each matroidal choice of ``a`` to one of ``b``, and the
-    weight ``y[a][j]`` must be sent to the weight of the image choice —
-    ``y[b][j']``, or ``1 - sum`` when the image is the eliminated choice 0.
-    """
-    critical = result.report["critical_strata"]
-    if not critical:
-        return None
-    s = result.start
-    poset = s.poset
-    tag_of = {ai: render_monomial(I.names, poset.elements[ai])
-              for ai in s.occupied()}
-    tag_to_idx = {t: ai for ai, t in tag_of.items()}
-    # The matroidal choices in weight order, on both sides of the symmetry.
-    choice_lists = {tag_to_idx[tag]: list_choices(result.options[tag])
-                    for tag in critical}
-    subst = {}
-    for tag in critical:
-        ai = tag_to_idx[tag]
-        bi = elem_map[ai]
-        btag = tag_of[bi]
-        if btag not in critical:
-            raise InputError("not a symmetry")
-        src_choices = choice_lists[ai]
-        dst_index = {ch: t for t, ch in enumerate(choice_lists[bi])}
-        lmaps = choice_actions[ai]
-        for j, ch in enumerate(src_choices):
-            if j == 0:
-                continue  # y[a][0] never occurs: it was eliminated
-            img = _map_choice(ch, lmaps)
-            jp = dst_index[img]
-            src_var = field.index[weight_name(tag, j)]
-            if jp == 0:
-                # image is the eliminated weight: 1 - sum of the others
-                subst[src_var] = field.eliminations[weight_name(btag, 0)]
-            else:
-                subst[src_var] = field.pd_var(
-                    field.index[weight_name(btag, jp)])
-    if not subst:
-        return None
-
-    def act(value):
-        return field.substitute(value, subst)
-    return act
-
-
-def _map_choice(choice, lmaps):
-    """Image of a matroidal choice under per-degree local index maps."""
-    from .splittings import MatroidalChoice
-    xs = []
-    zs = []
-    for x_set, z_set in zip(choice.x_sets, choice.z_sets):
-        n = len(xs)
-        lmap = lmaps[n]
-        xs.append(tuple(sorted(lmap[i][0] for i in x_set)))
-        zs.append(tuple(sorted(lmap[i][0] for i in z_set)))
-    return MatroidalChoice(x_sets=tuple(xs), z_sets=tuple(zs))

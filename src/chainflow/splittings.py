@@ -30,8 +30,9 @@ Each ``D_n`` of the average is therefore a sum over the distinct pairs
 times that pair's block; :func:`matroidal_average` inverts each minor once.
 
 :func:`resolve_stratified` is the one resolve core behind the monomial and
-toric entry points: it splits every stratum with :func:`split_stratum`,
-assembles the vector field, flows to the minimal summand and verifies it.
+toric entry points: it slices each stratum once, splits them all in one
+step with :func:`split_strata`, assembles the vector field, flows to the
+minimal summand and verifies it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from .scalars import (
     QQ, GF, FunctionField, Rationals, _is_prime, field_descriptor,
 )
 from .linalg import (
-    RingMatrix, kernel, rref, s_inverse, s_mul, s_rank, s_transpose, solve,
+    PolyRing, RingMatrix, kernel, rref, s_inverse, s_mul, s_rank,
+    s_transpose, solve,
 )
 from .complexes import BasedComplex, StratifiedComplex
 from .flows import (
@@ -66,7 +68,6 @@ __all__ = [
     "enumerate_matroidal",
     "matroidal_options",
     "count_choices",
-    "list_choices",
     "matroidal_average",
     "matroidal_count",
     "critical_analysis",
@@ -74,7 +75,7 @@ __all__ = [
     "build_extension_field",
     "coerce_complex",
     "stratum_core",
-    "split_stratum",
+    "split_strata",
     "ResolveResult",
     "resolve_stratified",
 ]
@@ -307,17 +308,6 @@ def count_choices(options) -> int:
     return prod(len(opts) for opts in options)
 
 
-def list_choices(options) -> list:
-    """The matroidal choices of per-degree options, in enumeration order."""
-    return [
-        MatroidalChoice(
-            x_sets=tuple(x_set for x_set, _ in combo),
-            z_sets=tuple(z_set for _, z_set in combo),
-        )
-        for combo in product(*options)
-    ]
-
-
 def matroidal_count(c: BasedComplex) -> int:
     """Number of matroidal splittings (product of per-degree option counts)."""
     return count_choices(matroidal_options(c))
@@ -474,7 +464,7 @@ def build_extension_field(counts: dict, p: int, order: list):
     ``(field, weights)`` with ``weights`` mapping each critical stratum to
     its ``m`` affine weights; with no critical stratum the field is the
     prime field and ``weights`` is empty.  Non-critical strata keep the
-    constant weight ``1/m``, which :func:`split_stratum` forms.
+    constant weight ``1/m``, which :func:`split_strata` forms.
     """
     if not _is_prime(p):
         raise InputError(f"characteristic must be prime, got {p}")
@@ -519,8 +509,6 @@ def _coerce_scalar(value, src_field, dst_field):
 
 def coerce_complex(c: BasedComplex, dst_field) -> BasedComplex:
     """Base-change a complex along a prime-field-to-extension embedding."""
-    from .linalg import PolyRing
-
     src_field = c.ring.field
     if src_field is dst_field:
         return c
@@ -584,51 +572,47 @@ def _splitting_mode(characteristic: int, mode: Optional[str]) -> str:
     return mode
 
 
-def _count_and_plan(complexes: dict, characteristic: int, mode: str,
-                    base_field):
-    """Options, counts, critical analysis, work field and critical weights.
+def split_strata(complexes: dict, characteristic: int, mode: str):
+    """The certified splitting homotopy and core of every stratum.
 
     ``complexes`` maps stratum tags, in stratum order, to the stratum
-    complexes over ``base_field``.  The work field is a transcendental
-    extension, with affine weights for each critical stratum, only when the
-    mode is the matroidal average and the characteristic divides some count;
-    otherwise it is ``base_field`` and the weights are ``{}``.
+    complexes over the prime field (or Q) of ``characteristic``.  The
+    options are counted and the critical analysis run; the work field is a
+    transcendental extension, with affine weights for each critical
+    stratum, only when ``mode`` is the matroidal average and the
+    characteristic divides some count.  Each stratum, coerced to the work
+    field, is split by the pseudoinverse or by ``hat`` of the average with
+    its critical weights or ``1/m`` each; :func:`classify` certifies the
+    split.  Returns ``(counts, critical, field, splittings, cores)``, the
+    last two keyed by tag; each homotopy's ``complex`` is its stratum over
+    the work field.
     """
     options = {tag: matroidal_options(c) for tag, c in complexes.items()}
     counts = {tag: count_choices(opts) for tag, opts in options.items()}
     critical = critical_analysis(counts, characteristic)
+    field = QQ if characteristic == 0 else GF(characteristic)
+    weights = {}
     if mode == "matroidal_average" and critical["critical_strata"]:
         field, weights = build_extension_field(counts, characteristic,
                                                list(complexes))
-        return options, counts, critical, field, weights
-    return options, counts, critical, base_field, {}
-
-
-def split_stratum(tag, mode: str, c_base: BasedComplex, c_work: BasedComplex,
-                  options: list, weights: Optional[list]) -> Homotopy:
-    """The certified splitting homotopy of one stratum.
-
-    ``c_base`` is the stratum complex over the base field and ``c_work`` the
-    same complex over the work field.  ``moore_penrose`` takes the degreewise
-    pseudoinverse.  ``matroidal_average`` averages the matroidal splittings
-    of ``options`` with ``weights``, the affine weights of a critical
-    stratum, or with ``1/m`` each when ``weights`` is ``None``, and applies
-    the ``hat`` correction.  :func:`classify` certifies the result; a
-    homotopy that is not a splitting raises, naming the stratum ``tag`` and
-    the mode.
-    """
-    if mode == "moore_penrose":
-        D = moore_penrose(c_work)
-    else:
-        if weights is None:
-            field = c_work.ring.field
-            m = count_choices(options)
-            weights = [field.inv(field.from_int(m))] * m
-        D = hat(c_work, matroidal_average(c_base, c_work, options, weights))
-    if not classify(c_work, D).is_splitting:
-        raise VerificationError(
-            f"stratum {tag}: the {mode} homotopy is not a splitting")
-    return D
+    splittings = {}
+    cores = {}
+    for tag, c_base in complexes.items():
+        c = coerce_complex(c_base, field)
+        if mode == "moore_penrose":
+            D = moore_penrose(c)
+        else:
+            ws = weights.get(tag)
+            if ws is None:
+                m = counts[tag]
+                ws = [field.inv(field.from_int(m))] * m
+            D = hat(c, matroidal_average(c_base, c, options[tag], ws))
+        if not classify(c, D).is_splitting:
+            raise VerificationError(
+                f"stratum {tag}: the {mode} homotopy is not a splitting")
+        splittings[tag] = D
+        cores[tag] = stratum_core(c, D)
+    return counts, critical, field, splittings, cores
 
 
 @dataclass
@@ -637,7 +621,6 @@ class ResolveResult:
     field: object
     start: StratifiedComplex          # the start resolution over the work field
     homotopy: Homotopy                # the assembled vector field W
-    options: dict                     # stratum tag -> per-degree matroidal options
     verification: dict
     report: dict
 
@@ -649,12 +632,13 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
     The one construction behind the monomial and toric entry points.
     ``start(field)`` builds the start over the prime field (or Q) of
     ``characteristic``; it is called after the mode check, and a start that
-    fails :meth:`StratifiedComplex.validate` raises.  Every
-    stratum is split by :func:`split_stratum` — over a transcendental
-    extension when the mode is the matroidal average and the characteristic
-    divides a stratum count — and its core taken; the splittings are
-    assembled into a vector field, whose flow is iterated to a projection,
-    and the projected summand is extracted.  ``render`` turns a multidegree
+    fails :meth:`StratifiedComplex.validate` raises.  Each occupied
+    stratum is sliced once, and :func:`split_strata` splits them all and
+    takes their cores, over a transcendental extension when the mode is the
+    matroidal average and the characteristic divides a stratum count.  The
+    splittings are assembled into a vector field on the start over the work
+    field, whose flow is iterated to a projection, and the projected summand
+    is extracted.  ``render`` turns a multidegree
     into the string that tags strata and keys the Betti table; ``verify``
     checks the extracted complex and returns a dict with ``ok``,
     ``minimal``, ``exactness_ok``, ``checked_degrees``, ``failures`` and
@@ -669,29 +653,19 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
         raise VerificationError(
             "start resolution failed validation: " + "; ".join(issues))
     poset = s_base.poset
-    occupied = s_base.occupied()
-    tags = [render(poset.elements[ai]) for ai in occupied]
-    views_base = {tag: s_base.stratum(ai).complex
-                  for tag, ai in zip(tags, occupied)}
-    options, counts, critical, work_field, weights = _count_and_plan(
-        views_base, characteristic, mode, base_field)
+    tags = {ai: render(poset.elements[ai]) for ai in s_base.occupied()}
+    counts, critical, work_field, splittings, cores = split_strata(
+        {tag: s_base.stratum(ai) for ai, tag in tags.items()},
+        characteristic, mode)
     s_work = s_base
     if work_field is not base_field:
         s_work = StratifiedComplex(coerce_complex(s_base.complex, work_field),
                                    poset, s_base.strata)
 
-    splittings = {}
-    cores = {}
-    for tag, ai in zip(tags, occupied):
-        c = s_work.stratum(ai).complex
-        D = split_stratum(tag, mode, views_base[tag], c, options[tag],
-                          weights.get(tag))
-        splittings[ai] = D
-        cores[ai] = stratum_core(c, D)
-
-    W = assemble_field(s_work, splittings)
+    W = assemble_field(s_work, {ai: splittings[tag] for ai, tag in tags.items()})
     _, iterations = iterate_flow(s_work, W)
-    resolution = extract_minimal_summand(s_work, W, cores)
+    resolution = extract_minimal_summand(
+        s_work, W, {ai: cores[tag] for ai, tag in tags.items()})
     verification = verify(resolution)
     if not verification["ok"]:
         raise VerificationError(
@@ -733,7 +707,6 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
         field=work_field,
         start=s_work,
         homotopy=W,
-        options=options,
         verification=verification,
         report=report,
     )

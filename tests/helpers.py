@@ -3,9 +3,7 @@
 from chainflow.errors import InputError
 from chainflow.scalars import YBITS, YMASK
 from chainflow.serialize import coeff_from_string
-from chainflow.splittings import (
-    _count_and_plan, _splitting_mode, coerce_complex, split_stratum,
-)
+from chainflow.splittings import _splitting_mode, split_strata
 
 
 def split_one_stratum(c, characteristic, mode, tag="a"):
@@ -15,12 +13,10 @@ def split_one_stratum(c, characteristic, mode, tag="a"):
     over the work field (a transcendental extension when ``characteristic``
     divides the number ``m`` of matroidal splittings) and ``m``.
     """
-    mode = _splitting_mode(characteristic, mode)
-    options, counts, _, field, weights = _count_and_plan(
-        {tag: c}, characteristic, mode, c.ring.field)
-    work = coerce_complex(c, field)
-    D = split_stratum(tag, mode, c, work, options[tag], weights.get(tag))
-    return D, work, counts[tag]
+    counts, _, _, splittings, _ = split_strata(
+        {tag: c}, characteristic, _splitting_mode(characteristic, mode))
+    D = splittings[tag]
+    return D, D.complex, counts[tag]
 
 
 def pack_exponents(exps):

@@ -1,19 +1,25 @@
 """Reference implementations that tests compare the package against."""
 
-from chainflow.complexes import BasedComplex
-from chainflow.errors import VerificationError
+from fractions import Fraction
+from itertools import product
+
+from chainflow.complexes import BasedComplex, StratifiedComplex
+from chainflow.errors import InputError, InternalError, VerificationError
 from chainflow.flows import (
     Homotopy, _column, _stratum_tag, dmat,
 )
-from fractions import Fraction
-
-from chainflow.errors import InternalError
 from chainflow.linalg import (
     RingMatrix, kernel, rref, s_identity, s_inverse, s_mul, s_rank,
     s_transpose, s_zeros,
 )
+from chainflow.monomial import (
+    MonomialIdeal, _chain_tiers, _taylor_tiers, render_monomial,
+)
 from chainflow.scalars import QQ
-from chainflow.splittings import _coerce_scalar
+from chainflow.splittings import (
+    MatroidalChoice, ResolveResult, _coerce_scalar, matroidal_options,
+    weight_name,
+)
 
 
 def mp_identities_hold(a, ap):
@@ -212,20 +218,19 @@ def dense_extract_minimal_summand(s, Pi, core_bases):
     field = ring.field
     poset = s.poset
     order = sorted(range(len(poset.elements)), key=lambda i: (poset.depth(i), i))
-    views = {a: s.stratum(a) for a in s.occupied()}
+    members = s.members
     gens: list = [[] for _ in range(c.top + 1)]
     gen_strata: list = [[] for _ in range(c.top + 1)]
     gen_core: list = [dict() for _ in range(c.top + 1)]  # poset idx -> (start, cols)
     for ai in order:
-        if ai not in core_bases or ai not in views:
+        if ai not in core_bases or ai not in members:
             continue
-        view = views[ai]
         per_degree = core_bases[ai]
         for n in range(0, c.top + 1):
             cols = per_degree[n] if n < len(per_degree) else []
             if not cols:
                 continue
-            idxs = view.indices[n]
+            idxs = members[ai][n]
             start = len(gens[n])
             for vec in cols:
                 amb = [ring.zero() for _ in range(c.rank(n))]
@@ -266,8 +271,7 @@ def dense_extract_minimal_summand(s, Pi, core_bases):
                 key = (n - 1, ai)
                 if key not in solvers:
                     continue
-                view = views[ai]
-                idxs = view.indices[n - 1]
+                idxs = members[ai][n - 1]
                 rows_idx, inv = solvers[key]
                 start, _ = gen_core[n - 1][ai]
                 local = [wvec[idxs[i]] for i in rows_idx]
@@ -303,3 +307,208 @@ def dense_extract_minimal_summand(s, Pi, core_bases):
         deg_map=c.deg_map,
     )
 
+
+def list_choices(options) -> list:
+    """The matroidal choices of per-degree options, in enumeration order."""
+    return [
+        MatroidalChoice(
+            x_sets=tuple(x_set for x_set, _ in combo),
+            z_sets=tuple(z_set for _, z_set in combo),
+        )
+        for combo in product(*options)
+    ]
+
+
+def _permute_exps(exps, perm):
+    """Apply a variable permutation to an exponent tuple.
+
+    ``perm[i]`` is the image position of variable ``i``; exponents travel
+    with their variable."""
+    out = [0] * len(exps)
+    for i, e in enumerate(exps):
+        out[perm[i]] = e
+    return tuple(out)
+
+
+def _relabel(elements, index, perm) -> dict:
+    """Position of the image of each exponent tuple among ``index``; an
+    image outside it means ``perm`` is not a symmetry."""
+    out = {}
+    for i, e in enumerate(elements):
+        img = _permute_exps(e, perm)
+        if img not in index:
+            raise InputError("not a symmetry")
+        out[i] = index[img]
+    return out
+
+
+def verify_equivariance(I: MonomialIdeal, variable_perm,
+                        result: ResolveResult) -> dict:
+    """Check that the resolve pipeline respects a symmetry of the ideal.
+
+    ``variable_perm[i]`` is the image position of variable ``i``.  The
+    permutation must map the generator set to itself; otherwise it is not a
+    symmetry and an error is raised.  The check is on the start resolution:
+    the induced signed basis permutation ``P`` satisfies ``d P = P d^g`` and
+    ``W P = P W^g``, where ``g`` acts on differential entries by permuting
+    the ring variables, and on the (constant) field entries by relabelling
+    the transcendental weights along the induced permutation of matroidal
+    choices.  Order-complex chains carry no sign; Taylor subsets carry the
+    parity of the induced sorting permutation.
+    """
+    perm = list(variable_perm)
+    if sorted(perm) != list(range(I.nvars)):
+        raise InputError("variable_perm is not a permutation of the variables")
+    gen_map = _relabel(I.generators,
+                       {g: i for i, g in enumerate(I.generators)}, perm)
+    s = result.start
+    c = s.complex
+    ring = c.ring
+    field = ring.field
+    poset = s.poset
+    elem_map = _relabel(poset.elements, poset.index, perm)
+
+    # The signed basis permutation, degree by degree.  Basis labels are not
+    # consulted: positions are recovered through each start's combinatorics.
+    if result.report["start"] == "lcm":
+        perm_pairs = _lcm_basis_action(poset, elem_map)
+    else:
+        perm_pairs = _taylor_basis_action(len(I.generators), gen_map)
+    minus_one = field.neg(field.one)
+    P = []
+    for n in range(c.top + 1):
+        m = RingMatrix.zeros(ring, c.rank(n), c.rank(n))
+        for tgt, src, sign in perm_pairs[n]:
+            m.rows[tgt][src] = ring.const(field.one if sign > 0 else minus_one)
+        P.append(m)
+
+    coeff_map = _weight_substitution(
+        I, field, elem_map, _stratum_local_maps(s, elem_map, perm_pairs),
+        result)
+
+    def act_entry(e):
+        e = e.permute_vars(perm)
+        return e if coeff_map is None else e.map_coefficients(coeff_map, ring)
+
+    def act(m):
+        return RingMatrix(ring, [[act_entry(e) for e in row] for row in m.rows],
+                          ncols=m.ncols)
+
+    d_ok = all(((c.d(n) @ P[n]) - (P[n - 1] @ act(c.d(n)))).is_zero()
+               for n in range(1, c.top + 1))
+    W = result.homotopy
+    w_ok = all(((W.D(n) @ P[n]) - (P[n + 1] @ act(W.D(n)))).is_zero()
+               for n in range(c.top))
+    return {"d_commutes": d_ok, "field_commutes": w_ok, "ok": d_ok and w_ok}
+
+
+def _lcm_basis_action(poset, elem_map):
+    """Per-degree (target, source, sign) triples of the chain basis: every
+    chain element is permuted and chain order is kept, so the sign is +1."""
+    tiers = _chain_tiers(poset)
+    index_of = [{ch: j for j, ch in enumerate(tier)} for tier in tiers]
+    return [[(index_of[n][tuple(sorted(elem_map[i] for i in ch))], j, +1)
+             for j, ch in enumerate(tier)] for n, tier in enumerate(tiers)]
+
+
+def _taylor_basis_action(r, gen_map):
+    """Per-degree (target, source, sign) triples of the Taylor basis: a
+    subset goes to the sorted image of its generators, signed by the parity
+    of that sort."""
+    tiers = _taylor_tiers(r)
+    index_of = [{sset: j for j, sset in enumerate(tier)} for tier in tiers]
+    perm_pairs = []
+    for n, tier in enumerate(tiers):
+        pairs = []
+        for j, sset in enumerate(tier):
+            imgs = [gen_map[i] for i in sset]
+            pairs.append((index_of[n][tuple(sorted(imgs))], j,
+                          _sort_parity(imgs)))
+        perm_pairs.append(pairs)
+    return perm_pairs
+
+
+def _sort_parity(seq) -> int:
+    """+1 or -1: the parity of the permutation that sorts the distinct
+    entries of ``seq``, which is that of its number of inversions."""
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def _stratum_local_maps(s: StratifiedComplex, elem_map, perm_pairs):
+    """For each occupied stratum: the induced map of local basis positions.
+
+    Returns {poset index: per-degree list mapping local position in stratum a
+    to (local position in stratum elem_map[a], sign)}.
+    """
+    local_pos = {
+        ai: [{g: t for t, g in enumerate(idx)} for idx in indices]
+        for ai, indices in s.members.items()}
+    actions = {}
+    for ai, indices in s.members.items():
+        tgt = local_pos[elem_map[ai]]
+        per_degree = []
+        for n, idx in enumerate(indices):
+            amb = {src: (dst, sg) for dst, src, sg in perm_pairs[n]}
+            per_degree.append([(tgt[n][amb[g][0]], amb[g][1]) for g in idx])
+        actions[ai] = per_degree
+    return actions
+
+
+def _weight_substitution(I, field, elem_map, choice_actions, result):
+    """Coefficient action on transcendental weights, or None when trivial.
+
+    A critical stratum ``a`` maps to ``b = elem_map[a]``; the local basis
+    bijection sends each matroidal choice of ``a`` to one of ``b``, and the
+    weight ``y[a][j]`` must be sent to the weight of the image choice —
+    ``y[b][j']``, or ``1 - sum`` when the image is the eliminated choice 0.
+    """
+    critical = result.report["critical_strata"]
+    if not critical:
+        return None
+    s = result.start
+    poset = s.poset
+    tag_of = {ai: render_monomial(I.names, poset.elements[ai])
+              for ai in s.occupied()}
+    tag_to_idx = {t: ai for ai, t in tag_of.items()}
+    # The matroidal choices in weight order, on both sides of the symmetry.
+    # The stratum complexes are over the work field, whose rank tests on
+    # their prime-field entries agree with the base field's.
+    choice_lists = {ai: list_choices(matroidal_options(s.stratum(ai)))
+                    for ai in (tag_to_idx[tag] for tag in critical)}
+    subst = {}
+    for tag in critical:
+        ai = tag_to_idx[tag]
+        bi = elem_map[ai]
+        btag = tag_of[bi]
+        if btag not in critical:
+            raise InputError("not a symmetry")
+        src_choices = choice_lists[ai]
+        dst_index = {ch: t for t, ch in enumerate(choice_lists[bi])}
+        lmaps = choice_actions[ai]
+        for j, ch in enumerate(src_choices):
+            if j == 0:
+                continue  # y[a][0] never occurs: it was eliminated
+            img = _map_choice(ch, lmaps)
+            jp = dst_index[img]
+            src_var = field.index[weight_name(tag, j)]
+            if jp == 0:
+                # image is the eliminated weight: 1 - sum of the others
+                subst[src_var] = field.eliminations[weight_name(btag, 0)]
+            else:
+                subst[src_var] = field.pd_var(
+                    field.index[weight_name(btag, jp)])
+
+    # a critical stratum has at least two choices, so subst is not empty
+    def act(value):
+        return field.substitute(value, subst)
+    return act
+
+
+def _map_choice(choice, lmaps):
+    """Image of a matroidal choice under per-degree local index maps."""
+    def image(sets):
+        return tuple(tuple(sorted(lmap[i][0] for i in idx))
+                     for idx, lmap in zip(sets, lmaps))
+    return MatroidalChoice(x_sets=image(choice.x_sets),
+                           z_sets=image(choice.z_sets))

@@ -3,9 +3,11 @@ byte-level determinism."""
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -367,6 +369,21 @@ class TestInputHandling:
         rc, _, err = run(["lattice", "--fixture", "nonesuch"], capsys)
         assert rc == 2
         assert "unknown fixture" in err and "cycle3" in err
+
+    @pytest.mark.parametrize("how", ["absolute", "relative"])
+    def test_fixture_name_is_not_a_path(self, how, tmp_path, capsys):
+        # a valid ideal outside the package, named by its absolute path or
+        # by a ../ path out of the fixtures directory, is not a fixture
+        f = tmp_path / "outside.json"
+        f.write_text(json.dumps({"variables": ["x"], "generators": [[1]]}))
+        name = str(f.with_suffix(""))
+        if how == "relative":
+            fixtures = resources.files("chainflow.fixtures")
+            name = os.path.relpath(name, str(fixtures))
+            assert name.startswith("..")
+        rc, out, err = run(["lattice", "--fixture", name], capsys)
+        assert rc == 2 and out == ""
+        assert f"unknown fixture {name!r}" in err and "cycle3" in err
 
     def test_invalid_json(self, tmp_path, capsys):
         f = tmp_path / "broken.json"

@@ -108,9 +108,13 @@ class TestStratifiedComplex:
         strat, _ = random_stratified_complex(rng)
         c = strat.complex
         seen = [set() for _ in range(c.top + 1)]
-        for a in strat.occupied():
-            view = strat.stratum(a)
-            for n, idx in enumerate(view.indices):
+        for a, indices in strat.members.items():
+            # each list ends at the stratum's own top degree
+            assert indices and indices[-1]
+            sub = strat.stratum(a)
+            assert sub.ranks == [len(idx) for idx in indices]
+            for n, idx in enumerate(indices):
+                assert all(strat.strata[n][j] == a for j in idx)
                 assert seen[n].isdisjoint(idx)
                 seen[n].update(idx)
         for n in range(c.top + 1):
@@ -121,7 +125,7 @@ class TestStratifiedComplex:
         for _ in range(10):
             strat, _ = random_stratified_complex(rng)
             for a in strat.occupied():
-                sub = strat.stratum(a).complex
+                sub = strat.stratum(a)
                 assert sub.validate() == []
 
 

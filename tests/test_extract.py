@@ -115,11 +115,11 @@ def test_two_step_orbit_matches_dense_projection():
     s = _chain_of_three_strata()
     splittings, cores = {}, {}
     for ai in s.occupied():
-        view = s.stratum(ai)
-        D = moore_penrose(view.complex)
-        assert classify(view.complex, D).is_splitting
+        c = s.stratum(ai)
+        D = moore_penrose(c)
+        assert classify(c, D).is_splitting
         splittings[ai] = D
-        cores[ai] = stratum_core(view.complex, D)
+        cores[ai] = stratum_core(c, D)
     W = assemble_field(s, splittings)
     Pi, dense_k = dense_iterate_flow(s, W)
     assert iterate_flow(s, W) == ([2, 2], 2)

@@ -99,8 +99,8 @@ def hexagon():
     I = cyclefam.build_Ip(3).ideal
     s = order_complex_resolution(I, QQ)
     top = max(s.occupied(),
-              key=lambda a: len(s.stratum(a).indices[1]) if len(s.stratum(a).indices) > 1 else 0)
-    return s.stratum(top).complex
+              key=lambda a: len(s.members[a][1]) if len(s.members[a]) > 1 else 0)
+    return s.stratum(top)
 
 
 class TestClassify:
@@ -223,7 +223,7 @@ class TestStratumSplittingExamples:
         I = cyclefam.build_Ip(3).ideal
         s = order_complex_resolution(I, QQ)
         for a in s.occupied():
-            c = s.stratum(a).complex
+            c = s.stratum(a)
             if c.ranks == [1, 2]:
                 D, work, m = split_one_stratum(c, 0, "matroidal_average")
                 col = [e.constant_term() for row in D.D(0).rows for e in row]
@@ -237,7 +237,7 @@ class TestStratumSplittingExamples:
         I = cyclefam.build_Ip(3).ideal
         s = order_complex_resolution(I, GF(2))
         for a in s.occupied():
-            c = s.stratum(a).complex
+            c = s.stratum(a)
             if c.ranks == [1, 2]:
                 D, work, _ = split_one_stratum(c, 2, "matroidal_average",
                                                tag="epair")
@@ -293,7 +293,7 @@ class TestFlowAndIteration:
         the Moore-Penrose splittings of its strata."""
         s, _ = random_stratified_complex(random.Random(seed), max_rank=6,
                                          max_strata=5)
-        W = assemble_field(s, {ai: moore_penrose(s.stratum(ai).complex)
+        W = assemble_field(s, {ai: moore_penrose(s.stratum(ai))
                                for ai in s.occupied()})
         return s, W
 

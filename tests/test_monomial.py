@@ -6,11 +6,12 @@ from chainflow.complexes import BasedComplex
 from chainflow.errors import InputError
 from chainflow.monomial import (
     MonomialIdeal, lcm_lattice, order_complex_resolution, render_monomial,
-    resolve_minimal, taylor_resolution, verify_equivariance, verify_resolution,
+    resolve_minimal, taylor_resolution, verify_resolution,
 )
 from chainflow.scalars import GF, QQ
 from chainflow import cyclefam
 import golden_data as G
+from oracles import verify_equivariance
 
 
 @pytest.fixture(scope="module")
@@ -186,8 +187,8 @@ class TestEquivariance:
 
     def test_rotation_critical_taylor(self, cycle3):
         # F_2(y) with 17 weights: the rotation permutes the 18 matroidal
-        # choices of the top stratum, listed from the options the resolve
-        # kept on its result
+        # choices of the top stratum, which the oracle lists again from the
+        # stratum it relabels
         res = resolve_minimal(cycle3, 2, start="taylor")
         assert res.report["transcendence_degree"] == 17
         rep = verify_equivariance(cycle3, CYCLE3_ROTATION, res)

@@ -65,6 +65,16 @@ def unused_imports(path):
                     yield node.lineno, name
 
 
+def local_imports(path):
+    """``(line, function name)`` of every import inside a function body."""
+    tree = ast.parse(path.read_text(), str(path))
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    yield node.lineno, fn.name
+
+
 # Definitions that nothing in the package refers to, and why they stay.
 UNREFERENCED_ALLOWED = {
     # The benchmark tracer wraps these by module attribute: its traced pass
@@ -72,7 +82,6 @@ UNREFERENCED_ALLOWED = {
     "enumerate_matroidal": "wrapped by the benchmark tracer",
     "affine_combination": "wrapped by the benchmark tracer",
     # Public API that the tests exercise.
-    "verify_equivariance": "public API, exercised by tests",
     "homotopy_from_json": "public API, exercised by tests",
     "stratified_from_json": "public API, exercised by tests",
 }
@@ -153,6 +162,22 @@ def test_unused_import_check_sees_local_imports(tmp_path):
         "def f():\n    from json import dumps, loads\n    return loads\n"
         "def g():\n    return os, dumps\n")
     assert sorted(unused_imports(src)) == [(2, "av"), (5, "dumps")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_at_module_level(path):
+    assert sorted(local_imports(path)) == []
+
+
+def test_local_import_check_sees_planted_imports(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "import os\n"
+        "def f():\n    import json\n    return json\n"
+        "class C:\n    def g(self):\n"
+        "        def h():\n            from sys import argv\n"
+        "            return argv\n        return h, os\n")
+    assert sorted(local_imports(src)) == [(3, "f"), (8, "g"), (8, "h")]
 
 
 def test_every_definition_is_used():

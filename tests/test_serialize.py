@@ -217,9 +217,9 @@ class TestHomotopyRoundTrip:
         s = order_complex_resolution(I, QQ)
         top = max(
             s.occupied(),
-            key=lambda a: (len(s.stratum(a).indices[1])
-                           if len(s.stratum(a).indices) > 1 else 0))
-        c = s.stratum(top).complex
+            key=lambda a: (len(s.members[a][1])
+                           if len(s.members[a]) > 1 else 0))
+        c = s.stratum(top)
         D = moore_penrose(c)
         doc = homotopy_to_json(D)
         D2 = homotopy_from_json(doc, c)

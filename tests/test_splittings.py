@@ -9,7 +9,7 @@ import pytest
 
 from chainflow.errors import InputError, VerificationError
 from chainflow.flows import affine_combination, classify
-from chainflow.complexes import BasedComplex, scalar_ring
+from chainflow.complexes import BasedComplex, StratifiedComplex, scalar_ring
 from chainflow.linalg import RingMatrix, s_identity, s_mul, s_rank
 from chainflow.monomial import (
     order_complex_resolution, render_monomial, resolve_minimal,
@@ -18,14 +18,14 @@ from chainflow.monomial import (
 from chainflow.scalars import GF, QQ, FunctionField
 from chainflow.splittings import (
     _build_homotopy, _degree_options, build_extension_field, coerce_complex, count_choices, critical_analysis,
-    enumerate_matroidal, list_choices, matroidal_average, matroidal_count,
+    enumerate_matroidal, matroidal_average, matroidal_count,
     matroidal_options, stratum_core, weight_name,
 )
 from chainflow.toric import BettiCategoryData, bar_resolution, resolve_toric
 from chainflow import cyclefam, flows, monomial, splittings, toric
 import golden_data as G
 from helpers import split_one_stratum
-from oracles import coerce_homotopy
+from oracles import coerce_homotopy, list_choices
 from randgen import random_rational_complex
 
 
@@ -36,7 +36,7 @@ def cycle3_strata():
     out = {}
     for a in s.occupied():
         tag = render_monomial(I.names, s.poset.elements[a])
-        out[tag] = s.stratum(a).complex
+        out[tag] = s.stratum(a)
     return out
 
 
@@ -152,7 +152,7 @@ class TestCoercion:
         s = order_complex_resolution(I, GF(2))
         field, _ = build_extension_field({"a": 2}, 2, ["a"])
         for a in s.occupied():
-            c = s.stratum(a).complex
+            c = s.stratum(a)
             if c.ranks == [1, 2]:
                 cc = coerce_complex(c, field)
                 assert cc.ring.field is field
@@ -226,6 +226,10 @@ class TestStartValidation:
 # The matroidal average against the enumerate-then-sum oracle.
 
 _STARTS = {"lcm": order_complex_resolution, "taylor": taylor_resolution}
+# The bundled semigroup23 fixture: k[t^2, t^3] in degrees 0 and 6.
+SEMIGROUP23 = BettiCategoryData(
+    ["x2", "x3"], [[2, 3]], [[0], [6]],
+    [([0], [6], [3, 0]), ([0], [6], [0, 2])])
 # Above this many choices the oracle builds thousands of homotopies; the
 # one such stratum (cycle2, Taylor start: 6960 choices) has its own tests.
 LARGE = 1000
@@ -233,10 +237,7 @@ LARGE = 1000
 
 def _start(kind, start, field):
     if kind == "semigroup23":
-        data = BettiCategoryData(
-            ["x2", "x3"], [[2, 3]], [[0], [6]],
-            [([0], [6], [3, 0]), ([0], [6], [0, 2])])
-        return bar_resolution(data, field)
+        return bar_resolution(SEMIGROUP23, field)
     return _STARTS[start](cyclefam.build_Ip(int(kind[-1])).ideal, field)
 
 
@@ -247,7 +248,7 @@ def _pipeline_strata(kind, start, p):
     divides some count."""
     base = QQ if p == 0 else GF(p)
     s = _start(kind, start, base)
-    views = {a: s.stratum(a).complex for a in s.occupied()}
+    views = {a: s.stratum(a) for a in s.occupied()}
     options = {a: matroidal_options(c) for a, c in views.items()}
     counts = {a: count_choices(o) for a, o in options.items()}
     field, critical = base, {}
@@ -326,7 +327,7 @@ class TestMatroidalAverage:
         for p in (0, 3):
             s = _start(kind, start, QQ if p == 0 else GF(p))
             for a in s.occupied():
-                c = s.stratum(a).complex
+                c = s.stratum(a)
                 options = matroidal_options(c)
                 if count_choices(options) > LARGE:
                     continue
@@ -356,12 +357,9 @@ class TestMatroidalAverage:
         I = cyclefam.build_Ip(3).ideal
         assert resolve_minimal(I, 2, start="taylor").verification["ok"]
         assert resolve_minimal(I, 0, mode="matroidal_average").verification["ok"]
-        data = BettiCategoryData(
-            ["x2", "x3"], [[2, 3]], [[0], [6]],
-            [([0], [6], [3, 0]), ([0], [6], [0, 2])])
-        assert resolve_toric(data, 2).verification["ok"]
+        assert resolve_toric(SEMIGROUP23, 2).verification["ok"]
         s = taylor_resolution(I, GF(3))
-        top = max((s.stratum(a).complex for a in s.occupied()),
+        top = max((s.stratum(a) for a in s.occupied()),
                   key=lambda c: sum(c.ranks))
         D, work, m = split_one_stratum(top, 3, "matroidal_average")
         assert m == 18 and isinstance(work.ring.field, FunctionField)
@@ -380,11 +378,29 @@ class TestMatroidalAverage:
         # cycle3 with the lcm start over F_2 or F_3 does not finish in a
         # minute; cycle2 over F_3 is critical too.
         assert resolve_minimal(cyclefam.build_Ip(2).ideal, 3).verification["ok"]
-        data = BettiCategoryData(
-            ["x2", "x3"], [[2, 3]], [[0], [6]],
-            [([0], [6], [3, 0]), ([0], [6], [0, 2])])
         for p in (0, 2, 3):
-            assert resolve_toric(data, p).verification["ok"]
+            assert resolve_toric(SEMIGROUP23, p).verification["ok"]
+
+
+class TestStratumSlices:
+    @pytest.mark.parametrize("resolve", [
+        lambda: resolve_minimal(cyclefam.build_Ip(3).ideal, 0),
+        lambda: resolve_minimal(cyclefam.build_Ip(3).ideal, 2, start="taylor"),
+        lambda: resolve_toric(SEMIGROUP23, 2),
+    ], ids=["lcm", "taylor-critical", "toric-critical"])
+    def test_each_stratum_is_sliced_once(self, monkeypatch, resolve):
+        # the split, the assembly and the extraction share one slice of each
+        # occupied stratum, also when the work field is an extension
+        sliced = []
+        stratum = StratifiedComplex.stratum
+
+        def spy(self, a):
+            sliced.append(a)
+            return stratum(self, a)
+
+        monkeypatch.setattr(StratifiedComplex, "stratum", spy)
+        res = resolve()
+        assert sorted(sliced) == res.start.occupied()
 
 
 class TestBlockFormula:
@@ -474,7 +490,7 @@ class TestMatroidalOptions:
         occupied = list(s.occupied())
         assert occupied
         for a in occupied:
-            c = s.stratum(a).complex
+            c = s.stratum(a)
             assert matroidal_options(c) == _oracle_options(c), a
 
     def test_random_complexes_match_oracle(self):
@@ -543,7 +559,7 @@ class TestMatroidalOptions:
         s = order_complex_resolution(cyclefam.build_Ip(11).ideal, GF(11))
         counts = []
         for a in s.occupied():
-            c = s.stratum(a).complex
+            c = s.stratum(a)
             options = matroidal_options(c)
             assert options == _oracle_options(c), a
             counts.append(count_choices(options))
