@@ -23,7 +23,7 @@ import sys
 from importlib import resources
 
 from .errors import InputError, InternalError, VerificationError
-from .scalars import GF, QQ, field_descriptor
+from .scalars import GF, QQ, field_descriptor, prime_field
 from .monomial import (
     _STARTS,
     MonomialIdeal,
@@ -174,8 +174,7 @@ def cmd_resolve(args) -> int:
 def cmd_matroidal(args) -> int:
     I = _parse_ideal(_load_input(args))
     field_char = args.char
-    base = QQ if field_char == 0 else GF(field_char)
-    s = _STARTS[args.start](I, base)
+    s = _STARTS[args.start](I, prime_field(field_char))
     poset = s.poset
     counts = {}
     for ai in s.occupied():

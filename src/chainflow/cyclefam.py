@@ -201,9 +201,7 @@ def transcendental_resolution(fam: CycleFamily):
     n = fam.n
     field = FunctionField(fam.p, [f"y{i}" for i in range(1, n)],
                           label="generic affine weights")
-    y_n = field.pd_const(1)
-    for j in range(n - 1):
-        y_n = field.pd_sub(y_n, field.pd_var(j))
+    y_n = field.pd_affine_rest(range(n - 1))
     field.eliminations[f"y{n}"] = y_n
     weights = [field.var(j) for j in range(n - 1)] + [(y_n, None)]
     return _weighted_resolution(fam, field, weights, "transcendental"), field

@@ -219,6 +219,15 @@ def GF(p):
     return f
 
 
+def prime_field(characteristic):
+    """The prime field of ``characteristic``: Q for 0, else F_p.
+
+    The one place where a characteristic picks a field; the work field of a
+    resolve is this field or a transcendental extension of it.
+    """
+    return QQ if characteristic == 0 else GF(characteristic)
+
+
 class FunctionField:
     """F_p(y_1, ..., y_k): fractions of packed-exponent polynomial dicts.
 
@@ -269,6 +278,15 @@ class FunctionField:
     def pd_var(self, i, exp=1):
         return {exp << (YBITS * i): 1 % self.p}
 
+    def pd_affine_rest(self, indices):
+        """``1 - sum of y_i`` over distinct variable ``indices``: the first
+        weight of an affine family, eliminated in terms of the others."""
+        out = self.pd_const(1)
+        minus_one = self.p - 1
+        for i in indices:
+            out[1 << (YBITS * i)] = minus_one
+        return out
+
     def pd_add(self, a, b):
         if not a:
             return dict(b)
@@ -278,19 +296,6 @@ class FunctionField:
         p = self.p
         for k, c in b.items():
             v = (out.get(k, 0) + c) % p
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return out
-
-    def pd_sub(self, a, b):
-        if not b:
-            return dict(a)
-        out = dict(a)
-        p = self.p
-        for k, c in b.items():
-            v = (out.get(k, 0) - c) % p
             if v:
                 out[k] = v
             else:
@@ -309,23 +314,9 @@ class FunctionField:
         return {k: (v * c) % p for k, v in a.items()}
 
     def pd_mul(self, a, b):
-        if not a or not b:
-            return {}
-        self._check_product(a, b)
-        if len(a) > len(b):
-            a, b = b, a
-        p = self.p
         acc = {}
-        get = acc.get
-        budget = 4_000_000  # cap raw accumulation; reduce when exceeded
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                acc[k] = get(k, 0) + ca * cb
-            if len(acc) > budget:
-                acc = {k: v % p for k, v in acc.items() if v % p}
-                get = acc.get
-        return {k: v % p for k, v in acc.items() if v % p}
+        self.pd_mul_acc(acc, a, b)
+        return self.pd_reduce(acc)
 
     def pd_mul_acc(self, acc, a, b):
         """acc += a*b with deferred coefficient reduction (acc holds raw ints).

@@ -33,6 +33,13 @@ times that pair's block; :func:`matroidal_average` inverts each minor once.
 toric entry points: it slices each stratum once, splits them all in one
 step with :func:`split_strata`, assembles the vector field, flows to the
 minimal summand and verifies it.
+
+Where the field is decided: :func:`~chainflow.scalars.prime_field` turns
+the characteristic into Q or F_p, and the start is built over that field.
+:func:`split_strata` keeps it as the work field unless the mode is the
+matroidal average and :func:`critical_analysis` finds critical strata; then
+:func:`build_extension_field` forms ``F_p(y)`` with their affine weights,
+and the start is coerced to it.
 """
 
 from __future__ import annotations
@@ -43,9 +50,7 @@ from math import prod
 from typing import Optional
 
 from .errors import InputError, VerificationError
-from .scalars import (
-    QQ, GF, FunctionField, Rationals, _is_prime, field_descriptor,
-)
+from .scalars import FunctionField, field_descriptor, prime_field
 from .linalg import (
     PolyRing, RingMatrix, kernel, rref, s_inverse, s_mul, s_rank,
     s_transpose, solve,
@@ -384,7 +389,7 @@ def matroidal_average(c_base: BasedComplex, c_work: BasedComplex,
             for x, brow in zip(x_up, block):
                 for b, v in zip(w_set, brow):
                     if not base.is_zero(v):
-                        pair = (w, _coerce_scalar(v, base, field))
+                        pair = (w, v if field is base else field.from_int(v))
                         pairs = cells.get((x, b))
                         if pairs is None:
                             cells[x, b] = [pair]
@@ -422,7 +427,8 @@ def critical_analysis(counts: dict, characteristic: int) -> dict:
     The per-prime transcendence degree is the total number of fresh weights a
     generic affine combination needs: ``sum (m(a) - 1)`` over critical strata.
     The report also gives the critical strata and transcendence degree at
-    ``characteristic``; in characteristic 0 there are none.
+    ``characteristic``, read from its ``per_prime`` entry; in characteristic
+    0, or when ``characteristic`` divides no count, there are none.
     """
     primes = set()
     for m in counts.values():
@@ -440,11 +446,10 @@ def critical_analysis(counts: dict, characteristic: int) -> dict:
             "critical_strata": crit,
             "transcendence_degree": sum(counts[a] - 1 for a in crit),
         }
-    crit = ([a for a, m in counts.items() if m % characteristic == 0]
-            if characteristic else [])
+    at_char = report["per_prime"].get(characteristic, {})
     report["characteristic"] = characteristic
-    report["critical_strata"] = crit
-    report["transcendence_degree"] = sum(counts[a] - 1 for a in crit)
+    report["critical_strata"] = list(at_char.get("critical_strata", []))
+    report["transcendence_degree"] = at_char.get("transcendence_degree", 0)
     return report
 
 
@@ -452,68 +457,45 @@ def weight_name(stratum_key, j: int) -> str:
     return f"y[{stratum_key}][{j}]"
 
 
-def build_extension_field(counts: dict, p: int, order: list):
+def build_extension_field(critical_counts: dict, p: int):
     """The working field and the critical strata's weights at ``p``.
 
-    ``order`` lists the stratum keys of ``counts`` in stratum order; the
-    transcendentals are numbered in that order.  Critical strata (``p``
-    divides the count ``m``) get ``m - 1`` fresh transcendentals
+    ``critical_counts`` maps each critical stratum (``p`` divides its count
+    ``m``), in stratum order, to ``m``; the transcendentals are numbered in
+    that order.  Each critical stratum gets ``m - 1`` fresh transcendentals
     ``y[a][1..m-1]``; the first weight ``y[a][0]`` is eliminated as
     ``1 - sum`` of the others, which keeps the weights affine and the field
     purely transcendental of degree ``len(field.names)``.  Returns
     ``(field, weights)`` with ``weights`` mapping each critical stratum to
-    its ``m`` affine weights; with no critical stratum the field is the
-    prime field and ``weights`` is empty.  Non-critical strata keep the
-    constant weight ``1/m``, which :func:`split_strata` forms.
+    its ``m`` affine weights.  Non-critical strata keep the constant weight
+    ``1/m``, which :func:`split_strata` forms.
     """
-    if not _is_prime(p):
-        raise InputError(f"characteristic must be prime, got {p}")
-    keys = list(order)
-    for k in counts:
-        if k not in keys:
-            raise InputError(f"stratum {k!r} missing from the given order")
-    critical = [a for a in keys if counts[a] % p == 0]
-    if not critical:
-        return GF(p), {}
-    names = []
-    for a in critical:
-        names.extend(weight_name(a, j) for j in range(1, counts[a]))
+    names = [weight_name(a, j)
+             for a, m in critical_counts.items() for j in range(1, m)]
     field = FunctionField(p, names, label="generic affine weights")
     weights = {}
     pos = 0
-    for a in critical:
-        m = counts[a]
-        ws = []
-        first_num = field.pd_const(1)
-        for j in range(1, m):
-            var = field.pd_var(pos + (j - 1))
-            first_num = field.pd_sub(first_num, var)
-            ws.append((var, None))
-        ws.insert(0, (first_num, None))
-        field.eliminations[weight_name(a, 0)] = first_num
-        weights[a] = ws
+    for a, m in critical_counts.items():
+        free = range(pos, pos + m - 1)
+        first = field.pd_affine_rest(free)
+        field.eliminations[weight_name(a, 0)] = first
+        weights[a] = [(first, None)] + [field.var(i) for i in free]
         pos += m - 1
     return field, weights
 
 
-def _coerce_scalar(value, src_field, dst_field):
-    """Move a scalar between fields of the same characteristic."""
-    if src_field is dst_field:
-        return value
-    if isinstance(src_field, Rationals):
-        raise InputError("cannot coerce rational scalars into positive characteristic")
-    if isinstance(dst_field, FunctionField):
-        return (dst_field.pd_const(value), None)
-    return dst_field.from_int(value)
-
-
 def coerce_complex(c: BasedComplex, dst_field) -> BasedComplex:
-    """Base-change a complex along a prime-field-to-extension embedding."""
+    """Base-change a complex along the embedding of its prime field (or Q)
+    into ``dst_field``, a field of the same characteristic."""
     src_field = c.ring.field
     if src_field is dst_field:
         return c
-    new_ring = PolyRing(dst_field, c.ring.names)
-    return c.map_coefficients(new_ring, lambda v: _coerce_scalar(v, src_field, dst_field))
+    if src_field.char != dst_field.char:
+        raise InputError(
+            f"cannot coerce scalars of characteristic {src_field.char} "
+            f"into characteristic {dst_field.char}")
+    return c.map_coefficients(PolyRing(dst_field, c.ring.names),
+                              dst_field.from_int)
 
 
 def stratum_core(c: BasedComplex, D: Homotopy) -> list:
@@ -572,29 +554,30 @@ def _splitting_mode(characteristic: int, mode: Optional[str]) -> str:
     return mode
 
 
-def split_strata(complexes: dict, characteristic: int, mode: str):
+def split_strata(complexes: dict, field, mode: str):
     """The certified splitting homotopy and core of every stratum.
 
     ``complexes`` maps stratum tags, in stratum order, to the stratum
-    complexes over the prime field (or Q) of ``characteristic``.  The
-    options are counted and the critical analysis run; the work field is a
-    transcendental extension, with affine weights for each critical
-    stratum, only when ``mode`` is the matroidal average and the
+    complexes over ``field``, the prime field (or Q) of the resolve.  The
+    options are counted and the critical analysis run at ``field.char``; the
+    work field is a transcendental extension, with affine weights for each
+    critical stratum, only when ``mode`` is the matroidal average and the
     characteristic divides some count.  Each stratum, coerced to the work
     field, is split by the pseudoinverse or by ``hat`` of the average with
     its critical weights or ``1/m`` each; :func:`classify` certifies the
-    split.  Returns ``(counts, critical, field, splittings, cores)``, the
-    last two keyed by tag; each homotopy's ``complex`` is its stratum over
-    the work field.
+    split.  Returns ``(critical, field, splittings, cores)``: the critical
+    analysis, whose ``counts`` are the stratum counts, the work field, and
+    the last two keyed by tag; each homotopy's ``complex`` is its stratum
+    over the work field.
     """
     options = {tag: matroidal_options(c) for tag, c in complexes.items()}
     counts = {tag: count_choices(opts) for tag, opts in options.items()}
-    critical = critical_analysis(counts, characteristic)
-    field = QQ if characteristic == 0 else GF(characteristic)
+    critical = critical_analysis(counts, field.char)
     weights = {}
     if mode == "matroidal_average" and critical["critical_strata"]:
-        field, weights = build_extension_field(counts, characteristic,
-                                               list(complexes))
+        field, weights = build_extension_field(
+            {tag: counts[tag] for tag in critical["critical_strata"]},
+            field.char)
     splittings = {}
     cores = {}
     for tag, c_base in complexes.items():
@@ -612,16 +595,14 @@ def split_strata(complexes: dict, characteristic: int, mode: str):
                 f"stratum {tag}: the {mode} homotopy is not a splitting")
         splittings[tag] = D
         cores[tag] = stratum_core(c, D)
-    return counts, critical, field, splittings, cores
+    return critical, field, splittings, cores
 
 
 @dataclass
 class ResolveResult:
-    resolution: BasedComplex
-    field: object
+    resolution: BasedComplex          # over the work field
     start: StratifiedComplex          # the start resolution over the work field
     homotopy: Homotopy                # the assembled vector field W
-    verification: dict
     report: dict
 
 
@@ -645,7 +626,7 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
     ``validate_issues``, and a failed check raises.  The report carries the
     keys common to both entry points; they add their own.
     """
-    base_field = QQ if characteristic == 0 else GF(characteristic)
+    base_field = prime_field(characteristic)
     mode = _splitting_mode(characteristic, mode)
     s_base = start(base_field)
     issues = s_base.validate()
@@ -654,9 +635,9 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
             "start resolution failed validation: " + "; ".join(issues))
     poset = s_base.poset
     tags = {ai: render(poset.elements[ai]) for ai in s_base.occupied()}
-    counts, critical, work_field, splittings, cores = split_strata(
+    critical, work_field, splittings, cores = split_strata(
         {tag: s_base.stratum(ai) for ai, tag in tags.items()},
-        characteristic, mode)
+        base_field, mode)
     s_work = s_base
     if work_field is not base_field:
         s_work = StratifiedComplex(coerce_complex(s_base.complex, work_field),
@@ -684,7 +665,7 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
         "characteristic": characteristic,
         "mode": mode,
         "field": field_descriptor(work_field),
-        "stratum_counts": counts,
+        "stratum_counts": critical["counts"],
         "critical_primes": critical["critical_primes"],
         "critical_strata": critical["critical_strata"],
         "transcendence_degree": critical["transcendence_degree"],
@@ -702,11 +683,5 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
             "position, degree 0 outermost",
         ],
     }
-    return ResolveResult(
-        resolution=resolution,
-        field=work_field,
-        start=s_work,
-        homotopy=W,
-        verification=verification,
-        report=report,
-    )
+    return ResolveResult(resolution=resolution, start=s_work, homotopy=W,
+                         report=report)

@@ -9,14 +9,16 @@ from chainflow.splittings import _splitting_mode, split_strata
 def split_one_stratum(c, characteristic, mode, tag="a"):
     """The per-stratum step of ``resolve_stratified`` on one scalar complex.
 
-    Returns ``(D, work, m)``: the certified splitting homotopy, the complex
-    over the work field (a transcendental extension when ``characteristic``
-    divides the number ``m`` of matroidal splittings) and ``m``.
+    ``characteristic`` defaults and checks ``mode`` as a resolve does; the
+    split runs over the field of ``c``.  Returns ``(D, work, m)``: the
+    certified splitting homotopy, the complex over the work field (a
+    transcendental extension when the characteristic divides the number
+    ``m`` of matroidal splittings) and ``m``.
     """
-    counts, _, _, splittings, _ = split_strata(
-        {tag: c}, characteristic, _splitting_mode(characteristic, mode))
+    critical, _, splittings, _ = split_strata(
+        {tag: c}, c.ring.field, _splitting_mode(characteristic, mode))
     D = splittings[tag]
-    return D, D.complex, counts[tag]
+    return D, D.complex, critical["counts"][tag]
 
 
 def pack_exponents(exps):

@@ -17,7 +17,7 @@ from chainflow.monomial import (
 )
 from chainflow.scalars import QQ
 from chainflow.splittings import (
-    MatroidalChoice, ResolveResult, _coerce_scalar, matroidal_options,
+    MatroidalChoice, ResolveResult, matroidal_options,
     weight_name,
 )
 
@@ -130,15 +130,10 @@ def decell_mp_inverse(a):
 
 def coerce_homotopy(D: Homotopy, new_complex: BasedComplex) -> Homotopy:
     """``D`` base-changed to the field of ``new_complex``."""
-    src_field = D.complex.ring.field
-    dst_field = new_complex.ring.field
-    if src_field is dst_field:
+    if D.complex.ring.field is new_complex.ring.field:
         return D
     ring = new_complex.ring
-
-    def coerce(v):
-        return _coerce_scalar(v, src_field, dst_field)
-
+    coerce = ring.field.from_int
     mats = [RingMatrix(ring, [[e.map_coefficients(coerce, ring) for e in row]
                               for row in m.rows], ncols=m.ncols)
             for m in D.mats]

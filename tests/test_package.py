@@ -75,6 +75,24 @@ def local_imports(path):
                     yield node.lineno, fn.name
 
 
+def _names(node, name):
+    """Whether ``node`` is ``name`` or an attribute ``something.name``."""
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def field_choices(path):
+    """Line of every ``QQ if ... else GF(...)``, in either order, in
+    ``path``: a characteristic picking its prime field."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.IfExp):
+            branches = (node.body, node.orelse)
+            if (any(_names(b, "QQ") for b in branches)
+                    and any(isinstance(b, ast.Call) and _names(b.func, "GF")
+                            for b in branches)):
+                yield node.lineno
+
+
 # Definitions that nothing in the package refers to, and why they stay.
 UNREFERENCED_ALLOWED = {
     # The benchmark tracer wraps these by module attribute: its traced pass
@@ -178,6 +196,25 @@ def test_local_import_check_sees_planted_imports(tmp_path):
         "        def h():\n            from sys import argv\n"
         "            return argv\n        return h, os\n")
     assert sorted(local_imports(src)) == [(3, "f"), (8, "g"), (8, "h")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_scalars_picks_a_field_from_a_characteristic(path):
+    # scalars.prime_field is the one place; any other module calls it
+    want = 1 if path.stem == "scalars" else 0
+    assert len(list(field_choices(path))) == want
+
+
+def test_field_choice_check_sees_planted_choices(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "from chainflow import scalars\n"
+        "from chainflow.scalars import GF, QQ\n"
+        "def f(p):\n    return QQ if p == 0 else GF(p)\n"
+        "def g(p):\n    return scalars.GF(p) if p else scalars.QQ\n"
+        "def h(p):\n    return QQ if p == 0 else GF\n"
+        "def k(p):\n    return None if p == 0 else GF(p)\n")
+    assert list(field_choices(src)) == [4, 6]
 
 
 def test_every_definition_is_used():

@@ -11,7 +11,7 @@ from chainflow.cli import main
 from chainflow.errors import InputError, InternalError
 from chainflow.scalars import (
     _MR_BASES, _MR_LIMIT, GF, QQ, YBITS, YMASK, FunctionField, _is_prime,
-    field_descriptor,
+    field_descriptor, prime_field,
 )
 from chainflow.serialize import field_from_descriptor
 
@@ -88,6 +88,21 @@ def content_key_oracle(keys):
     return out or 0
 
 
+def affine_rest_oracle(F, indices):
+    """``1 - sum of y_i`` by one polynomial subtraction per variable: the
+    loop that ``FunctionField.pd_affine_rest`` replaced."""
+    out = F.pd_const(1)
+    for i in indices:
+        out = dict(out)
+        for k, c in F.pd_var(i).items():
+            v = (out.get(k, 0) - c) % F.p
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+    return out
+
+
 def random_poly(F, rng, terms, max_exp, constant=True):
     """A random nonzero polynomial dict; with ``constant=False`` it has a
     term of positive degree."""
@@ -131,6 +146,12 @@ class TestPrimeField:
 
     def test_interned(self):
         assert GF(5) is GF(5)
+
+    def test_prime_field_of_a_characteristic(self):
+        assert prime_field(0) is QQ
+        assert prime_field(5) is GF(5)
+        with pytest.raises(InputError):
+            prime_field(4)
 
 
 def strong_probable_prime(n, a):
@@ -232,6 +253,17 @@ class TestFunctionField:
         # (y1 + 2 y2)(y1 + y2) = y1^2 + 3 y1 y2 + 2 y2^2 = y1^2 + 2 y2^2 mod 3
         assert F.pd_mul(a, b) == self.poly("y1^2 + 2*y2^2")
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_pd_affine_rest_matches_oracle(self, p):
+        F = FunctionField(p, [f"y{i}" for i in range(8)])
+        for indices in ([], [0], [0, 1, 2], [1, 4, 2], [7, 3], range(8)):
+            got = F.pd_affine_rest(indices)
+            want = affine_rest_oracle(F, indices)
+            assert got == want
+            assert list(got.items()) == list(want.items())
+            assert F.pd_render(got) == F.pd_render(want)
+        assert F.pd_affine_rest([]) == {0: 1}
+
     def test_render_parse_round_trip(self):
         F = self.F
         # rendering is canonical (terms in decreasing packed-key order), so
@@ -284,7 +316,7 @@ class TestFunctionField:
         # the eliminated weight of an affine family is not a field variable;
         # it is recorded as a polynomial in the surviving transcendentals
         from chainflow.splittings import build_extension_field
-        field, weights = build_extension_field({"a": 2}, 2, ["a"])
+        field, weights = build_extension_field({"a": 2}, 2)
         assert isinstance(field, FunctionField)
         assert field.names == ("y[a][1]",)
         assert field.pd_render(field.eliminations["y[a][0]"]) == "y[a][1] + 1"

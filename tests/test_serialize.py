@@ -118,7 +118,7 @@ class TestCoefficients:
     def test_bracketed_names(self):
         # extension-field names contain brackets and digits; the tokenizer
         # must match them greedily
-        F, _ = build_extension_field({"a": 2}, 2, ["a"])
+        F, _ = build_extension_field({"a": 2}, 2)
         v = coeff_from_string(F, "y[a][1] + 1")
         assert coeff_to_string(F, v) == "y[a][1] + 1"
 

@@ -15,11 +15,12 @@ from chainflow.monomial import (
     order_complex_resolution, render_monomial, resolve_minimal,
     taylor_resolution,
 )
-from chainflow.scalars import GF, QQ, FunctionField
+from chainflow.scalars import GF, QQ, FunctionField, prime_field
 from chainflow.splittings import (
-    _build_homotopy, _degree_options, build_extension_field, coerce_complex, count_choices, critical_analysis,
-    enumerate_matroidal, matroidal_average, matroidal_count,
-    matroidal_options, stratum_core, weight_name,
+    _build_homotopy, _degree_options, build_extension_field, coerce_complex,
+    count_choices, critical_analysis, enumerate_matroidal, matroidal_average,
+    matroidal_count, matroidal_options, split_strata, stratum_core,
+    weight_name,
 )
 from chainflow.toric import BettiCategoryData, bar_resolution, resolve_toric
 from chainflow import cyclefam, flows, monomial, splittings, toric
@@ -38,6 +39,12 @@ def cycle3_strata():
         tag = render_monomial(I.names, s.poset.elements[a])
         out[tag] = s.stratum(a)
     return out
+
+
+def _verified(res):
+    """Whether a resolve reports its summand minimal and exact."""
+    ver = res.report["verification"]
+    return ver["minimal"] and ver["exact"]
 
 
 class TestMatroidalEnumeration:
@@ -80,28 +87,42 @@ class TestCriticalAnalysis:
 
 
 class TestExtensionField:
-    def test_no_critical_stratum_stays_prime_field(self):
-        field, weights = build_extension_field({"a": 3}, 2, ["a"])
-        assert field is GF(2)
-        assert weights == {}
-
     def test_critical_stratum_gets_affine_weights(self):
-        field, weights = build_extension_field({"a": 4, "b": 3}, 2, ["a", "b"])
+        field, weights = build_extension_field({"b": 4, "a": 2}, 2)
         assert isinstance(field, FunctionField)
-        assert field.names == tuple(weight_name("a", j) for j in (1, 2, 3))
-        # only the critical stratum has weights; "b" is left to 1/m
-        assert list(weights) == ["a"]
-        ws = weights["a"]
-        assert len(ws) == 4
-        total = field.zero
-        for w in ws:
-            total = field.add(total, w)
-        assert field.eq(total, field.one)
+        # the transcendentals and eliminations follow the given order
+        assert field.names == ("y[b][1]", "y[b][2]", "y[b][3]", "y[a][1]")
+        assert list(field.eliminations) == ["y[b][0]", "y[a][0]"]
+        assert field.pd_render(field.eliminations["y[b][0]"]) == \
+            "y[b][3] + y[b][2] + y[b][1] + 1"
+        assert field.pd_render(field.eliminations["y[a][0]"]) == \
+            "y[a][1] + 1"
+        assert list(weights) == ["b", "a"]
+        assert weights["b"][1:] == [field.var(j) for j in range(3)]
+        assert weights["a"][1:] == [field.var(3)]
+        for a, ws in weights.items():
+            assert len(ws) == {"a": 2, "b": 4}[a]
+            assert ws[0] == (field.eliminations[weight_name(a, 0)], None)
+            total = field.zero
+            for w in ws:
+                total = field.add(total, w)
+            assert field.eq(total, field.one)
+
+    def test_non_critical_characteristic_keeps_the_prime_field(self):
+        # 5 divides no cycle3 count: the work field is the prime field
+        I = cyclefam.build_Ip(3).ideal
+        s = order_complex_resolution(I, GF(5))
+        critical, field, splits, _ = split_strata(
+            {a: s.stratum(a) for a in s.occupied()}, GF(5),
+            "matroidal_average")
+        assert field is GF(5)
+        assert critical["critical_strata"] == []
+        assert all(D.complex.ring.field is GF(5) for D in splits.values())
 
     def test_transcendence_degrees_match_golden(self):
         for p in (2, 3):
             field, weights = build_extension_field(
-                dict(G.MATROIDAL_COUNTS), p, list(G.MATROIDAL_COUNTS))
+                {a: G.MATROIDAL_COUNTS[a] for a in G.CRITICAL_STRATA[p]}, p)
             assert len(field.names) == G.TRANSCENDENCE_DEGREE[p]
             assert list(weights) == G.CRITICAL_STRATA[p]
             for a, ws in weights.items():
@@ -125,7 +146,7 @@ class TestExtensionField:
         # does not divide averages with 1/m of the extension field.
         seen.clear()
         res = resolve_minimal(cyclefam.build_Ip(3).ideal, 3, start="taylor")
-        F = res.field
+        F = res.resolution.ring.field
         assert isinstance(F, FunctionField)
         counts = res.report["stratum_counts"]
         uniform = [ws for ws in seen if len(ws) % 3]
@@ -138,19 +159,30 @@ class TestExtensionField:
 
     def test_nonprime_rejected(self):
         with pytest.raises(InputError):
-            build_extension_field({"a": 2}, 4, ["a"])
+            build_extension_field({"a": 2}, 4)
 
 
 class TestCoercion:
     def test_rationals_do_not_coerce_to_char_p(self, cycle3_strata):
-        field, _ = build_extension_field({"a": 2}, 2, ["a"])
+        field, _ = build_extension_field({"a": 2}, 2)
         with pytest.raises(InputError):
             coerce_complex(cycle3_strata[G.M12], field)
+
+    def test_characteristic_never_changes(self, cycle3_strata):
+        I = cyclefam.build_Ip(3).ideal
+        over = {p: order_complex_resolution(I, GF(p)).complex for p in (2, 5)}
+        f2y, _ = build_extension_field({"a": 2}, 2)
+        f3y, _ = build_extension_field({"a": 3}, 3)
+        for c, dst in [(over[2], GF(3)), (over[2], f3y), (over[5], QQ),
+                       (cycle3_strata[G.M12], f2y)]:
+            with pytest.raises(InputError, match="cannot coerce"):
+                coerce_complex(c, dst)
+        assert coerce_complex(over[2], f2y).ring.field is f2y
 
     def test_prime_field_complex_coerces(self):
         I = cyclefam.build_Ip(3).ideal
         s = order_complex_resolution(I, GF(2))
-        field, _ = build_extension_field({"a": 2}, 2, ["a"])
+        field, _ = build_extension_field({"a": 2}, 2)
         for a in s.occupied():
             c = s.stratum(a)
             if c.ranks == [1, 2]:
@@ -213,7 +245,7 @@ class TestStartValidation:
         data = BettiCategoryData(
             ["a"], [[1]], [[0], [1], [2]],
             [([0], [1], [1]), ([1], [2], [1]), ([0], [2], [2])])
-        assert resolve_toric(data, 0).verification["ok"]
+        assert _verified(resolve_toric(data, 0))
         build = toric.bar_resolution
         monkeypatch.setattr(toric, "bar_resolution", lambda data, field:
                             _break_d_squared(build(data, field)))
@@ -246,14 +278,16 @@ def _pipeline_strata(kind, start, p):
     weights), with the weights the resolve pipelines use: 1/m, or the
     generic affine weights of one extension field over all strata when p
     divides some count."""
-    base = QQ if p == 0 else GF(p)
-    s = _start(kind, start, base)
+    field = prime_field(p)
+    s = _start(kind, start, field)
     views = {a: s.stratum(a) for a in s.occupied()}
     options = {a: matroidal_options(c) for a, c in views.items()}
     counts = {a: count_choices(o) for a, o in options.items()}
-    field, critical = base, {}
-    if p and any(m % p == 0 for m in counts.values()):
-        field, critical = build_extension_field(counts, p, list(views))
+    critical = {}
+    crit = critical_analysis(counts, p)["critical_strata"]
+    if crit:
+        field, critical = build_extension_field(
+            {a: counts[a] for a in crit}, p)
     out = []
     for a, c in views.items():
         m = counts[a]
@@ -325,7 +359,7 @@ class TestMatroidalAverage:
     @pytest.mark.parametrize("kind,start", CASES)
     def test_choice_order_and_count(self, kind, start):
         for p in (0, 3):
-            s = _start(kind, start, QQ if p == 0 else GF(p))
+            s = _start(kind, start, prime_field(p))
             for a in s.occupied():
                 c = s.stratum(a)
                 options = matroidal_options(c)
@@ -355,9 +389,9 @@ class TestMatroidalAverage:
         monkeypatch.setattr(splittings, "_degree_options", boom)
         monkeypatch.setattr(splittings, "solve", boom)
         I = cyclefam.build_Ip(3).ideal
-        assert resolve_minimal(I, 2, start="taylor").verification["ok"]
-        assert resolve_minimal(I, 0, mode="matroidal_average").verification["ok"]
-        assert resolve_toric(SEMIGROUP23, 2).verification["ok"]
+        assert _verified(resolve_minimal(I, 2, start="taylor"))
+        assert _verified(resolve_minimal(I, 0, mode="matroidal_average"))
+        assert _verified(resolve_toric(SEMIGROUP23, 2))
         s = taylor_resolution(I, GF(3))
         top = max((s.stratum(a) for a in s.occupied()),
                   key=lambda c: sum(c.ranks))
@@ -372,14 +406,14 @@ class TestMatroidalAverage:
         monkeypatch.setattr(RingMatrix, "identity", boom)
         I = cyclefam.build_Ip(3).ideal
         for p in (0, 2, 3):
-            assert resolve_minimal(I, p, start="taylor").verification["ok"]
+            assert _verified(resolve_minimal(I, p, start="taylor"))
         for mode in ("moore_penrose", "matroidal_average"):
-            assert resolve_minimal(I, 0, mode=mode).verification["ok"]
+            assert _verified(resolve_minimal(I, 0, mode=mode))
         # cycle3 with the lcm start over F_2 or F_3 does not finish in a
         # minute; cycle2 over F_3 is critical too.
-        assert resolve_minimal(cyclefam.build_Ip(2).ideal, 3).verification["ok"]
+        assert _verified(resolve_minimal(cyclefam.build_Ip(2).ideal, 3))
         for p in (0, 2, 3):
-            assert resolve_toric(SEMIGROUP23, p).verification["ok"]
+            assert _verified(resolve_toric(SEMIGROUP23, p))
 
 
 class TestStratumSlices:
@@ -486,7 +520,7 @@ class TestMatroidalOptions:
     @pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
     @pytest.mark.parametrize("kind,start", CASES)
     def test_fixture_strata_match_oracle(self, kind, start, p):
-        s = _start(kind, start, QQ if p == 0 else GF(p))
+        s = _start(kind, start, prime_field(p))
         occupied = list(s.occupied())
         assert occupied
         for a in occupied:

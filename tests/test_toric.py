@@ -149,14 +149,14 @@ class TestResolvePositiveCharacteristic:
             "note": "generic affine weights",
             "eliminations": {"y[6][0]": "y[6][1] + 1"},
         }
-        assert res.field.names == ("y[6][1]",)
+        assert res.resolution.ring.field.names == ("y[6][1]",)
         assert any("transcendental extension" in n for n in rep["notes"])
         assert rep["verification"]["degrees_checked"] == 7
 
     def test_char_two_differential(self):
         res = resolve_toric(_semi23(), 2)
         m = res.resolution.d(1)
-        f = res.field
+        f = res.resolution.ring.field
         terms = {m.ring.unpack(k): c for k, c in m.rows[0][0].terms.items()}
         assert set(terms) == {(3, 0), (0, 2)}
         # over F_2 the two coefficients agree (an associate of the binomial)
