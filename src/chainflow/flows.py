@@ -10,9 +10,9 @@ the idempotent-correcting ``hat``) and drive the stabilize-and-extract
 pipeline on stratified complexes: :func:`iterate_flow` certifies the step
 count ``k`` with ``Phi^{k+1} = Phi^k`` through the recursion
 ``X_{k+1} = X_k - W(d X_k)`` for ``X_k = Phi^k W``, and
-:func:`extract_minimal_summand` projects each core vector ``v`` to
-``Phi^k v`` with the vector step ``u <- u - W(d u)``.  Neither forms ``Phi``
-or a power of it.
+:func:`extract_minimal_summand` applies that certified ``k``-step flow to
+all core vectors of a degree at once, as the columns of one matrix ``V``,
+with the step ``V <- V - W(d V)``.  Neither forms ``Phi`` or a power of it.
 
 Every homotopy identity and correction is one ``RingMatrix`` computation,
 whatever the entries are (field constants on the stratum complexes,
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, VerificationError
-from .linalg import PolyRing, RingMatrix, mp_inverse, rref, s_inverse
+from .linalg import RingMatrix, mp_inverse, rref, s_inverse
 from .complexes import BasedComplex, StratifiedComplex
 
 __all__ = [
@@ -263,44 +263,44 @@ def assemble_field(s: StratifiedComplex, splittings: dict) -> Homotopy:
     return W
 
 
-def _column(ring: PolyRing, entries: list) -> RingMatrix:
-    return RingMatrix(ring, [[e] for e in entries], ncols=1)
-
-
-def _flow_orbit_limit(d: RingMatrix, W_down: RingMatrix, u: RingMatrix,
-                      bound: int):
-    """Follow ``u <- u - W(d u)`` to its fixed point; return ``(u, d u)``.
-
-    Raises once more than ``bound`` steps are needed, as ``iterate_flow``
-    does.
-    """
-    for _ in range(bound + 1):
-        du = d @ u
-        step = W_down @ du
+def _flow_power(d: RingMatrix, W_down: RingMatrix, V: RingMatrix, k: int):
+    """Apply ``V <- V - W_down(d V)`` at most ``k`` times, stopping early
+    once the step vanishes; return ``(V, d V)``."""
+    dV = d @ V
+    for _ in range(k):
+        step = W_down @ dV
         if step.is_zero():
-            return u, du
-        u = u - step
-    raise VerificationError("stabilization bound exceeded")
+            break
+        V = V - step
+        dV = d @ V
+    return V, dV
+
+
+def _rows(m: RingMatrix, idx: list) -> RingMatrix:
+    return RingMatrix(m.ring, [m.rows[i] for i in idx], ncols=m.ncols)
 
 
 def extract_minimal_summand(
     s: StratifiedComplex,
     W: Homotopy,
+    k: int,
     core_bases: dict,
 ) -> BasedComplex:
     """Project per-stratum core vectors along the flow of ``W`` and
     re-express ``d``.
 
     ``W`` is the field from :func:`assemble_field`, built from homotopies
-    that :func:`classify` certified as splittings.  ``core_bases`` maps
+    that :func:`classify` certified as splittings, and ``k`` is the step
+    count that :func:`iterate_flow` certified for it.  ``core_bases`` maps
     poset indices of occupied strata to per-degree lists of scalar column
     vectors spanning the core ``C_n`` of the stratum splitting.  Their
-    projections ``Pi v`` generate the summand.  Here ``Pi = Phi^k`` is the
-    stabilized flow of ``Phi = I - d W - W d``, for the ``k`` that
-    :func:`iterate_flow` certifies; ``Pi`` itself is never formed.
+    projections ``Pi v`` generate the summand, where ``Pi = Phi^k`` is the
+    stabilized flow of ``Phi = I - d W - W d``; ``Pi`` itself is never
+    formed.
 
-    Each projection follows ``u <- u - W_{n-1}(d_n u)`` from ``v`` until
-    ``W_{n-1}(d_n u) = 0``.  This is the orbit of ``v`` under ``Phi``:
+    In each degree ``n`` the embedded core vectors are the columns of one
+    matrix ``V``, and :func:`_flow_power` applies
+    ``V <- V - W_{n-1}(d_n V)`` at most ``k`` times.  That is ``Pi V``:
 
     - Each ``D_a`` is a splitting, so ``D_a = D_a d D_a``.  A core vector
       lies in ``Ker d ∩ Ker dD`` of its stratum, so
@@ -309,114 +309,64 @@ def extract_minimal_summand(
     - :func:`assemble_field` certified ``W^2 = 0``, so every step keeps
       ``W u = 0``: ``W(u - W d u) = W u``.  Hence along the orbit
       ``Phi u = u - d(W u) - W(d u) = u - W(d u)``.
-    - ``Phi^{k+1} = Phi^k``, so the orbit reaches a fixed point of ``Phi``
-      within ``k`` steps, and that fixed point is ``Phi^k v = Pi v``.
+    - :func:`iterate_flow` certified ``Phi^{k+1} = Phi^k``, so ``k`` steps
+      give ``Phi^k V = Pi V``, and a zero step means every later step is
+      zero too.
 
-    A step is ``d`` times a vector, then the lower-stratum blocks of ``W``.
-    More than ``1 + dim P`` steps over the occupied strata raise,
-    as in :func:`iterate_flow`.
-
-    The induced differential is recovered by back-substitution down the
-    stratum order, starting from the ``d_n Pi v`` of the last step.  Each
-    generator's own-stratum rows equal the core vector itself (the
-    stratum-diagonal block of ``Pi`` fixes the core), which makes the
-    back-substitution a sequence of scalar solves.  A nonzero residual means
-    the supplied cores do not match the projection and is an error.
+    The induced differential ``C`` solves ``G_{n-1} C = d_n G_n`` for the
+    generator matrices ``G``, one stratum block at a time down the stratum
+    order.  Each generator's own-stratum rows equal its core vector (the
+    stratum-diagonal block of ``Pi`` fixes the core), so a block is a scalar
+    inverse applied on rows where its core vectors are independent.
+    ``G_{n-1} C != d_n G_n`` means the cores do not match the projection
+    and raises.
     """
     c = s.complex
     ring = c.ring
     field = ring.field
     poset = s.poset
-    order = sorted(range(len(poset.elements)), key=lambda i: (poset.depth(i), i))
-    members = s.members
-    bound = 1 + max(s.occupied_dimension(), 0)
-    gens: list = [[] for _ in range(c.top + 1)]
-    gen_d: list = [[] for _ in range(c.top + 1)]  # d_n of each generator
-    gen_strata: list = [[] for _ in range(c.top + 1)]
-    gen_core: list = [dict() for _ in range(c.top + 1)]  # poset idx -> (start, cols)
-    for ai in order:
-        if ai not in core_bases or ai not in members:
-            continue
-        per_degree = core_bases[ai]
-        for n in range(0, c.top + 1):
-            cols = per_degree[n] if n < len(per_degree) else []
+    order = sorted(core_bases, key=lambda i: (poset.depth(i), i))
+    strata: list = []   # per degree, the stratum of each generator
+    diffs = []
+    for n in range(c.top + 1):
+        strata.append([])
+        blocks_n = []   # (start, pivot rows, inverse) per stratum
+        emb = [[] for _ in range(c.rank(n))]   # core vectors as columns
+        for ai in order:
+            cols = core_bases[ai][n] if n < len(core_bases[ai]) else []
             if not cols:
                 continue
-            idxs = members[ai][n]
-            start = len(gens[n])
+            idxs = s.members[ai][n]
+            _, piv = rref(field, cols)
+            inv = s_inverse(field, [[v[i] for v in cols] for i in piv])
+            blocks_n.append((len(strata[n]), [idxs[i] for i in piv],
+                             RingMatrix.from_scalar_rows(ring, inv)))
+            strata[n].extend([poset.elements[ai]] * len(cols))
             for vec in cols:
-                amb = [ring.zero() for _ in range(c.rank(n))]
-                for local, gi in enumerate(idxs):
-                    v = vec[local]
-                    if not field.is_zero(v):
-                        amb[gi] = ring.const(v)
-                g, dg = _flow_orbit_limit(dmat(c, n), W.D(n - 1),
-                                          _column(ring, amb), bound)
-                gens[n].append(g)
-                gen_d[n].append(dg)
-                gen_strata[n].append(poset.elements[ai])
-            gen_core[n][ai] = (start, [list(v) for v in cols])
-    # Scalar solving data per (degree, stratum): a set of rows on which the
-    # core-basis matrix is invertible, plus the inverse of that square block.
-    solvers: dict = {}
-    for n in range(0, c.top + 1):
-        for ai, (start, cols) in gen_core[n].items():
-            r = len(cols[0])
-            mat = [[cols[j][i] for j in range(len(cols))] for i in range(r)]
-            _, piv = rref(field, [[mat[i][j] for i in range(r)]
-                                  for j in range(len(cols))])
-            rows_idx = list(piv)
-            square = [[mat[i][j] for j in range(len(cols))] for i in rows_idx]
-            solvers[(n, ai)] = (rows_idx, s_inverse(field, square))
-    labels = [[f"{_stratum_tag(gen_strata[n][j])}.{n}.{j}"
-               for j in range(len(gens[n]))] for n in range(c.top + 1)]
-    graded = all(m is not None for degs in c.multidegrees for m in degs)
-    multidegrees = [[tuple(gen_strata[n][j]) if graded else None
-                     for j in range(len(gens[n]))] for n in range(c.top + 1)]
-    diffs = []
-    for n in range(1, c.top + 1):
-        ncols_new = len(gens[n])
-        nrows_new = len(gens[n - 1])
-        col_entries = []
-        for j in range(ncols_new):
-            wvec = [row[0] for row in gen_d[n][j].rows]
-            coeffs = [ring.zero() for _ in range(nrows_new)]
-            for ai in reversed(order):
-                key = (n - 1, ai)
-                if key not in solvers:
-                    continue
-                idxs = members[ai][n - 1]
-                rows_idx, inv = solvers[key]
-                start, _ = gen_core[n - 1][ai]
-                local = [wvec[idxs[i]] for i in rows_idx]
-                if all(e.is_zero() for e in local):
-                    continue
-                for t, inv_row in enumerate(inv):
-                    acc = ring.zero()
-                    for coef, ent in zip(inv_row, local):
-                        if not field.is_zero(coef) and not ent.is_zero():
-                            acc = acc + ent.scale(coef)
-                    if acc.is_zero():
-                        continue
-                    coeffs[start + t] = coeffs[start + t] + acc
-                    gcol = gens[n - 1][start + t]
-                    for i in range(c.rank(n - 1)):
-                        e = gcol.rows[i][0]
-                        if not e.is_zero():
-                            wvec[i] = wvec[i] - e * acc
-            if not all(e.is_zero() for e in wvec):
+                entries = dict(zip(idxs, vec))
+                for i, row in enumerate(emb):
+                    row.append(entries.get(i, field.zero))
+        V = RingMatrix.from_scalar_rows(ring, emb, ncols=len(strata[n]))
+        G_n, R = _flow_power(dmat(c, n), W.D(n - 1), V, k)
+        if n:
+            C = RingMatrix.zeros(ring, G.ncols, R.ncols)
+            for start, rows, inv in reversed(blocks):
+                rhs = _rows(R, rows) - _rows(G, rows) @ C
+                C.rows[start:start + inv.nrows] = (inv @ rhs).rows
+            if not (G @ C).eq(R):
                 raise VerificationError("decomposition inconsistent with flow")
-            col_entries.append(coeffs)
-        rows = [[col_entries[j][i] for j in range(ncols_new)]
-                for i in range(nrows_new)]
-        diffs.append(RingMatrix(ring, rows, ncols=ncols_new))
+            diffs.append(C)
+        G, blocks = G_n, blocks_n
     topdim = c.top
-    while topdim > 0 and not gens[topdim]:
+    while topdim > 0 and not strata[topdim]:
         topdim -= 1
+    graded = all(m is not None for degs in c.multidegrees for m in degs)
     return BasedComplex(
         ring,
-        labels[: topdim + 1],
-        multidegrees[: topdim + 1],
+        [[f"{_stratum_tag(a)}.{n}.{j}" for j, a in enumerate(strata[n])]
+         for n in range(topdim + 1)],
+        [[tuple(a) if graded else None for a in strata[n]]
+         for n in range(topdim + 1)],
         diffs[:topdim],
         deg_map=c.deg_map,
     )

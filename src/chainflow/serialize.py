@@ -24,6 +24,7 @@ brackets and operator characters, need no escaping.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .errors import InputError, InternalError
@@ -294,38 +295,46 @@ def complex_to_json(c: BasedComplex) -> dict:
     return doc
 
 
-def complex_from_json(doc: dict) -> BasedComplex:
+@contextmanager
+def _reading(kind: str):
+    """Report malformed values in a ``kind`` document as InputError."""
     try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise InputError(f"malformed {kind} document: {e}")
+
+
+def complex_from_json(doc: dict) -> BasedComplex:
+    with _reading("complex"):
         field = field_from_descriptor(doc["field"])
         names = [str(x) for x in doc["ring_vars"]]
         top = int(doc["top"])
         basis = doc["basis"]
         diff = doc["diff"]
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"malformed complex document: {e}")
-    if len(basis) != top + 1 or len(diff) != top:
-        raise InputError("complex document: basis/diff lengths disagree with top")
-    ring = PolyRing(field, names)
-    labels = [[str(item["label"]) for item in tier] for tier in basis]
-    multidegrees = []
-    for tier in basis:
-        mdegs = []
-        for item in tier:
-            m = item.get("multidegree")
-            mdegs.append(tuple(int(x) for x in m) if m is not None else None)
-        multidegrees.append(mdegs)
-    diffs = [
-        matrix_from_json(ring, rows, ncols=len(basis[n + 1]))
-        for n, rows in enumerate(diff)
-    ]
+        if len(basis) != top + 1 or len(diff) != top:
+            raise InputError(
+                "complex document: basis/diff lengths disagree with top")
+        ring = PolyRing(field, names)
+        labels = [[str(item["label"]) for item in tier] for tier in basis]
+        multidegrees = []
+        for tier in basis:
+            mdegs = []
+            for item in tier:
+                m = item.get("multidegree")
+                mdegs.append(tuple(int(x) for x in m) if m is not None else None)
+            multidegrees.append(mdegs)
+        diffs = [
+            matrix_from_json(ring, rows, ncols=len(basis[n + 1]))
+            for n, rows in enumerate(diff)
+        ]
+        deg_map = doc.get("deg_map")
+        if deg_map is not None:
+            deg_map = tuple(tuple(int(x) for x in row) for row in deg_map)
     for n, mat in enumerate(diffs):
         if mat.nrows != len(basis[n]):
             raise InputError(
                 f"differential {n + 1} has {mat.nrows} rows, "
                 f"expected {len(basis[n])}")
-    deg_map = doc.get("deg_map")
-    if deg_map is not None:
-        deg_map = tuple(tuple(int(x) for x in row) for row in deg_map)
     return BasedComplex(ring, labels, multidegrees, diffs, deg_map=deg_map)
 
 
@@ -339,16 +348,14 @@ def homotopy_to_json(D: Homotopy) -> dict:
 
 
 def homotopy_from_json(doc: dict, c: BasedComplex) -> Homotopy:
-    try:
+    with _reading("homotopy"):
         maps = doc["maps"]
-    except (KeyError, TypeError) as e:
-        raise InputError(f"malformed homotopy document: {e}")
-    if len(maps) != c.top:
-        raise InputError("homotopy document: wrong number of maps")
-    mats = [
-        matrix_from_json(c.ring, rows, ncols=c.rank(n))
-        for n, rows in enumerate(maps)
-    ]
+        if len(maps) != c.top:
+            raise InputError("homotopy document: wrong number of maps")
+        mats = [
+            matrix_from_json(c.ring, rows, ncols=c.rank(n))
+            for n, rows in enumerate(maps)
+        ]
     return Homotopy(c, mats)
 
 
@@ -368,13 +375,9 @@ def stratified_to_json(s: StratifiedComplex) -> dict:
 
 def stratified_from_json(doc: dict) -> StratifiedComplex:
     c = complex_from_json(doc)
-    try:
+    with _reading("stratification"):
         pd = doc["poset"]
         elements = [tuple(e) if isinstance(e, list) else e
                     for e in pd["elements"]]
-        below = [frozenset(b) for b in pd["below"]]
-        strata = [list(t) for t in doc["strata"]]
-    except (KeyError, TypeError) as e:
-        raise InputError(f"malformed stratification document: {e}")
-    poset = Poset(elements, below)
-    return StratifiedComplex(c, poset, strata)
+        poset = Poset(elements, [frozenset(b) for b in pd["below"]])
+        return StratifiedComplex(c, poset, [list(t) for t in doc["strata"]])

@@ -40,3 +40,17 @@ def poly(F, text):
     num, den = coeff_from_string(F, text)
     assert den is None, text
     return num
+
+
+def assert_same_summand(got, want):
+    """Equal labels, multidegrees and differentials, each entry equal by
+    ``eq`` and by ``render``."""
+    assert got.labels == want.labels
+    assert got.multidegrees == want.multidegrees
+    assert len(got.diffs) == len(want.diffs)
+    for g, w in zip(got.diffs, want.diffs):
+        assert g.shape == w.shape
+        for grow, wrow in zip(g.rows, w.rows):
+            for x, y in zip(grow, wrow):
+                assert x.eq(y)
+                assert x.render() == y.render()

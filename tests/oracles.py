@@ -5,9 +5,7 @@ from itertools import product
 
 from chainflow.complexes import BasedComplex, StratifiedComplex
 from chainflow.errors import InputError, InternalError, VerificationError
-from chainflow.flows import (
-    Homotopy, _column, _stratum_tag, dmat,
-)
+from chainflow.flows import Homotopy, _stratum_tag, dmat
 from chainflow.linalg import (
     RingMatrix, kernel, rref, s_identity, s_inverse, s_mul, s_rank,
     s_transpose, s_zeros,
@@ -199,6 +197,10 @@ def dense_degree_indices(s, W):
                 out[n] = k
         power = nxt
     return out
+
+
+def _column(ring, entries):
+    return RingMatrix(ring, [[e] for e in entries], ncols=1)
 
 
 def dense_extract_minimal_summand(s, Pi, core_bases):

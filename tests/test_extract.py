@@ -20,6 +20,7 @@ from chainflow.linalg import RingMatrix
 from chainflow.scalars import QQ
 from chainflow.splittings import stratum_core
 
+from helpers import assert_same_summand
 from oracles import dense_extract_minimal_summand, dense_iterate_flow
 
 BENCH_REFERENCE = (Path(__file__).resolve().parent.parent / "bench"
@@ -37,22 +38,6 @@ OTHER_JOBS = [job for job in DIGESTS
 
 def assert_reference_artifact(job, path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[job]
-
-
-def assert_same_matrix(got, want):
-    assert got.shape == want.shape
-    for grow, wrow in zip(got.rows, want.rows):
-        for g, w in zip(grow, wrow):
-            assert g.eq(w)
-            assert g.render() == w.render()
-
-
-def assert_same_summand(got, want):
-    assert got.labels == want.labels
-    assert got.multidegrees == want.multidegrees
-    assert len(got.diffs) == len(want.diffs)
-    for g, w in zip(got.diffs, want.diffs):
-        assert_same_matrix(g, w)
 
 
 def test_job_list_covers_every_start_mode_and_fixture():
@@ -73,17 +58,17 @@ def test_matches_dense_projection(job, monkeypatch, tmp_path):
         seen.append((out[1], dense_iterate_flow(s, W)))
         return out
 
-    def extract(s, W, cores):
-        out = flows.extract_minimal_summand(s, W, cores)
-        seen.append((s, cores, out))
+    def extract(s, W, k, cores):
+        out = flows.extract_minimal_summand(s, W, k, cores)
+        seen.append((s, k, cores, out))
         return out
 
     monkeypatch.setattr(splittings, "iterate_flow", iterate)
     monkeypatch.setattr(splittings, "extract_minimal_summand", extract)
     path = tmp_path / "art.json"
     assert main(job.split() + ["--out", str(path)]) == 0
-    (k, (Pi, dense_k)), (s, cores, got) = seen
-    assert k == dense_k
+    (k, (Pi, dense_k)), (s, extract_k, cores, got) = seen
+    assert k == dense_k == extract_k
     assert_same_summand(got, dense_extract_minimal_summand(s, Pi, cores))
     assert_reference_artifact(job, path)
 
@@ -124,25 +109,27 @@ def test_two_step_orbit_matches_dense_projection():
     Pi, dense_k = dense_iterate_flow(s, W)
     assert iterate_flow(s, W) == ([2, 2], 2)
     assert dense_k == 2
-    got = extract_minimal_summand(s, W, cores)
+    got = extract_minimal_summand(s, W, 2, cores)
     assert got.ranks == [0, 1]
     # the orbit of the core vector e is e -> e - b -> e - b + f
     e = RingMatrix.from_scalar_rows(
         s.complex.ring, [[Fraction(1)], [Fraction(0)], [Fraction(0)]])
-    g, dg = flows._flow_orbit_limit(s.complex.d(1), W.D(0), e, 2)
+    g, dg = flows._flow_power(s.complex.d(1), W.D(0), e, 2)
     assert [x.render() for row in g.rows for x in row] == ["1", "-1", "1"]
     assert dg.is_zero()
-    with pytest.raises(VerificationError, match="stabilization bound"):
-        flows._flow_orbit_limit(s.complex.d(1), W.D(0), e, 1)
+    g, dg = flows._flow_power(s.complex.d(1), W.D(0), e, 1)
+    assert [x.render() for row in g.rows for x in row] == ["1", "-1", "0"]
+    assert [x.render() for row in dg.rows for x in row] == ["0", "-1"]
     assert_same_summand(got, dense_extract_minimal_summand(s, Pi, cores))
 
 
-def test_no_fixed_point_raises():
+def test_cores_off_the_projection_raise():
     ring = scalar_ring(QQ)
     c = BasedComplex(ring, [["a"], ["b"]], [[None], [None]],
                      [RingMatrix(ring, [[ring.one()]])])
     s = StratifiedComplex(c, Poset([0], [frozenset()]), [[0], [0]])
-    # W b = 0 and W^2 = 0, but the flow sends b to -b and back forever.
-    W = Homotopy(c, [RingMatrix(ring, [[ring.const(Fraction(2))]])])
-    with pytest.raises(VerificationError, match="stabilization bound exceeded"):
-        extract_minimal_summand(s, W, {0: [[], [[Fraction(1)]]]})
+    # b is offered as a core vector with no core in degree 0, so nothing
+    # spans d b = a.
+    W = Homotopy(c, [RingMatrix.zeros(ring, 1, 1)])
+    with pytest.raises(VerificationError, match="inconsistent with flow"):
+        extract_minimal_summand(s, W, 1, {0: [[], [[Fraction(1)]]]})

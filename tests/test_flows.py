@@ -9,18 +9,19 @@ import pytest
 from chainflow.complexes import BasedComplex, scalar_ring
 from chainflow.errors import InputError, VerificationError
 from chainflow.flows import (
-    Homotopy, affine_combination, assemble_field, classify, hat, iterate_flow,
-    moore_penrose,
+    Homotopy, affine_combination, assemble_field, classify,
+    extract_minimal_summand, hat, iterate_flow, moore_penrose,
 )
 from chainflow.linalg import PolyRing, RingMatrix
 from chainflow.monomial import order_complex_resolution
 from chainflow.scalars import GF, QQ, FunctionField
+from chainflow.splittings import stratum_core
 from chainflow import cyclefam
 import golden_data as G
-from helpers import split_one_stratum
+from helpers import assert_same_summand, split_one_stratum
 from oracles import (
-    dense_degree_indices, dense_iterate_flow, flow, flow_is_chain_map,
-    mp_identities_hold, weak_partial_decomposition,
+    dense_degree_indices, dense_extract_minimal_summand, dense_iterate_flow,
+    flow, flow_is_chain_map, mp_identities_hold, weak_partial_decomposition,
 )
 from randgen import random_stratified_complex
 
@@ -289,18 +290,17 @@ class TestFlowAndIteration:
 
     @staticmethod
     def _random_field(seed):
-        """A seeded stratified complex over Q and the field assembled from
-        the Moore-Penrose splittings of its strata."""
+        """A seeded stratified complex over Q, the Moore-Penrose splittings
+        of its strata and the field assembled from them."""
         s, _ = random_stratified_complex(random.Random(seed), max_rank=6,
                                          max_strata=5)
-        W = assemble_field(s, {ai: moore_penrose(s.stratum(ai))
-                               for ai in s.occupied()})
-        return s, W
+        splits = {ai: moore_penrose(s.stratum(ai)) for ai in s.occupied()}
+        return s, assemble_field(s, splits), splits
 
     def test_random_fields_match_dense_powers(self):
         seen = Counter()
         for seed in self.RANDOM_SEEDS:
-            s, W = self._random_field(seed)
+            s, W, _ = self._random_field(seed)
             indices, k = iterate_flow(s, W)
             _, dense_k = dense_iterate_flow(s, W)
             assert (indices, k) == (dense_degree_indices(s, W), dense_k), seed
@@ -313,7 +313,7 @@ class TestFlowAndIteration:
         # flow is the involution I - 2P; where P != 0 no two powers agree.
         raised = 0
         for seed in self.RANDOM_SEEDS[:100]:
-            s, W = self._random_field(seed)
+            s, W, _ = self._random_field(seed)
             if all(m.is_zero() for m in W.mats):
                 continue
             doubled = Homotopy(s.complex,
@@ -324,3 +324,16 @@ class TestFlowAndIteration:
                     iterate(s, doubled)
             raised += 1
         assert raised >= 80   # 83 of these seeds give a nonzero field
+
+    def test_random_fields_extract_like_dense_projection(self):
+        seen = Counter()
+        for seed in self.RANDOM_SEEDS:
+            s, W, splits = self._random_field(seed)
+            cores = {ai: stratum_core(s.stratum(ai), D)
+                     for ai, D in splits.items()}
+            _, k = iterate_flow(s, W)
+            Pi, _ = dense_iterate_flow(s, W)
+            assert_same_summand(extract_minimal_summand(s, W, k, cores),
+                                dense_extract_minimal_summand(s, Pi, cores))
+            seen[k] += 1
+        assert sorted(seen) == [1, 2, 3]

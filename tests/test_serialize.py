@@ -42,6 +42,28 @@ def _semi23():
         [([0], [6], [3, 0]), ([0], [6], [0, 2])])
 
 
+def _tiny_doc():
+    """``d b = 2x a`` over Q, with multidegrees and a ``deg_map``."""
+    return {"field": "Q", "ring_vars": ["x"], "top": 1,
+            "basis": [[{"label": "a", "multidegree": [0]}],
+                      [{"label": "b", "multidegree": [1]}]],
+            "diff": [[[{"1": "2"}]]], "deg_map": [[1]]}
+
+
+def _tiny_stratified_doc():
+    doc = _tiny_doc()
+    doc["poset"] = {"elements": [0, 1], "below": [[], [0]]}
+    doc["strata"] = [[0], [1]]
+    return doc
+
+
+def _edit(doc, path, value):
+    *keys, last = path
+    for k in keys:
+        doc = doc[k]
+    doc[last] = value
+
+
 class TestDumps:
     def test_canonical_form(self):
         assert dumps({"b": 1, "a": [1, 2]}) == (
@@ -156,6 +178,22 @@ class TestComplexRoundTrip:
         with pytest.raises(InputError, match="malformed complex"):
             complex_from_json({})
 
+    @pytest.mark.parametrize("path, value", [
+        (("basis", 0, 0), {"multidegree": [0]}),
+        (("basis", 0, 0, "multidegree"), ["x"]),
+        (("diff", 0, 0, 0), {"x": "2"}),
+        (("deg_map", 0, 0), "x"),
+        (("diff", 0, 0, 0), "2"),
+        (("diff", 0), 5),
+    ], ids=["no-label", "multidegree", "exponent-key", "deg-map",
+            "entry-not-a-map", "differential-not-a-list"])
+    def test_malformed_values(self, path, value):
+        doc = _tiny_doc()
+        assert complex_from_json(doc).ranks == [1, 1]
+        _edit(doc, path, value)
+        with pytest.raises(InputError, match="malformed complex document"):
+            complex_from_json(doc)
+
     def test_length_mismatch(self):
         doc = complex_to_json(_cycle3_resolution())
         doc["top"] = 1
@@ -234,6 +272,16 @@ class TestHomotopyRoundTrip:
             homotopy_from_json({"maps": []}, c)
 
 
+    @pytest.mark.parametrize("maps", [5, [[["1/2"]]], [[[{"x": "1"}]]]],
+                             ids=["maps-not-a-list", "entry-not-a-map",
+                                  "exponent-key"])
+    def test_malformed_values(self, maps):
+        c = complex_from_json(_tiny_doc())
+        assert homotopy_from_json({"maps": [[[{}]]]}, c).D(0).is_zero()
+        with pytest.raises(InputError, match="malformed homotopy document"):
+            homotopy_from_json({"maps": maps}, c)
+
+
 class TestStratifiedRoundTrip:
     def test_bar_resolution(self):
         s = bar_resolution(_semi23(), QQ)
@@ -258,4 +306,18 @@ class TestStratifiedRoundTrip:
     def test_missing_poset(self):
         doc = complex_to_json(_cycle3_resolution())
         with pytest.raises(InputError, match="malformed stratification"):
+            stratified_from_json(doc)
+
+    @pytest.mark.parametrize("path, value", [
+        (("poset", "below"), [[], ["a"]]),
+        (("poset", "elements"), [0, {"a": 1}]),
+        (("strata", 0), [[0]]),
+    ], ids=["below-not-integers", "unhashable-element",
+            "unhashable-stratum"])
+    def test_malformed_values(self, path, value):
+        doc = _tiny_stratified_doc()
+        assert stratified_from_json(doc).members == {0: [[0]], 1: [[], [0]]}
+        _edit(doc, path, value)
+        with pytest.raises(InputError,
+                           match="malformed stratification document"):
             stratified_from_json(doc)
