@@ -44,8 +44,10 @@ class Poset:
         self.below = [frozenset(s) for s in below]
         for i, s in enumerate(self.below):
             for j in s:
-                if j >= i:
-                    raise InputError("element order is not a linear extension")
+                if not 0 <= j < i:
+                    raise InputError(
+                        f"element order is not a linear extension: element "
+                        f"{i} lists {j!r} below it")
                 if not self.below[j] <= s:
                     raise InputError("below-sets are not transitively closed")
         self._depth = None
@@ -272,6 +274,10 @@ class StratifiedComplex:
                 per = members.setdefault(a, [])
                 per.extend([] for _ in range(n + 1 - len(per)))
                 per[n].append(j)
+        for a in members:
+            if type(a) is not int or not 0 <= a < len(poset.elements):
+                raise InputError(f"stratum index {a!r} is not an element of "
+                                 f"a poset of size {len(poset.elements)}")
         self.members = members
 
     def validate(self):

@@ -5,16 +5,32 @@ package:
 
     char          -- the characteristic (0 or a prime p)
     zero, one     -- canonical elements
-    add, sub, mul, neg, div, inv
+    add, sub, mul, neg, inv
     is_zero(a), eq(a, b)
     from_int(n)   -- embed an integer
     render(a)     -- canonical string form
+    parse(text)   -- the value that ``render`` wrote as ``text``
     dot(pairs)    -- the sum of a*b over an iterable of (a, b) pairs,
                      reduced once rather than after every product
 
 Values are plain Python objects (Fraction for Q, int for F_p, and a
 (numerator, denominator) pair of packed-exponent dicts for F_p(Y)); all
 operations return fresh values and never mutate their arguments.
+
+``render`` writes, and ``parse`` reads back, this coefficient grammar:
+
+* Q: ``str`` of a Fraction, ``N`` or ``N/D`` with an optional leading
+  ``-``;
+* F_p: a decimal integer, reduced mod p (``render`` writes the residue);
+* F_p(Y): ``P`` or ``(P)/(Q)``, where ``P`` and ``Q`` are ``0`` or terms
+  joined by `` + ``, a term is decimals and names joined by ``*``, and a
+  name may carry ``^e`` with ``e`` at most 255.  Names are matched longest
+  first, because names like ``y[v0^2*v1][1]`` contain ``^``, ``*`` and
+  brackets.
+
+``parse`` raises ``InputError`` on any other text, so a reader never
+alters a value it cannot read.  :func:`field_descriptor` and
+:func:`field_from_descriptor` write and read the fields themselves.
 
 Polynomials over F_p(Y) are dicts mapping a packed exponent key to an int
 coefficient in [1, p).  A key packs the exponent of variable i into bits
@@ -25,8 +41,9 @@ machinery is division-free by construction).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from heapq import heapify, heappop, heappush
 from itertools import starmap
 from math import lcm
@@ -46,6 +63,9 @@ _FOLD = tuple(1 << i for i in reversed(range(YBITS.bit_length() - 1)))
 # enough there: 318665857834031151167461 passes all 12 and is composite.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
+
+_INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _is_prime(p):
@@ -104,12 +124,6 @@ class Rationals:
         return -a
 
     @staticmethod
-    def div(a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in Q")
-        return a / b
-
-    @staticmethod
     def inv(a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in Q")
@@ -130,6 +144,15 @@ class Rationals:
     @staticmethod
     def render(a):
         return str(a)
+
+    @staticmethod
+    def parse(text):
+        if _RATIONAL.fullmatch(text):
+            try:
+                return Fraction(text)
+            except (ValueError, ZeroDivisionError) as e:
+                raise InputError(f"bad rational literal {text!r}: {e}")
+        raise InputError(f"bad rational literal {text!r}")
 
     @staticmethod
     def dot(pairs):
@@ -189,9 +212,6 @@ class PrimeField:
             raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
-
     def is_zero(self, a):
         return a % self.p == 0
 
@@ -203,6 +223,14 @@ class PrimeField:
 
     def render(self, a):
         return str(a % self.p)
+
+    def parse(self, text):
+        if _INTEGER.fullmatch(text):
+            try:
+                return int(text) % self.p
+            except ValueError as e:
+                raise InputError(f"bad prime-field literal {text!r}: {e}")
+        raise InputError(f"bad prime-field literal {text!r}")
 
     def dot(self, pairs):
         return sum(starmap(mul, pairs)) % self.p
@@ -637,9 +665,6 @@ class FunctionField:
             raise ZeroDivisionError("inverse of zero in function field")
         return self._normalize(da if da is not None else {0: 1}, na)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a):
         return not a[0]
 
@@ -657,6 +682,72 @@ class FunctionField:
         if da is None:
             return self.pd_render(na)
         return f"({self.pd_render(na)})/({self.pd_render(da)})"
+
+    def parse(self, text):
+        """The value that ``render`` wrote as ``text``, numerator and
+        denominator as written.
+
+        Text outside the grammar of the module docstring, an exponent above
+        ``YMASK`` and a zero denominator raise ``InputError``.
+        """
+        try:
+            if not text.startswith("("):
+                num, pos = self._read_pd(text, 0)
+                if pos == len(text):
+                    return (num, None)
+            else:
+                num, pos = self._read_pd(text, 1)
+                if text.startswith(")/(", pos):
+                    den, pos = self._read_pd(text, pos + 3)
+                    if text[pos:] == ")":
+                        if not den:
+                            raise InputError(
+                                f"bad coefficient {text!r}: zero denominator")
+                        return (num, den)
+        except ValueError as e:  # a numeral beyond int()'s digit limit
+            raise InputError(f"bad coefficient {text!r}: {e}")
+        raise InputError(f"bad coefficient {text!r} at {pos}: unexpected text")
+
+    @cached_property
+    def _factor(self):
+        """One factor of a rendered term: a name, longest first, with an
+        optional exponent, or else a decimal."""
+        names = sorted(self.names, key=len, reverse=True)
+        alternatives = "|".join(map(re.escape, names)) or "(?!)"
+        return re.compile(rf"({alternatives})(?:\^([0-9]+))?|([0-9]+)")
+
+    def _read_pd(self, text, pos):
+        """The polynomial that ``pd_render`` wrote at ``text[pos:]``, and the
+        position where it ends."""
+        factor = self._factor.match
+        acc = {}
+        while True:
+            key, c = 0, 1
+            while True:
+                m = factor(text, pos)
+                if m is None:
+                    raise InputError(f"bad coefficient {text!r} at {pos}: "
+                                     f"expected a name or a number")
+                name, exp, digits = m.groups()
+                if digits is not None:
+                    c = c * int(digits) % self.p
+                else:
+                    # the exponent of ``name`` in the term up to here
+                    shift = YBITS * self.index[name]
+                    e = (key >> shift & YMASK) + (int(exp) if exp else 1)
+                    if e > YMASK:
+                        raise InputError(
+                            f"bad coefficient {text!r} at {pos}: exponent {e} "
+                            f"above the packed range [0, {YMASK}] for {name}")
+                    key = key & ~(YMASK << shift) | e << shift
+                pos = m.end()
+                if not text.startswith("*", pos):
+                    break
+                pos += 1
+            acc[key] = acc.get(key, 0) + c
+            if not text.startswith(" + ", pos):
+                return self.pd_reduce(acc), pos
+            pos += 3
 
     def clear_vector_denominators(self, vec):
         """Scale a vector by a common multiple of its denominators.
@@ -740,3 +831,31 @@ def field_descriptor(field):
             }
         return desc
     raise InputError(f"unknown field object {field!r}")
+
+
+def field_from_descriptor(desc):
+    """The field that :func:`field_descriptor` wrote as ``desc``.
+
+    A value of the wrong type is rejected, never converted, and each
+    elimination must parse to a polynomial.
+    """
+    if desc == "Q":
+        return QQ
+    d = desc if isinstance(desc, dict) else {}
+    names, note = d.get("transcendentals", []), d.get("note", "")
+    eliminations = d.get("eliminations", {})
+    if (type(d.get("p")) is not int or type(names) is not list
+            or type(eliminations) is not dict
+            or not all(type(t) is str
+                       for t in [note, *names, *eliminations.values()])):
+        raise InputError(f"unrecognised field descriptor {desc!r}")
+    if "transcendentals" not in d:
+        return GF(d["p"])
+    field = FunctionField(d["p"], names, note)
+    for name, text in eliminations.items():
+        num, den = field.parse(text)
+        if den is not None:
+            raise InputError(
+                f"elimination of {name!r} has a denominator: {text!r}")
+        field.eliminations[name] = num
+    return field

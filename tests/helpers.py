@@ -1,8 +1,10 @@
 """Small front ends to package internals that only tests need."""
 
+import json
+
 from chainflow.errors import InputError
 from chainflow.scalars import YBITS, YMASK
-from chainflow.serialize import coeff_from_string
+from chainflow.serialize import complex_from_json, complex_to_json, dumps
 from chainflow.splittings import _splitting_mode, split_strata
 
 
@@ -37,7 +39,7 @@ def unpack_exponents(key, nvars):
 
 def poly(F, text):
     """The polynomial dict that ``text`` denotes in the function field ``F``."""
-    num, den = coeff_from_string(F, text)
+    num, den = F.parse(text)
     assert den is None, text
     return num
 
@@ -54,3 +56,10 @@ def assert_same_summand(got, want):
             for x, y in zip(grow, wrow):
                 assert x.eq(y)
                 assert x.render() == y.render()
+
+
+def assert_resolution_reads_back(path):
+    """The ``resolution`` of the artifact at ``path`` reads back through
+    ``complex_from_json`` and is written out again byte for byte."""
+    doc = json.loads(path.read_text())["resolution"]
+    assert dumps(complex_to_json(complex_from_json(doc))) == dumps(doc)

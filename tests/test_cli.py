@@ -17,6 +17,7 @@ from chainflow.cli import main
 from chainflow.flows import Homotopy
 
 import golden_data as G
+from helpers import assert_resolution_reads_back
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 BENCH_REFERENCE = (Path(__file__).resolve().parent.parent / "bench"
@@ -168,6 +169,7 @@ class TestRationalResolve:
         expected = json.loads(BENCH_REFERENCE.read_text())[
             "resolve --in inputs/cycle11.json"]
         assert hashlib.sha256(data).hexdigest() == expected
+        assert_resolution_reads_back(path)
 
 
 class TestMatroidal:

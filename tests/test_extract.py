@@ -20,7 +20,7 @@ from chainflow.linalg import RingMatrix
 from chainflow.scalars import QQ
 from chainflow.splittings import stratum_core
 
-from helpers import assert_same_summand
+from helpers import assert_resolution_reads_back, assert_same_summand
 from oracles import dense_extract_minimal_summand, dense_iterate_flow
 
 BENCH_REFERENCE = (Path(__file__).resolve().parent.parent / "bench"
@@ -71,6 +71,7 @@ def test_matches_dense_projection(job, monkeypatch, tmp_path):
     assert k == dense_k == extract_k
     assert_same_summand(got, dense_extract_minimal_summand(s, Pi, cores))
     assert_reference_artifact(job, path)
+    assert_resolution_reads_back(path)
 
 
 @pytest.mark.parametrize("job", OTHER_JOBS)

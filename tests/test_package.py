@@ -3,6 +3,7 @@ no code that the package itself never uses."""
 
 import ast
 import importlib
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import chainflow
+from chainflow import scalars
 
 SOURCES = sorted(Path(chainflow.__file__).parent.glob("*.py"))
 EXPORTING = [m.__name__ for m in (
@@ -242,3 +244,29 @@ def test_unused_definition_check_sees_planted_def(tmp_path):
         "def probe():\n    return run\n")
     assert sorted(unreferenced_definitions([used, caller])) == [
         ("used.py", 4, "dead"), ("used.py", 11, "spare")]
+
+
+def field_protocol():
+    """Names in the field protocol that the ``scalars`` docstring lists.
+
+    The list is the paragraph after "package:"; each entry line is indented
+    four spaces, and the names on it come before any ``--`` comment, with
+    argument lists dropped.
+    """
+    block = scalars.__doc__.split("package:\n\n", 1)[1].split("\n\n", 1)[0]
+    names = []
+    for line in block.splitlines():
+        if re.match(r"    \S", line):
+            head = re.sub(r"\([^)]*\)", "", line.split("--")[0])
+            names += [n.strip() for n in head.split(",")]
+    return names
+
+
+def test_fields_provide_the_protocol():
+    protocol = field_protocol()
+    assert protocol == ["char", "zero", "one", "add", "sub", "mul", "neg",
+                        "inv", "is_zero", "eq", "from_int", "render", "parse",
+                        "dot"]
+    for field in (scalars.QQ, scalars.GF(5),
+                  scalars.FunctionField(3, ["y[a][1]"])):
+        assert [n for n in protocol if not hasattr(field, n)] == [], field

@@ -1,10 +1,15 @@
-"""Property tests on random small monomial ideals.
+"""Property tests on random small monomial ideals, and on the coefficient
+text of rational function fields.
 
 Each ideal is resolved in eight ways: characteristic 0 in Moore-Penrose and
 matroidal mode, characteristics 2 and 3, each from the lcm and the Taylor
 start.  With at most three variables the Koszul complexes have no torsion,
 so the Betti table cannot depend on the characteristic and all eight must
 agree.
+
+Values of F_p(y) with weight names like ``y[v0^2*v1][1]`` parse back from
+their rendered text, and a one-character edit of that text parses or raises
+``InputError``, never another exception.
 """
 
 import json
@@ -14,10 +19,12 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from chainflow import flows, splittings
+from chainflow.errors import InputError
 from chainflow.monomial import MonomialIdeal, resolve_minimal
+from chainflow.scalars import YMASK, FunctionField
 from chainflow.serialize import complex_from_json, complex_to_json, dumps
 
-from helpers import assert_same_summand
+from helpers import assert_same_summand, pack_exponents
 from oracles import dense_extract_minimal_summand, dense_iterate_flow
 
 RESOLVES = [(char, mode, start)
@@ -57,3 +64,72 @@ def test_resolves_agree(I):
             assert_same_summand(res.resolution,
                                 dense_extract_minimal_summand(s, Pi, cores))
     assert all(t == tables[0] for t in tables)
+
+
+# Stratum labels of the shape the weight names carry; ``v0`` starts ``v0^2``
+# and ``v0^2*v1`` starts ``v0^2*v1*v2``, so the names share long prefixes.
+LABELS = ["v0", "v0^2", "v0^2*v1", "v0^2*v1*v2", "e12*e23"]
+EDIT_CHARACTERS = " +*^()/-0"
+
+
+@st.composite
+def function_field_values(draw):
+    """A field F_p(y) with weight names ``y[label][j]`` and one value in it,
+    a polynomial or a fraction."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3,
+                           unique=True))
+    names = [f"y[{a}][{j}]" for a in labels
+             for j in range(1, draw(st.integers(1, 3)) + 1)]
+    if draw(st.booleans()):
+        # names that start other names, as y1 starts y10 in the cycle family
+        names += ["y", "y1", "y10", "y11"]
+    F = FunctionField(p, names)
+
+    def polynomial(min_size, exponent):
+        terms = draw(st.lists(
+            st.tuples(st.integers(1, p - 1),
+                      st.lists(exponent, min_size=len(names),
+                               max_size=len(names))),
+            min_size=min_size, max_size=4))
+        return F.pd_reduce({pack_exponents(e): c for c, e in terms})
+
+    if draw(st.booleans()):
+        return F, (polynomial(0, st.integers(0, 3) | st.just(YMASK)), None)
+    # ``eq`` cross-multiplies fractions, so their exponents stay small enough
+    # for the products to fit the packed range
+    num, den = (polynomial(size, st.integers(0, 3)) for size in (0, 1))
+    if not den:
+        return F, (num, None)
+    return F, F.mul((num, None), F.inv((den, None)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(function_field_values())
+def test_function_field_parse_inverts_render(fv):
+    F, v = fv
+    text = F.render(v)
+    back = F.parse(text)
+    assert F.eq(back, v)
+    assert F.render(back) == text
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(function_field_values(), st.data())
+def test_function_field_parse_of_edited_text(fv, data):
+    F, v = fv
+    text = F.render(v)
+    if data.draw(st.booleans(), label="insert"):
+        i = data.draw(st.integers(0, len(text)), label="at")
+        ch = data.draw(st.sampled_from(EDIT_CHARACTERS), label="character")
+        edited = text[:i] + ch + text[i:]
+    else:
+        at = [i for i, ch in enumerate(text) if ch in EDIT_CHARACTERS]
+        if not at:
+            return
+        i = data.draw(st.sampled_from(at), label="at")
+        edited = text[:i] + text[i + 1:]
+    try:
+        F.parse(edited)
+    except InputError:
+        pass

@@ -11,9 +11,8 @@ from chainflow.cli import main
 from chainflow.errors import InputError, InternalError
 from chainflow.scalars import (
     _MR_BASES, _MR_LIMIT, GF, QQ, YBITS, YMASK, FunctionField, _is_prime,
-    field_descriptor, prime_field,
+    field_descriptor, field_from_descriptor, prime_field,
 )
-from chainflow.serialize import field_from_descriptor
 
 from helpers import pack_exponents, poly, unpack_exponents
 
@@ -121,7 +120,7 @@ class TestRationals:
         assert QQ.add(a, b) == Fraction(7, 20)
         assert QQ.mul(a, b) == Fraction(-3, 10)
         assert QQ.inv(b) == Fraction(-5, 2)
-        assert QQ.eq(QQ.div(a, b), a / b)
+        assert QQ.eq(QQ.mul(a, QQ.inv(b)), a / b)
         assert QQ.is_zero(QQ.sub(a, a))
         assert QQ.from_int(-7) == Fraction(-7)
         assert QQ.render(Fraction(1, 3)) == "1/3"
@@ -418,11 +417,13 @@ class TestExponentOverflow:
                 "eliminations": {"c": text}}
 
     def test_parse_rejects_out_of_range_exponent(self):
-        for text, message in [("a^300", "exponent 300 above the packed range"),
-                              ("a^200*a^56", "exceeds the packed range"),
-                              ("a^x", "expected an integer exponent"),
-                              ("a*z", "expected a name, number"),
-                              ("a/b", "has a denominator")]:
+        for text, message in [
+                ("a^300", "exponent 300 above the packed range"),
+                ("a^200*a^56", "exponent 256 above the packed range"),
+                ("a^x", "at 1: unexpected text"),
+                ("a*z", "at 2: expected a name or a number"),
+                ("a/b", "at 1: unexpected text"),
+                ("(a)/(b)", "has a denominator")]:
             with pytest.raises(InputError, match=message):
                 field_from_descriptor(self.eliminating(text))
         F = field_from_descriptor(self.eliminating("a^255"))
@@ -541,7 +542,15 @@ class TestFieldDescriptors:
         assert field_descriptor(QQ) == "Q"
         assert field_from_descriptor("Q") is QQ
 
-    @pytest.mark.parametrize("desc", ["QQ", "rationals", 0, 5, {"q": 5}])
+    @pytest.mark.parametrize("desc", [
+        "QQ", "rationals", 0, 5, {"q": 5},
+        # values of the wrong type are rejected, never converted
+        {"p": 5.0}, {"p": True}, {"p": 3, "transcendentals": "xy"},
+        {"p": 3, "transcendentals": ["x", 1]},
+        {"p": 3, "transcendentals": ["x"], "note": 1},
+        {"p": 3, "transcendentals": ["x"], "eliminations": ["x"]},
+        {"p": 3, "transcendentals": ["x"], "eliminations": {"y": 1}},
+    ])
     def test_unwritten_spellings_rejected(self, desc):
         with pytest.raises(InputError, match="unrecognised field descriptor"):
             field_from_descriptor(desc)
@@ -549,6 +558,10 @@ class TestFieldDescriptors:
     def test_prime_field(self):
         d = field_descriptor(GF(5))
         assert field_from_descriptor(d) is GF(5)
+
+    def test_unknown_field_object(self):
+        with pytest.raises(InputError, match="unknown field object"):
+            field_descriptor(object())
 
     def test_function_field_round_trip(self):
         F = FunctionField(3, ["y1", "y2"], "generic affine weights")

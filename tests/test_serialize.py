@@ -13,8 +13,6 @@ from chainflow.linalg import RingMatrix
 from chainflow.monomial import resolve_minimal
 from chainflow.scalars import QQ, GF, FunctionField
 from chainflow.serialize import (
-    coeff_from_string,
-    coeff_to_string,
     complex_from_json,
     complex_to_json,
     dumps,
@@ -75,74 +73,104 @@ class TestDumps:
 
 class TestCoefficients:
     def test_rationals(self):
-        assert coeff_from_string(QQ, "7") == Fraction(7)
-        assert coeff_from_string(QQ, "-3/5") == Fraction(-3, 5)
-        assert coeff_to_string(QQ, Fraction(-3, 5)) == "-3/5"
-        with pytest.raises(InputError, match="bad rational"):
-            coeff_from_string(QQ, "spam")
-        with pytest.raises(InputError, match="bad rational"):
-            coeff_from_string(QQ, "1/0")
+        assert QQ.parse("7") == Fraction(7)
+        assert QQ.parse("-3/5") == Fraction(-3, 5)
+        assert QQ.render(Fraction(-3, 5)) == "-3/5"
+        for text in ["spam", "1/0", " 7", "1.5", "1e400", "1_0", "+2", "3/-5"]:
+            with pytest.raises(InputError, match="bad rational"):
+                QQ.parse(text)
 
     def test_prime_field(self):
         F = GF(5)
-        assert coeff_from_string(F, "7") == 2
-        assert coeff_from_string(F, "-1") == 4
-        with pytest.raises(InputError, match="bad prime-field"):
-            coeff_from_string(F, "y")
-
-    def test_unknown_field(self):
-        with pytest.raises(InputError, match="unknown field"):
-            coeff_from_string(object(), "1")
+        assert F.parse("7") == 2
+        assert F.parse("-1") == 4
+        for text in ["y", " 7", "1_0", "+2", "2.0", "", "9" * 5000]:
+            with pytest.raises(InputError, match="bad prime-field"):
+                F.parse(text)
 
     def test_function_field_round_trip(self):
         F = FunctionField(3, ["y1", "y2"])
         y1, y2 = F.var("y1"), F.var("y2")
         vals = [
+            F.zero,
             F.one,
             F.neg(F.one),
             F.add(F.mul(y1, y1), F.neg(y2)),
-            F.div(y1, F.add(y2, F.one)),
-            F.div(F.add(F.mul(F.from_int(2), y1), F.one),
-                  F.mul(y2, F.add(y1, y2))),
+            F.mul(y1, F.inv(F.add(y2, F.one))),
+            F.mul(F.add(F.mul(F.from_int(2), y1), F.one),
+                  F.inv(F.mul(y2, F.add(y1, y2)))),
         ]
         for v in vals:
-            s = coeff_to_string(F, v)
-            assert F.eq(coeff_from_string(F, s), v)
+            s = F.render(v)
+            assert F.eq(F.parse(s), v)
+            assert F.render(F.parse(s)) == s
 
     def test_function_field_power_syntax(self):
         F = FunctionField(3, ["y1"])
         y1 = F.var("y1")
-        assert F.eq(coeff_from_string(F, "y1^3 + 2"),
+        assert F.eq(F.parse("y1^3 + 2"),
                     F.add(F.mul(F.mul(y1, y1), y1), F.from_int(2)))
 
-    @pytest.mark.parametrize("text", ["y1^300", "2^3000000", "(y1)^256"])
-    def test_exponent_above_packed_range(self, text):
+    @pytest.mark.parametrize("text, message", [
+        ("y1^300", "exponent 300 above the packed range"),
+        # outside the grammar: a power of a number or of a parenthesis
+        ("2^3000000", "at 1: unexpected text"),
+        ("(y1)^256", "at 3: unexpected text"),
+    ], ids=["y1^300", "2^3000000", "(y1)^256"])
+    def test_exponent_above_packed_range(self, text, message):
         F = FunctionField(3, ["y1", "y2"])
-        with pytest.raises(InputError, match="exponent"):
-            coeff_from_string(F, text)
+        with pytest.raises(InputError, match=message):
+            F.parse(text)
 
-    @pytest.mark.parametrize("text", ["y1^200*y1^100", "(y2^128)^2"])
-    def test_product_leaving_packed_range(self, text):
+    @pytest.mark.parametrize("text, message", [
+        ("y1^200*y1^100", "exponent 300 above the packed range"),
+        ("(y2^128)^2", "at 7: unexpected text"),
+    ], ids=["y1^200*y1^100", "(y2^128)^2"])
+    def test_product_leaving_packed_range(self, text, message):
         F = FunctionField(3, ["y1", "y2"])
-        with pytest.raises(InputError, match="packed range"):
-            coeff_from_string(F, text)
+        with pytest.raises(InputError, match=message):
+            F.parse(text)
+
+    def test_fraction_is_read_as_written(self):
+        # not reduced: exact division of these packed keys would carry the
+        # a-exponent 256 into b and give the false quotient a
+        F = FunctionField(2, ["a", "b"])
+        text = "(a*b^255 + b)/(b^255 + a^255)"
+        assert F.render(F.parse(text)) == text
 
     def test_largest_exponent_parses(self):
         F = FunctionField(3, ["y1", "y2"])
-        assert coeff_to_string(F, coeff_from_string(F, "y2^255")) == "y2^255"
+        assert F.render(F.parse("y2^255")) == "y2^255"
 
-    @pytest.mark.parametrize("text", ["1/0", "y1/(y2 - y2)"])
-    def test_division_by_zero(self, text):
+    @pytest.mark.parametrize("text, message", [
+        # ``/`` outside ``(P)/(Q)`` is not in the grammar
+        ("1/0", "at 1: unexpected text"),
+        ("y1/(y2 - y2)", "at 2: unexpected text"),
+        ("(y1)/(0)", "zero denominator"),
+        ("(y1)/(3*y2)", "zero denominator"),
+    ], ids=["1/0", "y1/(y2 - y2)", "(y1)/(0)", "(y1)/(3*y2)"])
+    def test_division_by_zero(self, text, message):
         F = FunctionField(3, ["y1", "y2"])
-        with pytest.raises(InputError, match="division by zero"):
-            coeff_from_string(F, text)
+        with pytest.raises(InputError, match=message):
+            F.parse(text)
+
+    @pytest.mark.parametrize("text", [
+        "", " ", "+", "y1 +", "y1 + ", "y1+y2", "y1 +  y2", "-y1", "y1 - y2",
+        "*y1", "y1*", "y1**y2", "y1^", "y1^-1", "y3", "(y1)", "(y1)/y2",
+        "(y1)/(y2", "((y1))/(y2)", "(y1)/(y2) ", " y1", "2 y1", "9" * 5000,
+        "y1^" + "9" * 5000,
+    ])
+    def test_malformed_text(self, text):
+        F = FunctionField(3, ["y1", "y2"])
+        with pytest.raises(InputError, match="bad coefficient"):
+            F.parse(text)
 
     def test_bracketed_names(self):
         # extension-field names contain brackets and digits; the tokenizer
         # must match them greedily
         F, _ = build_extension_field({"a": 2}, 2)
-        v = coeff_from_string(F, "y[a][1] + 1")
-        assert coeff_to_string(F, v) == "y[a][1] + 1"
+        v = F.parse("y[a][1] + 1")
+        assert F.render(v) == "y[a][1] + 1"
 
 
 class TestComplexRoundTrip:
@@ -185,8 +213,20 @@ class TestComplexRoundTrip:
         (("deg_map", 0, 0), "x"),
         (("diff", 0, 0, 0), "2"),
         (("diff", 0), 5),
+        # values of the wrong type are rejected, never converted
+        (("top",), 1.0),
+        (("top",), True),
+        (("basis", 0, 0, "multidegree"), [2.7]),
+        (("basis", 0, 0, "label"), 7),
+        (("ring_vars",), "x"),
+        (("deg_map", 0, 0), 1.0),
+        (("diff", 0, 0, 0), {"+1": "2"}),
+        (("diff", 0, 0, 0), {"1_0": "2"}),
     ], ids=["no-label", "multidegree", "exponent-key", "deg-map",
-            "entry-not-a-map", "differential-not-a-list"])
+            "entry-not-a-map", "differential-not-a-list", "top-float",
+            "top-bool", "multidegree-float", "label-not-a-string",
+            "ring-vars-string", "deg-map-float", "exponent-key-sign",
+            "exponent-key-underscore"])
     def test_malformed_values(self, path, value):
         doc = _tiny_doc()
         assert complex_from_json(doc).ranks == [1, 1]
@@ -282,6 +322,9 @@ class TestHomotopyRoundTrip:
             homotopy_from_json({"maps": maps}, c)
 
 
+MALFORMED_STRATIFICATION = "malformed stratification document"
+
+
 class TestStratifiedRoundTrip:
     def test_bar_resolution(self):
         s = bar_resolution(_semi23(), QQ)
@@ -308,16 +351,19 @@ class TestStratifiedRoundTrip:
         with pytest.raises(InputError, match="malformed stratification"):
             stratified_from_json(doc)
 
-    @pytest.mark.parametrize("path, value", [
-        (("poset", "below"), [[], ["a"]]),
-        (("poset", "elements"), [0, {"a": 1}]),
-        (("strata", 0), [[0]]),
+    @pytest.mark.parametrize("path, value, message", [
+        (("poset", "below"), [[], ["a"]], MALFORMED_STRATIFICATION),
+        (("poset", "elements"), [0, {"a": 1}], MALFORMED_STRATIFICATION),
+        (("strata", 0), [[0]], MALFORMED_STRATIFICATION),
+        (("poset", "below"), [[], [-1]], "lists -1 below it"),
+        (("strata", 1), [5], "stratum index 5 is not an element"),
+        (("strata", 1), [True], "stratum index True is not an element"),
     ], ids=["below-not-integers", "unhashable-element",
-            "unhashable-stratum"])
-    def test_malformed_values(self, path, value):
+            "unhashable-stratum", "below-negative", "stratum-out-of-range",
+            "stratum-bool"])
+    def test_malformed_values(self, path, value, message):
         doc = _tiny_stratified_doc()
         assert stratified_from_json(doc).members == {0: [[0]], 1: [[], [0]]}
         _edit(doc, path, value)
-        with pytest.raises(InputError,
-                           match="malformed stratification document"):
+        with pytest.raises(InputError, match=message):
             stratified_from_json(doc)

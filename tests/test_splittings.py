@@ -512,8 +512,8 @@ def _mod_p(c, p):
         return None
     return c.map_coefficients(
         scalar_ring(field),
-        lambda v: field.div(field.from_int(Fraction(v).numerator),
-                            field.from_int(Fraction(v).denominator)))
+        lambda v: field.mul(field.from_int(Fraction(v).numerator),
+                            field.inv(Fraction(v).denominator)))
 
 
 class TestMatroidalOptions:
