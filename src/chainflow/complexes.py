@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 
 from .errors import InputError, InternalError
+from .keys import monomial_text
 from .linalg import MultiPoly, PolyRing, RingMatrix, s_rank
 
 
@@ -201,7 +202,7 @@ class BasedComplex:
                         tgt = self.multidegrees[n - 1][i]
                         src = self.multidegrees[n][j]
                         for key in e.terms:
-                            dv = self.degree_of_exps(self.ring.unpack(key))
+                            dv = self.degree_of_exps(self.ring.keys.unpack(key))
                             if tuple(a + b for a, b in zip(dv, tgt)) != tuple(src):
                                 issues.append(
                                     f"d_{n}[{i}][{j}] not homogeneous: "
@@ -400,8 +401,7 @@ def strand(c, target):
     for n, lst in enumerate(members):
         lab = []
         for j, u in lst:
-            mono = "*".join(f"{c.ring.names[i]}^{e}" if e > 1 else c.ring.names[i]
-                            for i, e in enumerate(u) if e)
+            mono = monomial_text(c.ring.names, u)
             lab.append(c.labels[n][j] + (f" * {mono}" if mono else ""))
         labels.append(lab)
     diffs = []

@@ -3,7 +3,7 @@ linear algebra (rref/rank/solve/kernel, and pseudoinverses of rational
 matrices).
 
 A PolyRing is field + named variables; MultiPoly stores terms in a dict
-keyed by packed exponents (16 bits per variable).  RingMatrix is a dense
+keyed by packed exponents (see :mod:`chainflow.keys`).  RingMatrix is a dense
 matrix of MultiPoly entries; it carries its shape, so products with a zero
 dimension are plain zero matrices, and it is the one matrix type of the
 homotopy algebra in ``flows``.  Scalar row lists (plain lists of lists of
@@ -26,10 +26,9 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import InputError, InternalError
+from .keys import ring_keys
 from .scalars import QQ
 
-XBITS = 16
-XMASK = (1 << XBITS) - 1
 _ZERO = Fraction(0)
 
 
@@ -43,19 +42,7 @@ class PolyRing:
             raise InputError("duplicate ring variable names")
         self.nvars = len(self.names)
         self.index = {nm: i for i, nm in enumerate(self.names)}
-
-    def pack(self, exps):
-        if len(exps) != self.nvars:
-            raise InputError(f"expected {self.nvars} exponents, got {len(exps)}")
-        key = 0
-        for i, e in enumerate(exps):
-            if e < 0 or e > XMASK:
-                raise InputError(f"exponent {e} out of range")
-            key |= e << (XBITS * i)
-        return key
-
-    def unpack(self, key):
-        return tuple((key >> (XBITS * i)) & XMASK for i in range(self.nvars))
+        self.keys = ring_keys(self.names)
 
     def zero(self):
         return MultiPoly(self, {})
@@ -71,13 +58,13 @@ class PolyRing:
 
     def var(self, name_or_index, exp=1):
         i = self.index[name_or_index] if isinstance(name_or_index, str) else name_or_index
-        return MultiPoly(self, {exp << (XBITS * i): self.field.one})
+        return MultiPoly(self, {self.keys.var(i, exp): self.field.one})
 
     def monomial(self, exps, coeff=None):
         c = coeff if coeff is not None else self.field.one
         if self.field.is_zero(c):
             return self.zero()
-        return MultiPoly(self, {self.pack(exps): c})
+        return MultiPoly(self, {self.keys.pack(exps): c})
 
     def __repr__(self):
         return f"PolyRing({self.field!r}, {list(self.names)})"
@@ -149,7 +136,7 @@ class MultiPoly:
         return all(f.eq(c, other.terms[k]) for k, c in self.terms.items())
 
     def coefficient(self, exps):
-        return self.terms.get(self.ring.pack(exps), self.ring.field.zero)
+        return self.terms.get(self.ring.keys.pack(exps), self.ring.field.zero)
 
     def augment(self):
         """Evaluate at all ring variables = 1 (sum of coefficients)."""
@@ -161,15 +148,10 @@ class MultiPoly:
 
     def permute_vars(self, perm):
         """Apply x_i -> x_{perm[i]}; perm is a list with perm[i] = image index."""
-        ring = self.ring
-        out = {}
-        for k, c in self.terms.items():
-            exps = ring.unpack(k)
-            new = [0] * ring.nvars
-            for i, e in enumerate(exps):
-                new[perm[i]] += e
-            out[ring.pack(tuple(new))] = c
-        return MultiPoly(ring, out)
+        keys = self.ring.keys
+        return MultiPoly(self.ring, {
+            sum(keys.var(perm[i], e) for i, e in keys.factors(k)): c
+            for k, c in self.terms.items()})
 
     def map_coefficients(self, fn, new_ring):
         out = {}
@@ -184,30 +166,22 @@ class MultiPoly:
         if not self.terms:
             return "0"
         f = self.ring.field
+        text = self.ring.keys.text
         parts = []
         for k in sorted(self.terms, reverse=True):
-            c = self.terms[k]
-            cs = f.render(c)
-            factors = []
-            exps = self.ring.unpack(k)
-            for i, e in enumerate(exps):
-                if e:
-                    nm = self.ring.names[i]
-                    factors.append(nm if e == 1 else f"{nm}^{e}")
-            if not factors:
+            cs = f.render(self.terms[k])
+            mono = text(k)
+            if not mono:
                 parts.append(cs if _renders_atomic(cs) else f"({cs})")
+            elif cs == "1":
+                parts.append(mono)
+            elif cs == "-1":
+                parts.append(f"-{mono}")
+            elif _renders_atomic(cs):
+                parts.append(f"{cs}*{mono}")
             else:
-                mono = "*".join(factors)
-                if cs == "1":
-                    parts.append(mono)
-                elif cs == "-1":
-                    parts.append(f"-{mono}")
-                elif _renders_atomic(cs):
-                    parts.append(f"{cs}*{mono}")
-                else:
-                    parts.append(f"({cs})*{mono}")
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+                parts.append(f"({cs})*{mono}")
+        return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self):
         return f"<{self.render()}>"

@@ -20,6 +20,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import InputError
+from .keys import monomial_text
 from .linalg import PolyRing, RingMatrix
 from .complexes import BasedComplex, Poset, StratifiedComplex, verify_strands
 from .splittings import ResolveResult, resolve_stratified
@@ -39,13 +40,7 @@ __all__ = [
 
 def render_monomial(names, exps) -> str:
     """Human-readable monomial string, ``1`` for the trivial one."""
-    parts = []
-    for nm, e in zip(names, exps):
-        if e == 1:
-            parts.append(nm)
-        elif e > 1:
-            parts.append(f"{nm}^{e}")
-    return "*".join(parts) if parts else "1"
+    return monomial_text(names, exps) or "1"
 
 
 class MonomialIdeal:

@@ -32,10 +32,9 @@ operations return fresh values and never mutate their arguments.
 alters a value it cannot read.  :func:`field_descriptor` and
 :func:`field_from_descriptor` write and read the fields themselves.
 
-Polynomials over F_p(Y) are dicts mapping a packed exponent key to an int
-coefficient in [1, p).  A key packs the exponent of variable i into bits
-[8*i, 8*i+8); addition of keys multiplies monomials.  The denominator slot
-``None`` means 1, which is the fast path everywhere (the splitting/flow
+Polynomials over F_p(Y) are dicts mapping a packed exponent key (laid out
+by :mod:`chainflow.keys`) to an int coefficient in [1, p).  The denominator
+slot ``None`` means 1, which is the fast path everywhere (the splitting/flow
 machinery is division-free by construction).
 """
 
@@ -43,18 +42,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import starmap
 from math import lcm
-from operator import mul, or_
+from operator import mul
 
 from .errors import InputError, InternalError
-
-YBITS = 8  # bits per variable in packed exponent keys
-YMASK = (1 << YBITS) - 1
-# Right shifts that OR every bit of a YBITS-wide field into its lowest bit.
-_FOLD = tuple(1 << i for i in reversed(range(YBITS.bit_length() - 1)))
+from .keys import field_keys
 
 
 # Miller-Rabin with the first 13 prime bases, 2..41, is exact below
@@ -263,13 +258,14 @@ class FunctionField:
     (num, den) where num is a dict {packed_key: coeff} and den is either a
     like dict or None meaning 1.  Normalisation is best-effort (constant and
     monomial denominators are cleared, single-variable gcds are cancelled,
-    denominators are made monic); equality always cross-multiplies, so the
-    partial normalisation never affects correctness.
+    denominators are made monic).  Values with equal numerator and
+    denominator dicts are equal; otherwise equality cross-multiplies, so
+    the partial normalisation never affects correctness.
 
-    Each variable's exponent lives in a ``YBITS``-bit field, so it ranges
-    over [0, YMASK] = [0, 255].  A product whose exponent would leave that
-    range raises ``InternalError`` (``pd_mul``, ``pd_mul_acc``) instead of
-    carrying into the next variable.
+    ``keys`` lays out the monomials, with each exponent in [0, 255].  A
+    product whose exponent would leave that range raises ``InternalError``
+    (``pd_mul``, ``pd_mul_acc``, and so the cross-multiplication of ``eq``)
+    instead of carrying into the next variable.
     """
 
     def __init__(self, p, names, label=""):
@@ -290,12 +286,7 @@ class FunctionField:
         # by 1 minus the sum of the others).  Maps name -> polynomial dict in
         # the free variables.
         self.eliminations = {}
-        # The lowest bit of every exponent field.
-        self._ones = sum(1 << (YBITS * i) for i in range(self.nvars))
-        # The top bit of every exponent field: operands whose keys OR-fold to
-        # no guard bit have all exponents below 2**(YBITS-1), so no product
-        # of them can overflow a field.
-        self._guard = self._ones << (YBITS - 1)
+        self.keys = field_keys(self.names)
 
     # -- raw polynomial layer ------------------------------------------------
 
@@ -304,7 +295,7 @@ class FunctionField:
         return {0: c} if c else {}
 
     def pd_var(self, i, exp=1):
-        return {exp << (YBITS * i): 1 % self.p}
+        return {self.keys.var(i, exp): 1 % self.p}
 
     def pd_affine_rest(self, indices):
         """``1 - sum of y_i`` over distinct variable ``indices``: the first
@@ -312,7 +303,7 @@ class FunctionField:
         out = self.pd_const(1)
         minus_one = self.p - 1
         for i in indices:
-            out[1 << (YBITS * i)] = minus_one
+            out[self.keys.var(i)] = minus_one
         return out
 
     def pd_add(self, a, b):
@@ -354,7 +345,8 @@ class FunctionField:
         """
         if not a or not b:
             return
-        self._check_product(a, b)
+        if overflow := self.keys.carry(a, b):
+            raise InternalError(f"exponent overflow: {overflow}")
         if len(a) > len(b):
             a, b = b, a
         get = acc.get
@@ -377,129 +369,41 @@ class FunctionField:
                     acc[k] %= p
                 get = acc.get
 
-    def _check_product(self, a, b):
-        """Raise InternalError if some exponent of a*b would exceed YMASK."""
-        if not ((reduce(or_, a, 0) | reduce(or_, b, 0)) & self._guard):
-            return
-        for i, nm in enumerate(self.names):
-            shift = YBITS * i
-            ea = max((k >> shift) & YMASK for k in a)
-            eb = max((k >> shift) & YMASK for k in b)
-            if ea + eb > YMASK:
-                raise InternalError(
-                    f"exponent overflow: {nm}^{ea} * {nm}^{eb} exceeds the "
-                    f"packed range [0, {YMASK}]")
-
     def pd_reduce(self, acc):
         p = self.p
         return {k: v % p for k, v in acc.items() if v % p}
-
-    def pd_vars_used(self, a):
-        used = set()
-        k = reduce(or_, a, 0)
-        i = 0
-        while k:
-            if k & YMASK:
-                used.add(i)
-            k >>= YBITS
-            i += 1
-        return used
 
     def pd_render(self, a):
         if not a:
             return "0"
         parts = []
         for k in sorted(a, reverse=True):
-            c = a[k]
-            factors = []
-            if c != 1 or k == 0:
-                factors.append(str(c))
-            i = 0
-            kk = k
-            while kk:
-                e = kk & YMASK
-                if e:
-                    nm = self.names[i]
-                    factors.append(nm if e == 1 else f"{nm}^{e}")
-                kk >>= YBITS
-                i += 1
-            parts.append("*".join(factors))
+            c, mono = a[k], self.keys.text(k)
+            parts.append(f"{c}*{mono}" if c != 1 and mono else mono or str(c))
         return " + ".join(parts)
-
-    # -- univariate helpers for gcd cancellation ------------------------------
-
-    def _pd_to_univ(self, a, i):
-        shift = YBITS * i
-        coeffs = {}
-        for k, c in a.items():
-            coeffs[k >> shift] = c
-        deg = max(coeffs)
-        return [coeffs.get(j, 0) for j in range(deg + 1)]
-
-    def _univ_to_pd(self, coeffs, i):
-        shift = YBITS * i
-        return {j << shift: c for j, c in enumerate(coeffs) if c}
-
-    def _univ_divmod(self, a, b):
-        p = self.p
-        a = list(a)
-        db, lb = len(b) - 1, b[-1]
-        inv_lb = pow(lb, p - 2, p)
-        q = [0] * (len(a) - db) if len(a) > db else [0]
-        for i in range(len(a) - 1, db - 1, -1):
-            c = a[i] % p
-            if c:
-                f = (c * inv_lb) % p
-                q[i - db] = f
-                for j in range(db + 1):
-                    a[i - db + j] = (a[i - db + j] - f * b[j]) % p
-        while len(a) > 1 and a[-1] % p == 0:
-            a.pop()
-        return q, [c % p for c in a]
-
-    def _univ_gcd(self, a, b):
-        a = [c % self.p for c in a]
-        b = [c % self.p for c in b]
-        while any(b):
-            _, r = self._univ_divmod(a, b)
-            a, b = b, r
-            while len(b) > 1 and b[-1] == 0:
-                b.pop()
-            if b == [0]:
-                break
-        return a
 
     # -- fraction layer -------------------------------------------------------
 
-    def _content_key(self, keys):
-        """Largest monomial key dividing every one of ``keys``.
-
-        The keys' field-occupancy masks are AND-ed in one pass, which leaves
-        the variables present in every key; the minimum exponent is taken
-        for those alone.
-        """
-        common = self._ones if keys else 0
-        for k in keys:
-            for s in _FOLD:
-                k |= k >> s
-            common &= k
-            if not common:
-                return 0
-        out = 0
-        while common:
-            low = common & -common
-            shift = low.bit_length() - 1
-            out |= min((k >> shift) & YMASK for k in keys) << shift
-            common ^= low
-        return out
-
     def _pd_divexact(self, num, den):
-        """The quotient ``num/den`` when the division is exact, else None.
+        """The quotient ``num/den`` when the division is exact, else None."""
+        quot, rem = self._pd_divmod(num, den)
+        return None if rem else quot
+
+    def _pd_divmod(self, num, den):
+        """``(q, r)`` with num = q*den + r, by leading-term elimination that
+        stops when ``r`` is empty or its leading key cannot be divided.
 
         Leading terms are taken with respect to packed-key order, which is a
-        monomial order, so an exact quotient is found by repeated leading-term
-        elimination and any inexactness shows up as a failed divisibility
-        check along the way.
+        monomial order, so ``r`` is empty exactly when ``den`` divides
+        ``num``.  In one variable, ``r`` is the remainder of Euclidean
+        division.
+
+        A quotient key ``qk`` whose sum with a divisor key would carry also
+        stops the division, as inexact.  In an exact division every quotient
+        key is a term of q = num/den, and every term of q*den has
+        deg_i <= deg_i(q) + deg_i(den) = deg_i(num) <= 255 in each
+        variable, so no such sum carries.  (``qk`` plus the leading key is
+        the remainder key it came from, so the test may include it.)
         """
         p = self.p
         lk = max(den)
@@ -515,16 +419,16 @@ class FunctionField:
         heap = [-k for k in rem]
         heapify(heap)
         quot = {}
-        key_divides = self._key_divides
+        divides, carry = self.keys.divides, self.keys.carry
         while rem:
             rk = -heappop(heap)
             rc = get(rk)
             if rc is None:
                 continue
-            if not key_divides(lk, rk):
-                return None
-            del rem[rk]
             qk = rk - lk
+            if not divides(lk, rk) or carry((qk,), den):
+                break
+            del rem[rk]
             qc = (rc * inv_lc) % p
             quot[qk] = qc
             for kb, cb in tail:
@@ -539,7 +443,7 @@ class FunctionField:
                         rem[k] = v
                     else:
                         del rem[k]
-        return quot
+        return quot, rem
 
     def _normalize(self, num, den):
         if not num:
@@ -553,27 +457,23 @@ class FunctionField:
             if k == 0:
                 return (self.pd_scale(num, self.inv_int(c)), None)
             # monomial denominator: cancel if the numerator is divisible
-            if all(self._key_divides(k, kn) for kn in num):
+            if all(self.keys.divides(k, kn) for kn in num):
                 ci = self.inv_int(c)
                 return ({kn - k: (cn * ci) % self.p for kn, cn in num.items()}, None)
-        shared = self._content_key([*num, *den])
+        shared = self.keys.content([*num, *den])
         if shared:
             num = {k - shared: c for k, c in num.items()}
             den = {k - shared: c for k, c in den.items()}
             if len(den) == 1:
                 return self._normalize(num, den)
-        used = self.pd_vars_used(num) | self.pd_vars_used(den)
-        if len(used) == 1:
-            i = next(iter(used))
-            ua, ub = self._pd_to_univ(num, i), self._pd_to_univ(den, i)
-            g = self._univ_gcd(ua, ub)
-            if len(g) > 1:
-                qa, ra = self._univ_divmod(ua, g)
-                qb, rb = self._univ_divmod(ub, g)
-                if not any(ra) and not any(rb):
-                    num = self._univ_to_pd(qa, i)
-                    den = self._univ_to_pd(qb, i)
-                    return self._normalize(num, den)
+        if len(self.keys.used([*num, *den])) == 1:
+            # one variable: cancel the gcd, found by Euclid's algorithm
+            g, r = num, den
+            while r:
+                g, r = r, self._pd_divmod(g, r)[1]
+            if max(g):
+                return self._normalize(self._pd_divexact(num, g),
+                                       self._pd_divexact(den, g))
         q = self._pd_divexact(num, den)
         if q is not None:
             return (q, None)
@@ -590,16 +490,6 @@ class FunctionField:
             num = self.pd_scale(num, ci)
             den = self.pd_scale(den, ci)
         return (num, den)
-
-    @staticmethod
-    def _key_divides(ka, kb):
-        """Does the monomial with key ka divide the one with key kb?"""
-        while ka or kb:
-            if (ka & YMASK) > (kb & YMASK):
-                return False
-            ka >>= YBITS
-            kb >>= YBITS
-        return True
 
     def inv_int(self, c):
         return pow(c % self.p, self.p - 2, self.p)
@@ -669,10 +559,12 @@ class FunctionField:
         return not a[0]
 
     def eq(self, a, b):
+        if a == b:
+            return True
         na, da = a
         nb, db = b
         if da is None and db is None:
-            return na == nb
+            return False
         da1 = da if da is not None else {0: 1}
         db1 = db if db is not None else {0: 1}
         return self.pd_mul(na, db1) == self.pd_mul(nb, da1)
@@ -688,7 +580,7 @@ class FunctionField:
         denominator as written.
 
         Text outside the grammar of the module docstring, an exponent above
-        ``YMASK`` and a zero denominator raise ``InputError``.
+        the packed range and a zero denominator raise ``InputError``.
         """
         try:
             if not text.startswith("("):
@@ -720,6 +612,7 @@ class FunctionField:
         """The polynomial that ``pd_render`` wrote at ``text[pos:]``, and the
         position where it ends."""
         factor = self._factor.match
+        var = self.keys.var
         acc = {}
         while True:
             key, c = 0, 1
@@ -732,14 +625,11 @@ class FunctionField:
                 if digits is not None:
                     c = c * int(digits) % self.p
                 else:
-                    # the exponent of ``name`` in the term up to here
-                    shift = YBITS * self.index[name]
-                    e = (key >> shift & YMASK) + (int(exp) if exp else 1)
-                    if e > YMASK:
-                        raise InputError(
-                            f"bad coefficient {text!r} at {pos}: exponent {e} "
-                            f"above the packed range [0, {YMASK}] for {name}")
-                    key = key & ~(YMASK << shift) | e << shift
+                    try:
+                        key = var(self.index[name], int(exp) if exp else 1,
+                                  key)
+                    except InputError as e:
+                        raise InputError(f"bad coefficient {text!r} at {pos}: {e}")
                 pos = m.end()
                 if not text.startswith("*", pos):
                     break
@@ -788,17 +678,11 @@ class FunctionField:
         out = {}
         for k, c in a.items():
             term = self.pd_const(c)
-            i = 0
-            kk = k
-            while kk:
-                e = kk & YMASK
-                if e:
-                    rep = subst.get(i)
-                    base = rep if rep is not None else self.pd_var(i)
-                    for _ in range(e):
-                        term = self.pd_mul(term, base)
-                kk >>= YBITS
-                i += 1
+            for i, e in self.keys.factors(k):
+                rep = subst.get(i)
+                base = rep if rep is not None else self.pd_var(i)
+                for _ in range(e):
+                    term = self.pd_mul(term, base)
             out = self.pd_add(out, term)
         return out
 

@@ -53,7 +53,7 @@ def entry_to_map(e: MultiPoly) -> dict:
     field = ring.field
     out = {}
     for k in sorted(e.terms):
-        exps = ring.unpack(k)
+        exps = ring.keys.unpack(k)
         out[",".join(str(x) for x in exps)] = field.render(e.terms[k])
     return out
 
@@ -71,7 +71,7 @@ def entry_from_map(ring: PolyRing, m: dict) -> MultiPoly:
                 f"expected {ring.nvars}")
         v = field.parse(cs)
         if not field.is_zero(v):
-            terms[ring.pack(exps)] = v
+            terms[ring.keys.pack(exps)] = v
     return MultiPoly(ring, terms)
 
 

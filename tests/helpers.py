@@ -2,8 +2,6 @@
 
 import json
 
-from chainflow.errors import InputError
-from chainflow.scalars import YBITS, YMASK
 from chainflow.serialize import complex_from_json, complex_to_json, dumps
 from chainflow.splittings import _splitting_mode, split_strata
 
@@ -21,20 +19,6 @@ def split_one_stratum(c, characteristic, mode, tag="a"):
         {tag: c}, c.ring.field, _splitting_mode(characteristic, mode))
     D = splittings[tag]
     return D, D.complex, critical["counts"][tag]
-
-
-def pack_exponents(exps):
-    """The packed F_p(y) monomial key of an exponent vector."""
-    key = 0
-    for i, e in enumerate(exps):
-        if e < 0 or e > YMASK:
-            raise InputError(f"exponent {e} out of packed range")
-        key |= e << (YBITS * i)
-    return key
-
-
-def unpack_exponents(key, nvars):
-    return tuple((key >> (YBITS * i)) & YMASK for i in range(nvars))
 
 
 def poly(F, text):

@@ -509,3 +509,74 @@ def _map_choice(choice, lmaps):
                      for idx, lmap in zip(sets, lmaps))
     return MatroidalChoice(x_sets=image(choice.x_sets),
                            z_sets=image(choice.z_sets))
+
+
+# Polynomials over exponent tuples: dicts {exponent tuple: coefficient mod
+# p}, with no packing.  They are the reference for the packed keys of
+# ``chainflow.keys``, and share no code with it: a key is read and written
+# here by arithmetic on powers of two, at the widths the layout documents.
+
+FIELD_BITS = 8    # per transcendental of F_p(Y)
+RING_BITS = 16    # per ring variable
+
+
+def exponent_key(exps, bits=FIELD_BITS):
+    """The packed key of the exponent tuple ``exps``, ``bits`` bits per
+    variable; ``None`` when an exponent does not fit."""
+    base = 2 ** bits
+    if not all(0 <= e < base for e in exps):
+        return None
+    return sum(e * base ** i for i, e in enumerate(exps))
+
+
+def key_exponents(key, nvars, bits=FIELD_BITS):
+    """The exponent tuple of ``key`` over ``nvars`` variables."""
+    out = []
+    for _ in range(nvars):
+        key, e = divmod(key, 2 ** bits)
+        out.append(e)
+    return tuple(out)
+
+
+def tuple_poly(pd, nvars, bits=FIELD_BITS):
+    """The tuple polynomial of the packed polynomial dict ``pd``."""
+    return {key_exponents(k, nvars, bits): c for k, c in pd.items()}
+
+
+def tuple_mul(p, a, b):
+    """The product of two tuple polynomials over F_p."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = (out.get(e, 0) + ca * cb) % p
+    return {e: c for e, c in out.items() if c}
+
+
+def tuple_divexact(p, num, den):
+    """``num/den`` over F_p when ``den`` divides ``num``, else ``None``.
+
+    Leading terms are taken in lex order from the last variable, and the
+    remainder is updated by a full tuple product at every step.
+    """
+    def order(e):
+        return e[::-1]
+    lead = max(den, key=order)
+    inv = pow(den[lead], p - 2, p)
+    rem, quot = dict(num), {}
+    while rem:
+        top = max(rem, key=order)
+        q = tuple(x - y for x, y in zip(top, lead))
+        if min(q) < 0:
+            return None
+        c = rem[top] * inv % p
+        quot[q] = c
+        for e, d in tuple_mul(p, {q: c}, den).items():
+            rem[e] = (rem.get(e, 0) - d) % p
+        rem = {e: c for e, c in rem.items() if c}
+    return quot
+
+
+def tuple_content(exps):
+    """The least exponent of each variable over the tuples ``exps``."""
+    return tuple(map(min, zip(*exps)))

@@ -2,6 +2,7 @@
 byte-level determinism."""
 
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -62,7 +63,6 @@ class TestLattice:
     def test_stdin(self, capsys, monkeypatch):
         doc = json.dumps({"variables": ["x", "y"],
                           "generators": [[2, 0], [1, 1], [0, 2]]})
-        import io
         monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
         art, _ = run_json(["lattice", "--in", "-"], capsys)
         assert art["generator_strings"] == ["x^2", "x*y", "y^2"]
@@ -359,6 +359,14 @@ class TestInputHandling:
             assert out == ""
             assert (f"the generators must be a list of exponent lists, "
                     f"got {bad!r}") in err
+
+    def test_exponent_beyond_the_ring_range(self, capsys, monkeypatch):
+        doc = json.dumps({"variables": ["x", "y"],
+                          "generators": [[70000, 0], [0, 1]]})
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        rc, out, err = run(["resolve", "--in", "-"], capsys)
+        assert (rc, out) == (2, "")
+        assert "70000" in err and "[0, 65535]" in err
 
     def test_variables_must_be_a_list(self, tmp_path, capsys):
         doc = {"variables": "xy", "generators": [[1, 0], [0, 1]]}

@@ -95,6 +95,27 @@ def field_choices(path):
                 yield node.lineno
 
 
+# A key width or mask, or a value derived from one, by the names that the
+# ``keys`` module gives them.
+KEY_LAYOUT_NAME = re.compile(r"(?i)\w*(bits|mask)|guard")
+
+
+def key_layout_uses(path):
+    """``(line, what)`` of every bit shift in ``path``, every name or
+    attribute of a key width or mask, and every ``KeyLayout`` built with a
+    width of its own."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, (ast.LShift, ast.RShift))):
+            yield node.lineno, "shift"
+        elif isinstance(node, ast.Call) and _names(node.func, "KeyLayout"):
+            yield node.lineno, "KeyLayout"
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else None)
+        if name is not None and KEY_LAYOUT_NAME.fullmatch(name):
+            yield node.lineno, name
+
+
 # Definitions that nothing in the package refers to, and why they stay.
 UNREFERENCED_ALLOWED = {
     # The benchmark tracer wraps these by module attribute: its traced pass
@@ -217,6 +238,31 @@ def test_field_choice_check_sees_planted_choices(tmp_path):
         "def h(p):\n    return QQ if p == 0 else GF\n"
         "def k(p):\n    return None if p == 0 else GF(p)\n")
     assert list(field_choices(src)) == [4, 6]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_keys_knows_the_key_layout(path):
+    # keys.py packs exponents; any other module asks it
+    uses = list(key_layout_uses(path))
+    if path.stem == "keys":
+        assert uses
+    else:
+        assert uses == []
+
+
+def test_key_layout_check_sees_planted_uses(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "from chainflow import keys\n"
+        "YBITS = 8\n"
+        "def f(k, F):\n"
+        "    k >>= 8\n"
+        "    return (k << 3) | F.keys.mask, F.keys.guard & k, {1} & {2}\n"
+        "def g(names):\n"
+        "    return keys.KeyLayout(names, 8), keys.field_keys(names)\n")
+    assert sorted(key_layout_uses(src)) == [
+        (2, "YBITS"), (4, "shift"), (5, "guard"), (5, "mask"), (5, "shift"),
+        (7, "KeyLayout")]
 
 
 def test_every_definition_is_used():

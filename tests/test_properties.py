@@ -21,10 +21,10 @@ from hypothesis import given, settings, strategies as st
 from chainflow import flows, splittings
 from chainflow.errors import InputError
 from chainflow.monomial import MonomialIdeal, resolve_minimal
-from chainflow.scalars import YMASK, FunctionField
+from chainflow.scalars import FunctionField
 from chainflow.serialize import complex_from_json, complex_to_json, dumps
 
-from helpers import assert_same_summand, pack_exponents
+from helpers import assert_same_summand
 from oracles import dense_extract_minimal_summand, dense_iterate_flow
 
 RESOLVES = [(char, mode, start)
@@ -92,13 +92,12 @@ def function_field_values(draw):
                       st.lists(exponent, min_size=len(names),
                                max_size=len(names))),
             min_size=min_size, max_size=4))
-        return F.pd_reduce({pack_exponents(e): c for c, e in terms})
+        return F.pd_reduce({F.keys.pack(e): c for c, e in terms})
 
+    exponent = st.integers(0, 3) | st.just(F.keys.mask)
     if draw(st.booleans()):
-        return F, (polynomial(0, st.integers(0, 3) | st.just(YMASK)), None)
-    # ``eq`` cross-multiplies fractions, so their exponents stay small enough
-    # for the products to fit the packed range
-    num, den = (polynomial(size, st.integers(0, 3)) for size in (0, 1))
+        return F, (polynomial(0, exponent), None)
+    num, den = (polynomial(size, exponent) for size in (0, 1))
     if not den:
         return F, (num, None)
     return F, F.mul((num, None), F.inv((den, None)))

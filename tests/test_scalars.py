@@ -9,12 +9,14 @@ import sympy
 
 from chainflow.cli import main
 from chainflow.errors import InputError, InternalError
+from chainflow.keys import field_keys
 from chainflow.scalars import (
-    _MR_BASES, _MR_LIMIT, GF, QQ, YBITS, YMASK, FunctionField, _is_prime,
+    _MR_BASES, _MR_LIMIT, GF, QQ, FunctionField, _is_prime,
     field_descriptor, field_from_descriptor, prime_field,
 )
 
-from helpers import pack_exponents, poly, unpack_exponents
+from helpers import poly
+from oracles import exponent_key, key_exponents, tuple_content
 
 
 def divexact_oracle(F, num, den):
@@ -27,7 +29,7 @@ def divexact_oracle(F, num, den):
     quot = {}
     while rem:
         rk = max(rem)
-        if not F._key_divides(lk, rk):
+        if not F.keys.divides(lk, rk):
             return None
         qk = rk - lk
         qc = (rem[rk] * inv_lc) % p
@@ -66,25 +68,13 @@ def fold_oracle(F, pairs):
     return total
 
 
-def content_key_oracle(keys):
-    """Largest key dividing every key, by folding a per-pair minimum that
-    walks the exponent fields one at a time."""
-    def key_min(ka, kb):
-        m = 0
-        shift = 0
-        while ka and kb:
-            m |= min(ka & YMASK, kb & YMASK) << shift
-            ka >>= YBITS
-            kb >>= YBITS
-            shift += YBITS
-        return m
-
-    out = None
-    for k in keys:
-        out = k if out is None else key_min(out, k)
-        if not out:
-            break
-    return out or 0
+def content_key_oracle(F, keys):
+    """Largest key dividing every key, from the least exponent of each
+    variable over the unpacked keys."""
+    if not keys:
+        return 0
+    return exponent_key(tuple_content(
+        [key_exponents(k, F.nvars) for k in keys]))
 
 
 def affine_rest_oracle(F, indices):
@@ -109,7 +99,7 @@ def random_poly(F, rng, terms, max_exp, constant=True):
         out = {}
         for _ in range(terms):
             exps = [rng.randint(0, max_exp) for _ in range(F.nvars)]
-            out[pack_exponents(exps)] = rng.randrange(1, F.p)
+            out[F.keys.pack(exps)] = rng.randrange(1, F.p)
         if constant or any(out.keys() - {0}):
             return out
 
@@ -233,9 +223,9 @@ class TestPrimality:
 class TestPackedExponents:
     def test_round_trip(self):
         exps = [3, 0, 17, 1]
-        key = pack_exponents(exps)
-        assert unpack_exponents(key, 4) == tuple(exps)
-        assert unpack_exponents(key, 6) == (3, 0, 17, 1, 0, 0)
+        key = field_keys("abcd").pack(exps)
+        assert field_keys("abcd").unpack(key) == tuple(exps)
+        assert field_keys("abcdef").unpack(key) == (3, 0, 17, 1, 0, 0)
 
 
 class TestFunctionField:
@@ -279,6 +269,12 @@ class TestFunctionField:
         den = self.poly("y1 + 2*y2")
         q = F._normalize(num, den)
         assert q == (self.poly("y1 + y2"), None)
+
+    def test_single_variable_gcd_cancels(self):
+        F = self.F
+        # (y1^2 - 1) / (y1^2 + y1 - 2) = (y1 + 1) / (y1 + 2): gcd y1 - 1
+        val = F._normalize(self.poly("y1^2 + 2"), self.poly("y1^2 + y1 + 1"))
+        assert F.render(val) == "(y1 + 1)/(y1 + 2)"
 
     def test_monomial_content_cancels(self):
         F = self.F
@@ -403,12 +399,31 @@ class TestExponentOverflow:
         F = self.F
         # both operands set guard bits, but in different variables
         assert F.pd_mul(F.pd_var(0, 200), F.pd_var(1, 100)) == \
-            {200 | (100 << YBITS): 1}
+            {F.keys.pack([200, 100]): 1}
         assert F.pd_render(F.pd_mul(poly(F, "a^200 + b"),
                                     poly(F, "a^55"))) == "a^55*b + a^255"
         acc = {}
         F.pd_mul_acc(acc, F.pd_var(0, 128), F.pd_var(0, 127))
         assert F.pd_reduce(acc) == F.pd_var(0, 255)
+
+    def test_division_that_would_carry_is_inexact(self):
+        F = FunctionField(2, ["a", "b"])
+        # a * a^255 would pack to the key of b and cancel the term b
+        num, den = poly(F, "a*b^255 + b"), poly(F, "b^255 + a^255")
+        assert F._pd_divexact(num, den) is None
+        assert F.render(F._normalize(num, den)) == \
+            "(a*b^255 + b)/(b^255 + a^255)"
+
+    def test_eq_past_the_cross_product_range(self):
+        F = FunctionField(2, ["a", "b"])
+        v = F.mul((poly(F, "a^255*b^255"), None),
+                  F.inv((poly(F, "b^255 + a^255"), None)))
+        assert F.render(v) == "(a^255*b^255)/(b^255 + a^255)"
+        assert F.eq(v, v)
+        assert F.eq(v, F.parse(F.render(v)))
+        # other values still cross-multiply, which leaves the packed range
+        with pytest.raises(InternalError, match="exponent overflow"):
+            F.eq(v, F.parse("(a^255*b^255)/(b^255 + a)"))
 
     @staticmethod
     def eliminating(text):
@@ -524,17 +539,17 @@ class TestContentKey:
             for _ in range(80):
                 a = random_poly(F, rng, rng.randint(1, 8), 4)
                 # a common monomial factor, so the content is often nonzero
-                shift = pack_exponents(
+                shift = F.keys.pack(
                     [rng.choice((0, 0, 1, 3)) for _ in range(nvars)])
                 keys = [k + shift for k in a]
-                assert F._content_key(keys) == content_key_oracle(keys)
-            assert F._content_key([]) == 0
+                assert F.keys.content(keys) == content_key_oracle(F, keys)
+            assert F.keys.content([]) == 0
 
     def test_largest_exponents(self):
         F = FunctionField(5, ["a", "b", "c"])
-        keys = [pack_exponents(e) for e in ([255, 7, 0], [254, 255, 1])]
-        assert F._content_key(keys) == pack_exponents([254, 7, 0])
-        assert F._content_key(keys) == content_key_oracle(keys)
+        keys = [F.keys.pack(e) for e in ([255, 7, 0], [254, 255, 1])]
+        assert F.keys.content(keys) == F.keys.pack([254, 7, 0])
+        assert F.keys.content(keys) == content_key_oracle(F, keys)
 
 
 class TestFieldDescriptors:

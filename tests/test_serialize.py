@@ -132,8 +132,8 @@ class TestCoefficients:
             F.parse(text)
 
     def test_fraction_is_read_as_written(self):
-        # not reduced: exact division of these packed keys would carry the
-        # a-exponent 256 into b and give the false quotient a
+        # not reduced: b^255 + a^255 does not divide the numerator, and its
+        # leading-term division would need the a-exponent 256
         F = FunctionField(2, ["a", "b"])
         text = "(a*b^255 + b)/(b^255 + a^255)"
         assert F.render(F.parse(text)) == text

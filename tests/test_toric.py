@@ -128,7 +128,7 @@ class TestResolveCharZero:
     def test_differential_is_associate_of_binomial(self):
         res = resolve_toric(_semi23(), 0)
         m = res.resolution.d(1)
-        terms = {m.ring.unpack(k): c for k, c in m.rows[0][0].terms.items()}
+        terms = {m.ring.keys.unpack(k): c for k, c in m.rows[0][0].terms.items()}
         assert set(terms) == {(3, 0), (0, 2)}
         c = terms[(3, 0)]
         assert c != 0 and terms[(0, 2)] == -c
@@ -157,7 +157,7 @@ class TestResolvePositiveCharacteristic:
         res = resolve_toric(_semi23(), 2)
         m = res.resolution.d(1)
         f = res.resolution.ring.field
-        terms = {m.ring.unpack(k): c for k, c in m.rows[0][0].terms.items()}
+        terms = {m.ring.keys.unpack(k): c for k, c in m.rows[0][0].terms.items()}
         assert set(terms) == {(3, 0), (0, 2)}
         # over F_2 the two coefficients agree (an associate of the binomial)
         assert f.eq(terms[(3, 0)], terms[(0, 2)])
@@ -170,7 +170,7 @@ class TestResolvePositiveCharacteristic:
         assert rep["field"] == {"p": 3}
         assert rep["transcendence_degree"] == 0
         m = res.resolution.d(1)
-        terms = {m.ring.unpack(k): c for k, c in m.rows[0][0].terms.items()}
+        terms = {m.ring.keys.unpack(k): c for k, c in m.rows[0][0].terms.items()}
         # x2^3 - x3^2 with -1 = 2 in F_3
         assert terms == {(3, 0): 1, (0, 2): 2}
 
