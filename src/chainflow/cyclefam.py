@@ -103,8 +103,10 @@ def build_Ip(p: int) -> CycleFamily:
             exps[pos] -= 1
         gens.append(tuple(exps))
     fam.ideal = MonomialIdeal(names, gens)
-    if fam.ideal.dropped or len(fam.ideal.generators) != n + 1:
-        raise InternalError("family generators unexpectedly not minimal")
+    # the construction indexes the generators as m_0..m_n
+    if fam.ideal.generators != gens:
+        raise InternalError("family generators unexpectedly not minimal "
+                            "or not in ascending order")
     return fam
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, VerificationError
-from .linalg import RingMatrix, mp_inverse, rref, s_inverse
+from .linalg import RingMatrix, mp_inverse, pivot_columns, s_inverse
 from .complexes import BasedComplex, StratifiedComplex
 
 __all__ = [
@@ -337,7 +337,7 @@ def extract_minimal_summand(
             if not cols:
                 continue
             idxs = s.members[ai][n]
-            _, piv = rref(field, cols)
+            piv = pivot_columns(field, cols)
             inv = s_inverse(field, [[v[i] for v in cols] for i in piv])
             blocks_n.append((len(strata[n]), [idxs[i] for i in piv],
                              RingMatrix.from_scalar_rows(ring, inv)))

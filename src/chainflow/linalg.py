@@ -7,10 +7,21 @@ keyed by packed exponents (see :mod:`chainflow.keys`).  RingMatrix is a dense
 matrix of MultiPoly entries; it carries its shape, so products with a zero
 dimension are plain zero matrices, and it is the one matrix type of the
 homotopy algebra in ``flows``.  Scalar row lists (plain lists of lists of
-field values) exist only for elimination: ``rref``, ``s_rank``, ``solve``,
-``kernel`` and ``s_inverse`` take a RingMatrix's ``scalar_rows()``, and the
-pseudoinverse works on them throughout.  Over Q, elimination and the
-pseudoinverse run on integer rows and build each Fraction once, at the end.
+field values) exist only for elimination: ``rref``, ``pivot_columns``,
+``s_rank``, ``solve``, ``kernel`` and ``s_inverse`` take a RingMatrix's
+``scalar_rows()``, and the pseudoinverse works on them throughout.  Over Q,
+elimination and the pseudoinverse run on integer rows and build each
+Fraction once, at the end.
+
+``solve``, ``kernel`` and ``s_inverse`` read the entries of the reduced row
+echelon form, so they call ``rref``, which runs Gauss-Jordan elimination.
+``pivot_columns`` and ``s_rank`` return only indices, which every row echelon
+form of a matrix shares, so over F_p and F_p(Y) they stop after forward
+elimination: no pivot row is scaled and no row above a pivot is cleared.
+Over F_p(Y) that skips products of large polynomials and exact divisions
+that fail.  Reduced F_p(Y) entries stay on Gauss-Jordan: a value is
+normalized only partly, so other row operations could reach equal entries
+written as different fractions, and the artifacts record that text.
 
 Every exact product (``MultiPoly.__mul__``, ``RingMatrix.__matmul__`` and
 ``s_mul``) hands the factor pairs of each output coefficient to one
@@ -465,11 +476,57 @@ def _int_echelon(mat, nc):
     return a, pivots
 
 
+def pivot_columns(field, mat):
+    """The pivot columns of ``rref(field, mat)``, without the reduced form.
+
+    Over Q they are the pivots of :func:`_int_echelon`.  Over other fields
+    forward elimination finds them: each pivot row, taken as the first row
+    with a nonzero entry in its column, is subtracted ``f * inv(p)`` times
+    from each row below it.  No pivot row is scaled or subtracted from the
+    rows above it.
+
+    The results agree.  Column ``c`` of a matrix is a pivot column of its
+    reduced row echelon form exactly when it is not in the span of the
+    columns before it.  Row operations multiply the matrix on the left by
+    an invertible matrix, which keeps every linear relation among the
+    columns, so that set of columns is the same for ``mat``, for the row
+    echelon form that forward elimination reaches, and for ``rref(mat)``.
+    In a row echelon form, the columns outside that span are those holding
+    a leading entry, which are the ones this loop records.  Only results
+    that are indices may take this route: F_p(Y) values are normalized
+    only partly, so reduced entries stay with :func:`rref`.
+    """
+    nc = len(mat[0]) if mat else 0
+    if field.char == 0:
+        return _int_echelon(mat, nc)[1]
+    is_zero, mul, sub = field.is_zero, field.mul, field.sub
+    a = [list(r) for r in mat]
+    nr = len(a)
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if not is_zero(a[i][c])), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        prow = a[r]
+        inv = field.inv(prow[c])
+        for i in range(r + 1, nr):
+            f = a[i][c]
+            if not is_zero(f):
+                # column c of row i is now zero, and no later step reads it
+                m = mul(f, inv)
+                a[i][c + 1:] = [x if is_zero(y) else sub(x, mul(m, y))
+                                for x, y in zip(a[i][c + 1:], prow[c + 1:])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return pivots
+
+
 def s_rank(field, mat):
-    if not mat or not mat[0]:
-        return 0
-    _, pivots = rref(field, mat)
-    return len(pivots)
+    return len(pivot_columns(field, mat))
 
 
 def solve(field, a, b):

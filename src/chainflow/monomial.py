@@ -48,7 +48,9 @@ class MonomialIdeal:
 
     Non-minimal generating sets are silently minimalized (duplicates and
     multiples of other generators dropped); ``dropped`` records how many
-    were removed so callers can surface a note.
+    were removed so callers can surface a note.  The minimal generators are
+    kept in ascending order of their exponent tuples, so no result depends
+    on the order in which they were listed.
     """
 
     def __init__(self, names, generators):
@@ -96,7 +98,7 @@ class MonomialIdeal:
                 dropped += 1
         if not minimal:
             raise InputError("ideal needs at least one generator")
-        self.generators = minimal
+        self.generators = sorted(minimal)
         self.dropped = dropped
 
     @property

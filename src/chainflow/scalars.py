@@ -405,8 +405,11 @@ class FunctionField:
         variable, so no such sum carries.  (``qk`` plus the leading key is
         the remainder key it came from, so the test may include it.)
         """
-        p = self.p
+        divides, carry = self.keys.divides, self.keys.carry
         lk = max(den)
+        if not num or not divides(lk, max(num)):
+            return {}, dict(num)
+        p = self.p
         inv_lc = pow(den[lk], p - 2, p)
         # The leading term of the divisor always cancels the leading term of
         # the remainder, so only the rest of the divisor is subtracted.
@@ -419,7 +422,6 @@ class FunctionField:
         heap = [-k for k in rem]
         heapify(heap)
         quot = {}
-        divides, carry = self.keys.divides, self.keys.carry
         while rem:
             rk = -heappop(heap)
             rc = get(rk)

@@ -1,6 +1,7 @@
 """Small front ends to package internals that only tests need."""
 
 import json
+from importlib import resources
 
 from chainflow.serialize import complex_from_json, complex_to_json, dumps
 from chainflow.splittings import _splitting_mode, split_strata
@@ -19,6 +20,13 @@ def split_one_stratum(c, characteristic, mode, tag="a"):
         {tag: c}, c.ring.field, _splitting_mode(characteristic, mode))
     D = splittings[tag]
     return D, D.complex, critical["counts"][tag]
+
+
+def fixture_ideal(name):
+    """The ideal document (``variables`` and ``generators``) of the bundled
+    fixture ``name``."""
+    return json.loads(resources.files("chainflow.fixtures")
+                      .joinpath(f"{name}.json").read_text())
 
 
 def poly(F, text):

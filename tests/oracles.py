@@ -1,7 +1,8 @@
 """Reference implementations that tests compare the package against."""
 
 from fractions import Fraction
-from itertools import product
+from heapq import heapify, heappop, heappush
+from itertools import combinations, product
 
 from chainflow.complexes import BasedComplex, StratifiedComplex
 from chainflow.errors import InputError, InternalError, VerificationError
@@ -580,3 +581,80 @@ def tuple_divexact(p, num, den):
 def tuple_content(exps):
     """The least exponent of each variable over the tuples ``exps``."""
     return tuple(map(min, zip(*exps)))
+
+
+def heap_divmod(F, num, den):
+    """``F._pd_divmod(num, den)`` by the heap loop alone: the divisor's
+    tail and the remainder heap are built first, and the loop tests every
+    leading term, the first one included.  The reference for the test of
+    the first leading term that ``_pd_divmod`` makes up front."""
+    p = F.p
+    lk = max(den)
+    inv_lc = pow(den[lk], p - 2, p)
+    tail = [(kb, cb) for kb, cb in den.items() if kb != lk]
+    rem = dict(num)
+    get = rem.get
+    heap = [-k for k in rem]
+    heapify(heap)
+    quot = {}
+    divides, carry = F.keys.divides, F.keys.carry
+    while rem:
+        rk = -heappop(heap)
+        rc = get(rk)
+        if rc is None:
+            continue
+        qk = rk - lk
+        if not divides(lk, rk) or carry((qk,), den):
+            break
+        del rem[rk]
+        qc = (rc * inv_lc) % p
+        quot[qk] = qc
+        for kb, cb in tail:
+            k = qk + kb
+            old = get(k)
+            if old is None:
+                rem[k] = (-qc * cb) % p
+                heappush(heap, -k)
+            else:
+                v = (old - qc * cb) % p
+                if v:
+                    rem[k] = v
+                else:
+                    del rem[k]
+    return quot, rem
+
+
+def euler_characteristic(generators):
+    """The sum over nonempty subsets S of the generators of
+    (-1)^(|S|-1) x^lcm(S), as {exponent tuple: coefficient} without zero
+    coefficients, from the exponent tuples alone.
+
+    The Taylor complex is a resolution for any generating set, so this is
+    the alternating sum of the multigraded Betti numbers of the ideal.
+    """
+    gens = [tuple(g) for g in generators]
+    out = {}
+    for size in range(1, len(gens) + 1):
+        sign = (-1) ** (size - 1)
+        for subset in combinations(gens, size):
+            m = tuple(map(max, zip(*subset)))
+            out[m] = out.get(m, 0) + sign
+    return {m: c for m, c in out.items() if c}
+
+
+def betti_euler_characteristic(names, betti):
+    """The sum over i of (-1)^i beta_{i,b} x^b, as in
+    :func:`euler_characteristic`, from a report's Betti table: homological
+    degrees as keys, each mapping monomial text such as ``x^2*y`` to its
+    Betti number."""
+    index = {name: i for i, name in enumerate(names)}
+    out = {}
+    for i, row in betti.items():
+        for text, beta in row.items():
+            exps = [0] * len(names)
+            for factor in [] if text == "1" else text.split("*"):
+                name, _, e = factor.partition("^")
+                exps[index[name]] += int(e or 1)
+            m = tuple(exps)
+            out[m] = out.get(m, 0) + (-1) ** int(i) * beta
+    return {m: c for m, c in out.items() if c}

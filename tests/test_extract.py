@@ -20,8 +20,13 @@ from chainflow.linalg import RingMatrix
 from chainflow.scalars import QQ
 from chainflow.splittings import stratum_core
 
-from helpers import assert_resolution_reads_back, assert_same_summand
-from oracles import dense_extract_minimal_summand, dense_iterate_flow
+from helpers import (
+    assert_resolution_reads_back, assert_same_summand, fixture_ideal,
+)
+from oracles import (
+    betti_euler_characteristic, dense_extract_minimal_summand,
+    dense_iterate_flow, euler_characteristic,
+)
 
 BENCH_REFERENCE = (Path(__file__).resolve().parent.parent / "bench"
                    / "reference.json")
@@ -72,6 +77,12 @@ def test_matches_dense_projection(job, monkeypatch, tmp_path):
     assert_same_summand(got, dense_extract_minimal_summand(s, Pi, cores))
     assert_reference_artifact(job, path)
     assert_resolution_reads_back(path)
+    if job.startswith("resolve "):
+        args = job.split()
+        ideal = fixture_ideal(args[args.index("--fixture") + 1])
+        betti = json.loads(path.read_text())["report"]["betti"]
+        assert (betti_euler_characteristic(ideal["variables"], betti)
+                == euler_characteristic(ideal["generators"]))
 
 
 @pytest.mark.parametrize("job", OTHER_JOBS)

@@ -1,18 +1,25 @@
-"""Exact linear algebra against an independent oracle (sympy)."""
+"""Exact linear algebra against an independent oracle (sympy), and the
+pivots-only route against Gauss-Jordan elimination."""
 
 import random
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
+from chainflow import complexes, flows, linalg, splittings
 from chainflow.errors import InputError
 from chainflow.linalg import (
-    MultiPoly, PolyRing, RingMatrix, kernel, mp_inverse, rref,
+    MultiPoly, PolyRing, RingMatrix, kernel, mp_inverse, pivot_columns, rref,
     s_mul, s_rank, s_inverse, s_transpose, solve,
 )
+from chainflow.monomial import MonomialIdeal, resolve_minimal, verify_resolution
 from chainflow.scalars import GF, QQ, FunctionField
 
+from helpers import fixture_ideal
 from oracles import char_poly, mp_identities_hold
 
 
@@ -342,3 +349,143 @@ class TestPolyRing:
         assert m.is_scalar()
         m2 = RingMatrix(R, [[R.var("x")]])
         assert not m2.is_scalar()
+
+
+# ---------------------------------------------------------------------------
+# pivot_columns: the pivots of rref, by forward elimination
+
+FY = FunctionField(3, ["y1", "y2", "y3"])
+PIVOT_FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F7": GF(7), "F3(y)": FY}
+# (field, with denominators); only Q and F_3(y) have denominators to draw
+PIVOT_CASES = [("Q", False), ("Q", True), ("F2", False), ("F3", False),
+               ("F7", False), ("F3(y)", False), ("F3(y)", True)]
+PIVOT_TESTS = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+def field_values(name, denominators):
+    """Values of the field ``name``, zero drawn often so that pivot
+    searches skip rows and updates skip entries."""
+    field = PIVOT_FIELDS[name]
+    if name == "Q":
+        ints = st.integers(-3, 3)
+        nonzero = (st.builds(Fraction, ints, st.integers(1, 4))
+                   if denominators else ints.map(Fraction))
+    elif field is FY:
+        monomials = st.lists(st.integers(0, 1), min_size=3, max_size=3)
+        polys = st.dictionaries(monomials.map(FY.keys.pack),
+                                st.integers(1, 2), min_size=1, max_size=2)
+        nonzero = polys.map(lambda num: (num, None))
+        if denominators:
+            nonzero = st.builds(lambda a, b: FY.mul(a, FY.inv(b)),
+                                nonzero, nonzero)
+    else:
+        nonzero = st.integers(1, field.p - 1)
+    return st.one_of(st.just(field.zero), nonzero)
+
+
+@st.composite
+def matrices(draw, name, denominators):
+    """A matrix of at most 6 x 6 over the field ``name``: entries drawn
+    one by one, or a product through an inner dimension of at most 6, which
+    is rank-deficient when that dimension is small.
+
+    Over F_3(y) the rank stays at most 3 for entries drawn one by one and
+    at most 2 for products.  ``FunctionField`` cancels no multivariate gcd,
+    so each elimination step can double the degrees of the entries; dense
+    6 x 6 matrices of linear forms ran past 3 s for each route.
+    """
+    field = PIVOT_FIELDS[name]
+    values = field_values(name, denominators)
+    direct = draw(st.booleans())
+    nr = draw(st.integers(0, 6))
+    nc = draw(st.integers(0, 3 if field is FY and direct and nr > 3 else 6))
+
+    def block(rows, cols):
+        return [[draw(values) for _ in range(cols)] for _ in range(rows)]
+
+    if direct:
+        return block(nr, nc)
+    inner = draw(st.integers(0, 2 if field is FY else 6))
+    if not inner:
+        return [[field.zero] * nc for _ in range(nr)]
+    return s_mul(field, block(nr, inner), block(inner, nc))
+
+
+def assert_same_pivots(field, mat):
+    copy = [list(row) for row in mat]
+    want = rref(field, mat)[1]
+    assert pivot_columns(field, mat) == want
+    assert s_rank(field, mat) == len(want)
+    assert mat == copy
+
+
+@pytest.mark.parametrize("name, denominators", PIVOT_CASES)
+@PIVOT_TESTS
+@given(data=st.data())
+def test_pivot_columns_match_rref(name, denominators, data):
+    assert_same_pivots(PIVOT_FIELDS[name],
+                       data.draw(matrices(name, denominators), label="mat"))
+
+
+@pytest.mark.parametrize("name", PIVOT_FIELDS)
+def test_pivot_columns_of_edge_shapes(name):
+    field = PIVOT_FIELDS[name]
+    one, zero = field.one, field.zero
+    for mat in ([], [[]], [[], []], [[zero] * 4 for _ in range(3)],
+                [[zero, zero, one, zero, one]], [[zero], [zero], [one], [one]],
+                [[one] * 5], [[one] for _ in range(5)]):
+        assert_same_pivots(field, mat)
+    assert pivot_columns(field, [[zero, zero, one, zero, one]]) == [2]
+    assert pivot_columns(field, [[zero], [zero], [one], [one]]) == [0]
+
+
+@pytest.fixture(scope="module")
+def critical_taylor():
+    """cycle3 resolved over F_3 from the Taylor start, which averages over
+    F_3(y): the arguments of its extraction and the resolution."""
+    doc = fixture_ideal("cycle3")
+    I = MonomialIdeal(doc["variables"], doc["generators"])
+    with mock.patch.object(splittings, "extract_minimal_summand",
+                           wraps=flows.extract_minimal_summand) as extract:
+        res = resolve_minimal(I, 3, start="taylor")
+    assert isinstance(res.resolution.ring.field, FunctionField)
+    return I, res.resolution, extract.call_args.args
+
+
+def rref_callers():
+    """A stand-in for ``linalg.rref`` that records the name of each
+    caller, and the list it records them in."""
+    callers = []
+
+    def counted(field, mat):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return rref(field, mat)
+    return mock.patch.object(linalg, "rref", counted), callers
+
+
+def test_extraction_reads_pivots_without_rref(critical_taylor):
+    _, _, args = critical_taylor
+    patch, callers = rref_callers()
+    with patch, mock.patch.object(flows, "pivot_columns",
+                                  wraps=pivot_columns) as lookups:
+        flows.extract_minimal_summand(*args)
+    # one s_inverse per stratum and degree, where rref also took the pivots
+    assert callers == ["s_inverse"] * 9
+    assert lookups.call_count == 9
+    field = args[0].complex.ring.field
+    for call in lookups.call_args_list:
+        assert call.args[0] is field
+        assert_same_pivots(field, call.args[1])
+
+
+def test_homology_ranks_over_a_function_field_skip_rref(critical_taylor):
+    I, resolution, _ = critical_taylor
+    patch, callers = rref_callers()
+    with patch, mock.patch.object(complexes, "s_rank",
+                                  wraps=s_rank) as ranks:
+        assert verify_resolution(resolution, I)["ok"]
+    assert callers == []
+    assert ranks.call_count == 18
+    for call in ranks.call_args_list:
+        assert call.args[0] is resolution.ring.field
+        assert_same_pivots(*call.args)

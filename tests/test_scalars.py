@@ -16,7 +16,7 @@ from chainflow.scalars import (
 )
 
 from helpers import poly
-from oracles import exponent_key, key_exponents, tuple_content
+from oracles import exponent_key, heap_divmod, key_exponents, tuple_content
 
 
 def divexact_oracle(F, num, den):
@@ -348,6 +348,26 @@ class TestExactDivision:
             # an unrelated pair: both agree, exact or not
             c = random_poly(F, rng, rng.randint(1, 6), 3)
             assert F._pd_divexact(c, b) == divexact_oracle(F, c, b)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_divmod_matches_the_heap_loop(self, p):
+        """The up-front leading-term test gives the same quotient and
+        remainder, in the same order, whether the first term fails or
+        not."""
+        F = FunctionField(p, ["y1", "y2", "y3"])
+        rng = random.Random(200 + p)
+        first_fails = 0
+        for _ in range(200):
+            den = random_poly(F, rng, rng.randint(1, 5), 3, constant=False)
+            a = random_poly(F, rng, rng.randint(1, 5), 3)
+            rest = random_poly(F, rng, rng.randint(1, 4), 4)
+            for num in (F.pd_mul(a, den), F.pd_add(F.pd_mul(a, den), rest),
+                        rest, {}):
+                got, want = F._pd_divmod(num, den), heap_divmod(F, num, den)
+                assert [list(d.items()) for d in got] == [
+                    list(d.items()) for d in want]
+                first_fails += bool(num) and not want[0]
+        assert 50 < first_fails < 750
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_clear_vector_denominators_matches_oracle(self, p):
