@@ -14,6 +14,15 @@ count ``k`` with ``Phi^{k+1} = Phi^k`` through the recursion
 all core vectors of a degree at once, as the columns of one matrix ``V``,
 with the step ``V <- V - W(d V)``.  Neither forms ``Phi`` or a power of it.
 
+The field ``W`` is block-diagonal over the strata, and the flow stays
+aware of it.  A :class:`Homotopy` keeps the products ``D_{n+1} D_n`` and
+``D_n d D_n`` that :func:`classify` forms to certify a stratum splitting.
+:func:`assemble_field` reads them to certify ``W^2 = 0`` block by block
+and to find ``E = W - W delta W``, where ``delta`` is the same-stratum
+part of ``d``.  :func:`iterate_flow` then multiplies ``W`` only by the
+cross-stratum part of ``d X_k``; ``E``, zero for partial splittings, adds
+the one further term the recursion needs.
+
 Every homotopy identity and correction is one ``RingMatrix`` computation,
 whatever the entries are (field constants on the stratum complexes,
 polynomials elsewhere).  Scalar row lists appear only where elimination
@@ -50,7 +59,13 @@ def dmat(c: BasedComplex, n: int) -> RingMatrix:
 
 
 class Homotopy:
-    """A degree ``+1`` system of maps ``D_n : F_n -> F_{n+1}`` on a complex."""
+    """A degree ``+1`` system of maps ``D_n : F_n -> F_{n+1}`` on a complex.
+
+    :meth:`square` and :meth:`sandwich` form the products behind the
+    identities ``D^2 = 0`` and ``D d D = D`` once and keep them, so that
+    :func:`classify` and :func:`assemble_field` share them.  ``mats`` is a
+    tuple, so a kept product cannot go stale.
+    """
 
     def __init__(self, complex: BasedComplex, mats: list[RingMatrix]):
         self.complex = complex
@@ -58,15 +73,17 @@ class Homotopy:
         if len(mats) > max(top, 0):
             raise InputError(
                 f"homotopy has {len(mats)} maps but the complex supports {top}")
-        self.mats = list(mats)
-        for n, m in enumerate(self.mats):
+        mats = list(mats)
+        for n, m in enumerate(mats):
             want = (complex.rank(n + 1), complex.rank(n))
             if m.shape != want:
                 raise InputError(
                     f"homotopy map at degree {n} has shape {m.shape}, expected {want}")
-        for n in range(len(self.mats), max(top, 0)):
-            self.mats.append(
+        for n in range(len(mats), max(top, 0)):
+            mats.append(
                 RingMatrix.zeros(complex.ring, complex.rank(n + 1), complex.rank(n)))
+        self.mats = tuple(mats)
+        self._memo: dict = {}
 
     def D(self, n: int) -> RingMatrix:
         if 0 <= n < len(self.mats):
@@ -74,8 +91,35 @@ class Homotopy:
         return RingMatrix.zeros(
             self.complex.ring, self.complex.rank(n + 1), self.complex.rank(n))
 
+    def square(self, n: int) -> RingMatrix:
+        """``D_{n+1} D_n``, formed once."""
+        return self._memoized(
+            ("square", n), lambda: _kept(self.D(n + 1) @ self.D(n)))
+
+    def sandwich(self, n: int) -> RingMatrix:
+        """``D_n d_{n+1} D_n`` on this homotopy's complex, formed once."""
+        return self._memoized(("sandwich", n), lambda: _kept(
+            (self.D(n) @ dmat(self.complex, n + 1)) @ self.D(n), self.D(n)))
+
+    def _memoized(self, key, form):
+        if key not in self._memo:
+            self._memo[key] = form()
+        return self._memo[key]
+
     def is_scalar(self) -> bool:
         return all(m.is_scalar() for m in self.mats)
+
+
+def _kept(m: RingMatrix, like: RingMatrix | None = None) -> RingMatrix:
+    """``m``, cheap to keep: ``like`` itself when equal to it, and with one
+    shared zero entry when it is zero."""
+    if like is not None and m.eq(like):
+        return like
+    if m.is_zero():
+        zero = m.ring.zero()
+        return RingMatrix(m.ring, [[zero] * m.ncols for _ in m.rows],
+                          ncols=m.ncols)
+    return m
 
 
 @dataclass
@@ -96,16 +140,21 @@ def classify(c: BasedComplex, D: Homotopy) -> ClassifyResult:
     identity is tested with ``RingMatrix`` products, so entries may be
     polynomials.  Each ``D_{n+1} D_n`` is formed once and serves both the
     ``D^2 = 0`` test and the ``D D d = d D D`` test, which holds with no
-    further product when every ``D_{n+1} D_n`` vanishes.
+    further product when every ``D_{n+1} D_n`` vanishes.  The products
+    ``D_{n+1} D_n`` and ``D_n d_{n+1} D_n`` stay memoized on ``D``
+    (:meth:`Homotopy.square`, :meth:`Homotopy.sandwich`), where
+    :func:`assemble_field` reads them; when ``D`` lives on another complex
+    object than ``c``, its maps are first put on ``c``.
     """
+    if D.complex is not c:
+        D = Homotopy(c, D.mats)
     top = c.top
     d = [dmat(c, n) for n in range(top + 3)]
-    Ds = {n: D.D(n) for n in range(-1, top + 2)}
-    DD = {n: Ds[n + 1] @ Ds[n] for n in range(-1, top + 1)}
+    DD = {n: D.square(n) for n in range(-1, top + 1)}
     is_vf = all(DD[n].is_zero() for n in range(top + 1))
     is_pre = is_vf or all((DD[n - 1] @ d[n]).eq(d[n + 2] @ DD[n])
                           for n in range(top + 1))
-    is_partial = is_vf and all(((Ds[n] @ d[n + 1]) @ Ds[n]).eq(Ds[n])
+    is_partial = is_vf and all(D.sandwich(n).eq(D.D(n))
                                for n in range(top + 1))
     is_split = is_partial and _satisfies_pdp(c, D)
     return ClassifyResult(is_pre, is_vf, is_partial, is_split)
@@ -121,7 +170,34 @@ def iterate_flow(s: StratifiedComplex, W: Homotopy):
     - ``Phi^k (I - Phi) = d X_k + X_k d``, hence ``Phi^{k+1} = Phi^k`` in
       degree ``n`` exactly when ``d_{n+1} (X_k)_n + (X_k)_{n-1} d_n = 0``;
     - ``W X_k = Phi^k W^2 = 0``, so ``X_0 = W`` and
-      ``X_{k+1} = X_k - W (d X_k)``, reusing the ``d X_k`` of the test.
+      ``X_{k+1} = X_k - W (d X_k)``.
+
+    The step is taken block-aware.  Split ``d = delta + nu``: ``delta``
+    keeps the entries of ``d`` between basis elements of one stratum
+    (``s.strata``), ``nu`` the rest.  Put ``Y_0 = I`` and
+    ``Y_{k+1} = Y_k - d X_k``.  Then ``X_k = W Y_k`` for any ``W``, by
+    induction: ``X_0 = W Y_0``, and
+    ``X_{k+1} = W Y_k - W d X_k = W Y_{k+1}``.  So
+    ``W d X_k = (W delta W) Y_k + W (nu X_k)``, and
+
+        ``X_{k+1} = E Y_k - W (nu X_k)``, with ``E = W - W delta W``.
+
+    These are the ``X_k`` of the plain recursion, so the test and ``k`` do
+    not change.  Premises of the shortcut:
+
+    - ``E`` is block-diagonal with blocks ``D_a - D_a d_a D_a``, because
+      ``W`` and ``delta`` are supported on same-stratum blocks and each
+      ``D_a`` lives on the slice ``d_a`` of its stratum, which
+      :func:`assemble_field` checks;
+    - those blocks vanish for partial splittings (``D d D = D``, which
+      :func:`classify` certifies), and :func:`assemble_field` leaves ``E``
+      memoized on ``W`` for the stratification ``s.strata``, as ``None``
+      for zero.  The step is then ``X_{k+1} = W (-nu X_k)``, and neither
+      ``Y`` nor ``delta`` is formed;
+    - any other ``W``, such as one not from :func:`assemble_field` or one
+      on another complex object than ``s.complex``, gets ``E`` from
+      ambient products, once, and carries ``Y``, reusing the ``d X_k`` of
+      the test.
 
     Neither ``Phi`` nor any power of it is formed.  Returns
     ``(indices, k)``: ``indices[n]`` is the smallest ``k`` for which the
@@ -131,9 +207,16 @@ def iterate_flow(s: StratifiedComplex, W: Homotopy):
     over the occupied strata; exceeding the bound raises.
     """
     c = s.complex
+    if W.complex is not c:
+        W = Homotopy(c, W.mats)
     top = c.top
     bound = 1 + max(s.occupied_dimension(), 0)
-    X = [W.D(n) for n in range(top)]
+    E = W._memoized(_excess_key(s), lambda: _excess(s, W))
+    minus_nu = [_part_of_d(s, n + 1, False, negate=True)
+                for n in range(top)]
+    Y = None if E is None else [RingMatrix.identity(c.ring, c.rank(n))
+                                for n in range(top)]
+    X = list(W.mats)
     indices: list = [None] * (top + 1)
     k = 0
     while True:
@@ -151,8 +234,38 @@ def iterate_flow(s: StratifiedComplex, W: Homotopy):
             return indices, max(max(indices), 1)
         if k >= bound:
             raise VerificationError("stabilization bound exceeded")
-        X = [x - W.D(n) @ dx for n, (x, dx) in enumerate(zip(X, dX))]
+        X = [W.D(n) @ (m @ x) for n, (m, x) in enumerate(zip(minus_nu, X))]
+        if Y is not None:
+            X = [e @ y + x for e, y, x in zip(E, Y, X)]
+            Y = [y - dx for y, dx in zip(Y, dX)]
         k += 1
+
+
+def _part_of_d(s: StratifiedComplex, n: int, within: bool,
+               negate: bool = False) -> RingMatrix:
+    """``d_n``, or ``-d_n`` when ``negate``, with only its entries between
+    basis elements of one stratum (``delta``, when ``within``) or of two
+    (``nu``) kept; the other entries share one zero."""
+    ring = s.complex.ring
+    zero = ring.zero()
+    rows = [[(-e if negate else e) if (a == b) is within and not e.is_zero()
+             else zero for b, e in zip(s.strata[n], row)]
+            for a, row in zip(s.strata[n - 1], s.complex.d(n).rows)]
+    return RingMatrix(ring, rows, ncols=s.complex.rank(n))
+
+
+def _excess_key(s: StratifiedComplex):
+    return ("excess", tuple(map(tuple, s.strata)))
+
+
+def _excess(s: StratifiedComplex, W: Homotopy):
+    """``E_n = W_n - W_n delta_{n+1} W_n`` for ``n < top`` from ambient
+    products, or ``None`` when every ``E_n`` is zero."""
+    E = []
+    for n in range(s.complex.top):
+        Wn = W.D(n)
+        E.append(Wn - (Wn @ _part_of_d(s, n + 1, True)) @ Wn)
+    return None if all(e.is_zero() for e in E) else tuple(E)
 
 
 def hat(c: BasedComplex, D: Homotopy) -> Homotopy:
@@ -231,36 +344,75 @@ def assemble_field(s: StratifiedComplex, splittings: dict) -> Homotopy:
     """Embed per-stratum homotopies block-diagonally into the ambient complex.
 
     ``splittings`` maps poset indices of occupied strata to scalar homotopies
-    on the corresponding stratum complexes.  The assembled field is supported
-    on same-stratum blocks only — hence homogeneous of internal degree 0 —
-    and is verified to square to zero.
+    on the corresponding stratum complexes; a homotopy whose complex is not
+    the slice of its stratum (ranks, and ``d`` entry by entry) raises.  The
+    assembled field ``W`` is supported on same-stratum blocks only — hence
+    homogeneous of internal degree 0 — and is certified to square to zero.
+
+    No ambient product is formed.  The basis positions of distinct strata
+    are disjoint, so ``W_{n+1} W_n`` is block-diagonal with blocks
+    ``D_{n+1} D_n``: ``W^2 = 0`` exactly when every block square is zero,
+    and each is checked.  Likewise ``E = W - W delta W`` (see
+    :func:`iterate_flow`) is block-diagonal with blocks
+    ``D_n - D_n d_{n+1} D_n``, since the same-stratum part ``delta`` of
+    ``d`` is the slice checked above.  Both block products come from
+    :meth:`Homotopy.square` and :meth:`Homotopy.sandwich`, so a homotopy
+    that :func:`classify` certified is not multiplied again.  ``E`` is
+    left memoized on ``W`` for :func:`iterate_flow`, as ``None`` when every
+    block vanishes, as it does for partial splittings.
     """
     c = s.complex
     ring = c.ring
-    field = ring.field
-    mats = []
-    for n in range(0, c.top):
-        rows = [[ring.zero() for _ in range(c.rank(n))] for _ in range(c.rank(n + 1))]
-        for a, D in splittings.items():
-            indices = s.members.get(a)
-            if indices is None:
-                continue
-            up = indices[n + 1] if n + 1 < len(indices) else []
-            dn = indices[n] if n < len(indices) else []
-            if not up or not dn:
-                continue
-            block = D.D(n).scalar_rows()
-            for i, gi in enumerate(up):
-                for j, gj in enumerate(dn):
-                    v = block[i][j]
-                    if not field.is_zero(v):
-                        rows[gi][gj] = ring.const(v)
-        mats.append(RingMatrix(ring, rows, ncols=c.rank(n)))
-    W = Homotopy(c, mats)
-    for n in range(0, c.top):
-        if not (W.D(n + 1) @ W.D(n)).is_zero():
-            raise VerificationError("assembled field does not square to zero")
+
+    def zero_rows():
+        return [[[ring.zero() for _ in range(c.rank(n))]
+                 for _ in range(c.rank(n + 1))] for n in range(c.top)]
+
+    W_rows, E_rows = zero_rows(), None
+    for a, D in splittings.items():
+        indices = s.members.get(a)
+        if indices is None:
+            continue
+        _check_slice(s, a, D.complex)
+        for n in range(D.complex.top):
+            if not D.square(n).is_zero():
+                raise VerificationError("assembled field does not square to zero")
+            up, dn = indices[n + 1], indices[n]
+            _place(W_rows[n], ring, D.D(n), up, dn)
+            if not D.sandwich(n).eq(D.D(n)):
+                if E_rows is None:
+                    E_rows = zero_rows()
+                _place(E_rows[n], ring, D.D(n) - D.sandwich(n), up, dn)
+
+    def matrices(rows):
+        return [RingMatrix(ring, r, ncols=c.rank(n)) for n, r in enumerate(rows)]
+
+    W = Homotopy(c, matrices(W_rows))
+    W._memo[_excess_key(s)] = None if E_rows is None else tuple(matrices(E_rows))
     return W
+
+
+def _check_slice(s: StratifiedComplex, a: int, stratum: BasedComplex):
+    """Raise unless ``stratum`` has the ranks and differential of the slice
+    of ``s`` at stratum ``a``."""
+    indices = s.members[a]
+    same = stratum.ranks == [len(idx) for idx in indices] and all(
+        s.complex.d(n).rows[gi][gj].eq(stratum.d(n).rows[i][j])
+        for n in range(1, len(indices))
+        for i, gi in enumerate(indices[n - 1])
+        for j, gj in enumerate(indices[n]))
+    if not same:
+        raise InputError(
+            f"the homotopy for stratum {a} is not on its stratum complex")
+
+
+def _place(rows: list, ring, block: RingMatrix, up: list, dn: list):
+    """Write the scalar ``block`` into ``rows`` at rows ``up`` and columns
+    ``dn``, as constants of ``ring``."""
+    for gi, brow in zip(up, block.scalar_rows()):
+        for gj, v in zip(dn, brow):
+            if not ring.field.is_zero(v):
+                rows[gi][gj] = ring.const(v)
 
 
 def _flow_power(d: RingMatrix, W_down: RingMatrix, V: RingMatrix, k: int):

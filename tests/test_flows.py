@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from chainflow.complexes import BasedComplex, scalar_ring
+from chainflow.complexes import (
+    BasedComplex, Poset, StratifiedComplex, scalar_ring,
+)
 from chainflow.errors import InputError, VerificationError
 from chainflow.flows import (
     Homotopy, affine_combination, assemble_field, classify,
@@ -73,6 +75,29 @@ def conjugate(c, D, x):
     c2 = BasedComplex(ring, c.labels, c.multidegrees, diffs)
     return c2, Homotopy(c2, [P(n + 1, 1) @ D.D(n) @ P(n, -1)
                              for n in range(c.top)])
+
+
+def harmonic_twist(c, D):
+    """``D + Z`` with ``Z_n = u v^T`` for a Moore-Penrose splitting ``D`` of
+    ``c``: ``v`` and ``u`` are the first core vectors of the lowest degrees
+    ``n`` and ``n + 1`` that both have a core.  ``None`` when no two
+    adjacent degrees do.
+
+    The core of ``D`` is the harmonic part ``Ker d ∩ (Im d)^⊥``, which is
+    orthogonal to ``Im d`` and to ``Im D``.  So ``d Z``, ``Z d``, ``D Z``
+    and ``Z D`` vanish, and ``Z`` lives in one degree: ``D + Z`` squares to
+    zero and has the flow block of ``D``, but
+    ``(D + Z) d (D + Z) = D != D + Z``."""
+    cores = stratum_core(c, D)
+    ring = c.ring
+    for n in range(len(cores) - 1):
+        if cores[n] and cores[n + 1]:
+            u, v = cores[n + 1][0], cores[n][0]
+            mats = list(D.mats)
+            mats[n] = mats[n] + RingMatrix(
+                ring, [[ring.const(a * b) for b in v] for a in u], ncols=len(v))
+            return Homotopy(c, mats)
+    return None
 
 
 # Each case: ranks, the rows of d_1.., the rows of D_0.., and the flags
@@ -257,6 +282,35 @@ class TestStratumSplittingExamples:
             split_one_stratum(hexagon, 5, "moore_penrose")
 
 
+def one_stratum(c):
+    """``c`` stratified with every basis element in one stratum."""
+    return StratifiedComplex(c, Poset([0], [frozenset()]),
+                             [[0] * r for r in c.ranks])
+
+
+class TestAssembleField:
+    def test_nonzero_square_raises(self):
+        # the flag case with D^2 != 0: D_1 D_0 = [[0, 1]]
+        ranks, diffs, maps, _ = FLAG_CASES["D^2 != 0"]
+        c, D = int_complex(scalar_ring(QQ), ranks, diffs, maps)
+        assert not D.square(0).is_zero()
+        with pytest.raises(VerificationError,
+                           match="assembled field does not square to zero"):
+            assemble_field(one_stratum(c), {0: D})
+
+    @pytest.mark.parametrize("other", ["differential", "ranks"])
+    def test_homotopy_off_its_stratum_raises(self, other):
+        # d_1 = [2] on the stratified complex; the homotopy lives on a
+        # complex with d_1 = [1], or on one of ranks [1, 2]
+        s = one_stratum(two_term(2))
+        ring = s.complex.ring
+        c = two_term(1) if other == "differential" else BasedComplex(
+            ring, [["a"], ["b", "c"]], [[None], [None, None]],
+            [RingMatrix.zeros(ring, 1, 2)])
+        with pytest.raises(InputError, match="not on its stratum complex"):
+            assemble_field(s, {0: Homotopy(c, [])})
+
+
 class TestFlowAndIteration:
     def test_flow_is_chain_map(self, hexagon):
         D = moore_penrose(hexagon)
@@ -287,25 +341,85 @@ class TestFlowAndIteration:
 
     # Seeds 0..399 give 364 fields with k = 1, 33 with k = 2, 3 with k = 3.
     RANDOM_SEEDS = range(400)
+    # How the flow gets E = W - W delta W (see iterate_flow): from the
+    # products that classify memoized, from the block products that
+    # assemble_field forms for raw splittings, or from ambient products in
+    # iterate_flow, for a copy of the field that carries no memo.
+    ROUTES = ("certified", "raw", "ambient")
 
-    @staticmethod
-    def _random_field(seed):
-        """A seeded stratified complex over Q, the Moore-Penrose splittings
-        of its strata and the field assembled from them."""
+    @classmethod
+    def _random_fields(cls, seed, twist=False):
+        """A seeded stratified complex ``s`` over Q, the field assembled
+        from the Moore-Penrose splittings of its strata along each route,
+        and those splittings: ``(s, {route: W}, splittings)``.
+
+        With ``twist``, each splitting that :func:`harmonic_twist` changes
+        is replaced by its twist, a vector field that is not a partial
+        splitting, so ``E != 0``; ``None`` when no splitting changes."""
         s, _ = random_stratified_complex(random.Random(seed), max_rank=6,
                                          max_strata=5)
-        splits = {ai: moore_penrose(s.stratum(ai)) for ai in s.occupied()}
-        return s, assemble_field(s, splits), splits
+        splits, twisted = {}, set()
+        for ai in s.occupied():
+            D = moore_penrose(s.stratum(ai))
+            T = harmonic_twist(D.complex, D) if twist else None
+            if T is not None:
+                D = T
+                twisted.add(ai)
+            splits[ai] = D
+        if twist and not twisted:
+            return None
+        fields = {}
+        for route in cls.ROUTES:
+            # fresh homotopies, so that no route sees another's memos
+            fresh = {ai: Homotopy(D.complex, D.mats) for ai, D in splits.items()}
+            if route == "certified":
+                for ai, D in fresh.items():
+                    flags = classify(D.complex, D)
+                    assert flags.is_vector_field
+                    assert flags.is_partial_splitting is (ai not in twisted)
+            W = assemble_field(s, fresh)
+            if route == "ambient":
+                W = Homotopy(s.complex, W.mats)
+            fields[route] = W
+        return s, fields, splits
 
     def test_random_fields_match_dense_powers(self):
         seen = Counter()
         for seed in self.RANDOM_SEEDS:
-            s, W, _ = self._random_field(seed)
-            indices, k = iterate_flow(s, W)
-            _, dense_k = dense_iterate_flow(s, W)
-            assert (indices, k) == (dense_degree_indices(s, W), dense_k), seed
-            seen[k] += 1
-        assert sorted(seen) == [1, 2, 3]
+            s, fields, _ = self._random_fields(seed)
+            _, dense_k = dense_iterate_flow(s, fields["raw"])
+            want = (dense_degree_indices(s, fields["raw"]), dense_k)
+            for route, W in fields.items():
+                assert iterate_flow(s, W) == want, (route, seed)
+            seen[dense_k] += 1
+        assert seen == {1: 364, 2: 33, 3: 3}
+
+    def test_random_vector_fields_with_excess_match_dense_powers(self):
+        # Twisted fields keep W^2 = 0 and each diagonal block of the flow,
+        # but E != 0, so the flow carries the E Y term.  Some stabilize and
+        # some do not; iterate_flow must agree with dense powers on both.
+        seen = Counter()
+        for seed in self.RANDOM_SEEDS:
+            twisted = self._random_fields(seed, twist=True)
+            if twisted is None:
+                continue
+            s, fields, _ = twisted
+            try:
+                _, dense_k = dense_iterate_flow(s, fields["raw"])
+            except VerificationError:
+                dense_k = None
+            for route, W in fields.items():
+                if dense_k is None:
+                    with pytest.raises(VerificationError,
+                                       match="stabilization bound exceeded"):
+                        iterate_flow(s, W)
+                else:
+                    assert iterate_flow(s, W) == (
+                        dense_degree_indices(s, W), dense_k), (route, seed)
+            seen[dense_k] += 1
+        # 226 seeds twist a splitting: 135 of those fields stabilize with
+        # k = 1, 10 with k = 2, 1 with k = 3, and 80 never do
+        assert seen == {1: 135, 2: 10, 3: 1, None: 80}
 
     def test_random_non_stabilizing_fields_raise(self):
         # 2W still squares to zero.  On a stratum block, d(2W) + (2W)d is
@@ -313,7 +427,8 @@ class TestFlowAndIteration:
         # flow is the involution I - 2P; where P != 0 no two powers agree.
         raised = 0
         for seed in self.RANDOM_SEEDS[:100]:
-            s, W, _ = self._random_field(seed)
+            s, fields, _ = self._random_fields(seed)
+            W = fields["raw"]
             if all(m.is_zero() for m in W.mats):
                 continue
             doubled = Homotopy(s.complex,
@@ -328,12 +443,14 @@ class TestFlowAndIteration:
     def test_random_fields_extract_like_dense_projection(self):
         seen = Counter()
         for seed in self.RANDOM_SEEDS:
-            s, W, splits = self._random_field(seed)
+            s, fields, splits = self._random_fields(seed)
             cores = {ai: stratum_core(s.stratum(ai), D)
                      for ai, D in splits.items()}
-            _, k = iterate_flow(s, W)
-            Pi, _ = dense_iterate_flow(s, W)
-            assert_same_summand(extract_minimal_summand(s, W, k, cores),
-                                dense_extract_minimal_summand(s, Pi, cores))
-            seen[k] += 1
-        assert sorted(seen) == [1, 2, 3]
+            Pi, dense_k = dense_iterate_flow(s, fields["raw"])
+            want = dense_extract_minimal_summand(s, Pi, cores)
+            for W in fields.values():
+                _, k = iterate_flow(s, W)
+                assert_same_summand(extract_minimal_summand(s, W, k, cores),
+                                    want)
+            seen[dense_k] += 1
+        assert seen == {1: 364, 2: 33, 3: 3}

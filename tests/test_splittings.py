@@ -2,6 +2,7 @@
 coercion."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -414,6 +415,47 @@ class TestMatroidalAverage:
         assert _verified(resolve_minimal(cyclefam.build_Ip(2).ideal, 3))
         for p in (0, 2, 3):
             assert _verified(resolve_toric(SEMIGROUP23, p))
+
+
+    def test_assembly_and_flow_reuse_the_classify_products(self, monkeypatch):
+        # classify forms each stratum's D_{n+1} D_n and D_n d D_n once;
+        # assemble_field reads both and multiplies nothing, and the flow
+        # takes E = 0 from the assembly instead of forming it again.
+        formed = Counter()
+        square = flows.Homotopy.square
+
+        def spy_square(self, n):
+            if ("square", n) not in self._memo:
+                formed[self, n] += 1
+            return square(self, n)
+
+        products = Counter()
+        matmul = RingMatrix.__matmul__
+        stage = []
+
+        def spy_matmul(a, b):
+            products[stage[-1] if stage else None] += 1
+            return matmul(a, b)
+
+        def assemble(s, splits):
+            stage.append("assemble_field")
+            try:
+                return flows.assemble_field(s, splits)
+            finally:
+                stage.pop()
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the flow formed E from ambient products")
+
+        monkeypatch.setattr(flows.Homotopy, "square", spy_square)
+        monkeypatch.setattr(RingMatrix, "__matmul__", spy_matmul)
+        monkeypatch.setattr(splittings, "assemble_field", assemble)
+        monkeypatch.setattr(flows, "_excess", boom)
+        res = resolve_minimal(cyclefam.build_Ip(3).ideal, 3, start="taylor")
+        assert _verified(res)
+        assert products["assemble_field"] == 0 and products[None] > 0
+        assert formed and set(formed.values()) == {1}
+        assert len({h for h, _ in formed}) == len(res.start.occupied())
 
 
 class TestStratumSlices:
