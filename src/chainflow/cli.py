@@ -121,6 +121,26 @@ def _say(*lines):
         print(line, file=sys.stderr)
 
 
+def _emit_resolution(args, res, extra: dict, *lines):
+    """Write the report and the resolution of ``res``, then ``extra``, and
+    say the field, ranks, stabilization and critical primes, then
+    ``lines``."""
+    _emit(args, {
+        "report": res.report,
+        "resolution": serialize.complex_to_json(res.resolution),
+        **extra,
+    })
+    rep = res.report
+    _say(
+        f"minimal resolution over {json.dumps(rep['field'])}: "
+        f"ranks {rep['ranks']}",
+        rep["stabilization"],
+        f"critical primes {rep['critical_primes']}; "
+        f"transcendence degree {rep['transcendence_degree']}",
+        *lines,
+    )
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -148,26 +168,18 @@ def cmd_resolve(args) -> int:
     mode = _MODES[args.mode] if args.mode else None
     res = resolve_minimal(I, characteristic=args.char, start=args.start,
                           mode=mode)
-    payload = {
-        "report": res.report,
-        "resolution": serialize.complex_to_json(res.resolution),
-    }
+    extra = {}
     if args.with_field:
-        payload["vector_field"] = serialize.homotopy_to_json(res.homotopy)
-        payload["start_resolution"] = serialize.stratified_to_json(res.start)
-    _emit(args, payload)
-    rep = res.report
-    _say(
-        f"minimal resolution over {json.dumps(rep['field'])}: "
-        f"ranks {rep['ranks']}",
-        rep["stabilization"],
-        f"critical primes {rep['critical_primes']}; "
-        f"transcendence degree {rep['transcendence_degree']}",
-        "verification: minimal="
-        + str(rep["verification"]["minimal"]).lower()
-        + " exact=" + str(rep["verification"]["exact"]).lower()
-        + f" ({rep['verification']['degrees_checked']} degrees checked)",
-    )
+        extra = {
+            "vector_field": serialize.homotopy_to_json(res.homotopy),
+            "start_resolution": serialize.stratified_to_json(res.start),
+        }
+    ver = res.report["verification"]
+    _emit_resolution(
+        args, res, extra,
+        f"verification: minimal={str(ver['minimal']).lower()} "
+        f"exact={str(ver['exact']).lower()} "
+        f"({ver['degrees_checked']} degrees checked)")
     return 0
 
 
@@ -199,20 +211,8 @@ def cmd_matroidal(args) -> int:
 def cmd_toric_resolve(args) -> int:
     data = _parse_toric(_load_input(args))
     mode = _MODES[args.mode] if args.mode else None
-    res = resolve_toric(data, characteristic=args.char, mode=mode)
-    payload = {
-        "report": res.report,
-        "resolution": serialize.complex_to_json(res.resolution),
-    }
-    _emit(args, payload)
-    rep = res.report
-    _say(
-        f"minimal resolution over {json.dumps(rep['field'])}: "
-        f"ranks {rep['ranks']}",
-        rep["stabilization"],
-        f"critical primes {rep['critical_primes']}; "
-        f"transcendence degree {rep['transcendence_degree']}",
-    )
+    _emit_resolution(
+        args, resolve_toric(data, characteristic=args.char, mode=mode), {})
     return 0
 
 

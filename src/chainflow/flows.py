@@ -7,21 +7,23 @@ Depending on which identities ``D`` satisfies (``D^2 = 0``, ``D d D = D``,
 direct summand; :func:`classify` detects these cases exactly.  The remaining
 operations build such homotopies (Moore-Penrose inverses, affine combinations,
 the idempotent-correcting ``hat``) and drive the stabilize-and-extract
-pipeline on stratified complexes: :func:`iterate_flow` certifies the step
-count ``k`` with ``Phi^{k+1} = Phi^k`` through the recursion
-``X_{k+1} = X_k - W(d X_k)`` for ``X_k = Phi^k W``, and
-:func:`extract_minimal_summand` applies that certified ``k``-step flow to
-all core vectors of a degree at once, as the columns of one matrix ``V``,
-with the step ``V <- V - W(d V)``.  Neither forms ``Phi`` or a power of it.
+pipeline on stratified complexes.
 
-The field ``W`` is block-diagonal over the strata, and the flow stays
-aware of it.  A :class:`Homotopy` keeps the products ``D_{n+1} D_n`` and
-``D_n d D_n`` that :func:`classify` forms to certify a stratum splitting.
-:func:`assemble_field` reads them to certify ``W^2 = 0`` block by block
-and to find ``E = W - W delta W``, where ``delta`` is the same-stratum
-part of ``d``.  :func:`iterate_flow` then multiplies ``W`` only by the
-cross-stratum part of ``d X_k``; ``E``, zero for partial splittings, adds
-the one further term the recursion needs.
+The flow of the assembled field ``W`` is walked once.  :func:`iterate_flow`
+steps ``X_i = Phi^i W`` until it certifies the step count ``k`` with
+``Phi^{k+1} = Phi^k``, and sums ``H = X_0 + ... + X_{k-1}`` on the way.
+``Phi`` commutes with ``d``, so the stabilized flow is the flow of ``H``:
+``Pi = Phi^k = I - d H - H d``.  :func:`extract_minimal_summand` projects
+all core vectors of a degree, the columns of one matrix ``V``, as
+``Pi V = V - H(d V)``, which holds because ``W V = 0`` for core vectors.
+Neither forms ``Phi`` or a power of it.
+
+The field ``W`` is block-diagonal over the strata.  A :class:`Homotopy`
+keeps the products ``D_{n+1} D_n`` and ``D_n d D_n`` that :func:`classify`
+forms to certify a stratum splitting.  :func:`assemble_field` reads them to
+certify ``W^2 = 0`` block by block and to record whether every block is a
+partial splitting; for such a ``W``, :func:`iterate_flow` multiplies ``W``
+only by the cross-stratum part of ``d X_k``.
 
 Every homotopy identity and correction is one ``RingMatrix`` computation,
 whatever the entries are (field constants on the stratum complexes,
@@ -106,9 +108,6 @@ class Homotopy:
             self._memo[key] = form()
         return self._memo[key]
 
-    def is_scalar(self) -> bool:
-        return all(m.is_scalar() for m in self.mats)
-
 
 def _kept(m: RingMatrix, like: RingMatrix | None = None) -> RingMatrix:
     """``m``, cheap to keep: ``like`` itself when equal to it, and with one
@@ -161,7 +160,8 @@ def classify(c: BasedComplex, D: Homotopy) -> ClassifyResult:
 
 
 def iterate_flow(s: StratifiedComplex, W: Homotopy):
-    """Certify exactly that the flow ``Phi = I - d W - W d`` stabilizes.
+    """Certify exactly that the flow ``Phi = I - d W - W d`` stabilizes, and
+    sum the homotopy ``H`` of its stable power.
 
     ``W`` is the field from :func:`assemble_field`, which certified
     ``W^2 = 0``.  Then ``Phi`` commutes with ``d`` and with ``W``, so with
@@ -170,53 +170,39 @@ def iterate_flow(s: StratifiedComplex, W: Homotopy):
     - ``Phi^k (I - Phi) = d X_k + X_k d``, hence ``Phi^{k+1} = Phi^k`` in
       degree ``n`` exactly when ``d_{n+1} (X_k)_n + (X_k)_{n-1} d_n = 0``;
     - ``W X_k = Phi^k W^2 = 0``, so ``X_0 = W`` and
-      ``X_{k+1} = X_k - W (d X_k)``.
+      ``X_{k+1} = X_k - W (d X_k)``, one product on the ``d X_k`` of the
+      test;
+    - ``Phi^k - I = sum_{i<k} Phi^i (Phi - I) = -(d H + H d)`` with
+      ``H = X_0 + ... + X_{k-1}``, so ``Phi^k = I - d H - H d``.
 
-    The step is taken block-aware.  Split ``d = delta + nu``: ``delta``
-    keeps the entries of ``d`` between basis elements of one stratum
-    (``s.strata``), ``nu`` the rest.  Put ``Y_0 = I`` and
-    ``Y_{k+1} = Y_k - d X_k``.  Then ``X_k = W Y_k`` for any ``W``, by
-    induction: ``X_0 = W Y_0``, and
-    ``X_{k+1} = W Y_k - W d X_k = W Y_{k+1}``.  So
-    ``W d X_k = (W delta W) Y_k + W (nu X_k)``, and
-
-        ``X_{k+1} = E Y_k - W (nu X_k)``, with ``E = W - W delta W``.
-
-    These are the ``X_k`` of the plain recursion, so the test and ``k`` do
-    not change.  Premises of the shortcut:
-
-    - ``E`` is block-diagonal with blocks ``D_a - D_a d_a D_a``, because
-      ``W`` and ``delta`` are supported on same-stratum blocks and each
-      ``D_a`` lives on the slice ``d_a`` of its stratum, which
-      :func:`assemble_field` checks;
-    - those blocks vanish for partial splittings (``D d D = D``, which
-      :func:`classify` certifies), and :func:`assemble_field` leaves ``E``
-      memoized on ``W`` for the stratification ``s.strata``, as ``None``
-      for zero.  The step is then ``X_{k+1} = W (-nu X_k)``, and neither
-      ``Y`` nor ``delta`` is formed;
-    - any other ``W``, such as one not from :func:`assemble_field` or one
-      on another complex object than ``s.complex``, gets ``E`` from
-      ambient products, once, and carries ``Y``, reusing the ``d X_k`` of
-      the test.
+    When every block of ``W`` is a partial splitting (``D d D = D``, which
+    :func:`classify` certifies and :func:`assemble_field` records on ``W``
+    for the stratification ``s.strata``), the step needs only the part
+    ``nu`` of ``d`` between basis elements of two strata.  The rest,
+    ``delta``, is the slice ``d_a`` on each stratum, where ``D_a`` lives, so
+    ``W delta W = W``; with ``X_k = W Phi^k`` that gives
+    ``W delta X_k = X_k``, and the step is ``X_{k+1} = W (-nu X_k)``.  Any
+    other ``W``, such as one on another complex object than ``s.complex``,
+    takes the plain step.
 
     Neither ``Phi`` nor any power of it is formed.  Returns
-    ``(indices, k)``: ``indices[n]`` is the smallest ``k`` for which the
+    ``(indices, k, H)``: ``indices[n]`` is the smallest ``k`` for which the
     test holds in degree ``n`` (it then holds for every larger ``k``), and
     ``k`` is their maximum, at least 1, the smallest ``k >= 1`` with
-    ``Phi^{k+1} = Phi^k``.  Stabilization is guaranteed within ``1 + dim P``
-    over the occupied strata; exceeding the bound raises.
+    ``Phi^{k+1} = Phi^k``.  ``H`` is ``W`` itself when ``k = 1``; where
+    ``W V = 0``, as for core vectors, ``H V = 0`` and
+    ``Pi V = V - H(d V)``.  Stabilization is guaranteed within
+    ``1 + dim P`` over the occupied strata; exceeding the bound raises.
     """
     c = s.complex
     if W.complex is not c:
         W = Homotopy(c, W.mats)
     top = c.top
     bound = 1 + max(s.occupied_dimension(), 0)
-    E = W._memoized(_excess_key(s), lambda: _excess(s, W))
-    minus_nu = [_part_of_d(s, n + 1, False, negate=True)
-                for n in range(top)]
-    Y = None if E is None else [RingMatrix.identity(c.ring, c.rank(n))
-                                for n in range(top)]
+    minus_nu = ([_minus_nu(s, n + 1) for n in range(top)]
+                if W._memo.get(_partial_key(s)) else None)
     X = list(W.mats)
+    H = None   # X_0 + ... + X_{k-1}
     indices: list = [None] * (top + 1)
     k = 0
     while True:
@@ -231,41 +217,36 @@ def iterate_flow(s: StratifiedComplex, W: Homotopy):
             if test is None or test.is_zero():
                 indices[n] = k
         if None not in indices:
-            return indices, max(max(indices), 1)
+            return indices, max(k, 1), W if k <= 1 else Homotopy(c, H)
         if k >= bound:
             raise VerificationError("stabilization bound exceeded")
-        X = [W.D(n) @ (m @ x) for n, (m, x) in enumerate(zip(minus_nu, X))]
-        if Y is not None:
-            X = [e @ y + x for e, y, x in zip(E, Y, X)]
-            Y = [y - dx for y, dx in zip(Y, dX)]
+        H = X if H is None else [h + x for h, x in zip(H, X)]
+        if minus_nu is None:
+            X = [x - W.D(n) @ dx for n, (x, dx) in enumerate(zip(X, dX))]
+        else:
+            X = _nu_step(W, minus_nu, X)
         k += 1
 
 
-def _part_of_d(s: StratifiedComplex, n: int, within: bool,
-               negate: bool = False) -> RingMatrix:
-    """``d_n``, or ``-d_n`` when ``negate``, with only its entries between
-    basis elements of one stratum (``delta``, when ``within``) or of two
-    (``nu``) kept; the other entries share one zero."""
+def _nu_step(W: Homotopy, minus_nu: list, X: list) -> list:
+    """``X_{k+1} = W (-nu X_k)``, the step of a field of partial
+    splittings."""
+    return [W.D(n) @ (m @ x) for n, (m, x) in enumerate(zip(minus_nu, X))]
+
+
+def _minus_nu(s: StratifiedComplex, n: int) -> RingMatrix:
+    """``-nu_n``: ``-d_n`` with only its entries between basis elements of
+    two strata kept; the other entries share one zero."""
     ring = s.complex.ring
     zero = ring.zero()
-    rows = [[(-e if negate else e) if (a == b) is within and not e.is_zero()
-             else zero for b, e in zip(s.strata[n], row)]
+    rows = [[-e if a != b and not e.is_zero() else zero
+             for b, e in zip(s.strata[n], row)]
             for a, row in zip(s.strata[n - 1], s.complex.d(n).rows)]
     return RingMatrix(ring, rows, ncols=s.complex.rank(n))
 
 
-def _excess_key(s: StratifiedComplex):
-    return ("excess", tuple(map(tuple, s.strata)))
-
-
-def _excess(s: StratifiedComplex, W: Homotopy):
-    """``E_n = W_n - W_n delta_{n+1} W_n`` for ``n < top`` from ambient
-    products, or ``None`` when every ``E_n`` is zero."""
-    E = []
-    for n in range(s.complex.top):
-        Wn = W.D(n)
-        E.append(Wn - (Wn @ _part_of_d(s, n + 1, True)) @ Wn)
-    return None if all(e.is_zero() for e in E) else tuple(E)
+def _partial_key(s: StratifiedComplex):
+    return ("partial", tuple(map(tuple, s.strata)))
 
 
 def hat(c: BasedComplex, D: Homotopy) -> Homotopy:
@@ -344,51 +325,39 @@ def assemble_field(s: StratifiedComplex, splittings: dict) -> Homotopy:
     """Embed per-stratum homotopies block-diagonally into the ambient complex.
 
     ``splittings`` maps poset indices of occupied strata to scalar homotopies
-    on the corresponding stratum complexes; a homotopy whose complex is not
-    the slice of its stratum (ranks, and ``d`` entry by entry) raises.  The
-    assembled field ``W`` is supported on same-stratum blocks only — hence
-    homogeneous of internal degree 0 — and is certified to square to zero.
+    on the corresponding stratum complexes; a key that is not an occupied
+    stratum raises, as does a homotopy whose complex is not the slice of its
+    stratum (ranks, and ``d`` entry by entry).  The assembled field ``W`` is
+    supported on same-stratum blocks only — hence homogeneous of internal
+    degree 0 — and is certified to square to zero.
 
     No ambient product is formed.  The basis positions of distinct strata
     are disjoint, so ``W_{n+1} W_n`` is block-diagonal with blocks
     ``D_{n+1} D_n``: ``W^2 = 0`` exactly when every block square is zero,
-    and each is checked.  Likewise ``E = W - W delta W`` (see
-    :func:`iterate_flow`) is block-diagonal with blocks
-    ``D_n - D_n d_{n+1} D_n``, since the same-stratum part ``delta`` of
-    ``d`` is the slice checked above.  Both block products come from
-    :meth:`Homotopy.square` and :meth:`Homotopy.sandwich`, so a homotopy
-    that :func:`classify` certified is not multiplied again.  ``E`` is
-    left memoized on ``W`` for :func:`iterate_flow`, as ``None`` when every
-    block vanishes, as it does for partial splittings.
+    and each is checked.  Each block's ``D_n d_{n+1} D_n`` is compared with
+    ``D_n``, and whether every block is a partial splitting is left
+    memoized on ``W`` for :func:`iterate_flow`.  Both block products come
+    from :meth:`Homotopy.square` and :meth:`Homotopy.sandwich`, so a
+    homotopy that :func:`classify` certified is not multiplied again.
     """
     c = s.complex
     ring = c.ring
-
-    def zero_rows():
-        return [[[ring.zero() for _ in range(c.rank(n))]
-                 for _ in range(c.rank(n + 1))] for n in range(c.top)]
-
-    W_rows, E_rows = zero_rows(), None
+    rows = [[[ring.zero() for _ in range(c.rank(n))]
+             for _ in range(c.rank(n + 1))] for n in range(c.top)]
+    partial = True
     for a, D in splittings.items():
         indices = s.members.get(a)
         if indices is None:
-            continue
+            raise InputError(f"no occupied stratum {a!r} for a homotopy")
         _check_slice(s, a, D.complex)
         for n in range(D.complex.top):
             if not D.square(n).is_zero():
                 raise VerificationError("assembled field does not square to zero")
-            up, dn = indices[n + 1], indices[n]
-            _place(W_rows[n], ring, D.D(n), up, dn)
-            if not D.sandwich(n).eq(D.D(n)):
-                if E_rows is None:
-                    E_rows = zero_rows()
-                _place(E_rows[n], ring, D.D(n) - D.sandwich(n), up, dn)
-
-    def matrices(rows):
-        return [RingMatrix(ring, r, ncols=c.rank(n)) for n, r in enumerate(rows)]
-
-    W = Homotopy(c, matrices(W_rows))
-    W._memo[_excess_key(s)] = None if E_rows is None else tuple(matrices(E_rows))
+            _place(rows[n], ring, D.D(n), indices[n + 1], indices[n])
+            partial = partial and D.sandwich(n).eq(D.D(n))
+    W = Homotopy(c, [RingMatrix(ring, r, ncols=c.rank(n))
+                     for n, r in enumerate(rows)])
+    W._memo[_partial_key(s)] = partial
     return W
 
 
@@ -415,55 +384,37 @@ def _place(rows: list, ring, block: RingMatrix, up: list, dn: list):
                 rows[gi][gj] = ring.const(v)
 
 
-def _flow_power(d: RingMatrix, W_down: RingMatrix, V: RingMatrix, k: int):
-    """Apply ``V <- V - W_down(d V)`` at most ``k`` times, stopping early
-    once the step vanishes; return ``(V, d V)``."""
-    dV = d @ V
-    for _ in range(k):
-        step = W_down @ dV
-        if step.is_zero():
-            break
-        V = V - step
-        dV = d @ V
-    return V, dV
-
-
 def _rows(m: RingMatrix, idx: list) -> RingMatrix:
     return RingMatrix(m.ring, [m.rows[i] for i in idx], ncols=m.ncols)
 
 
 def extract_minimal_summand(
     s: StratifiedComplex,
-    W: Homotopy,
-    k: int,
+    H: Homotopy,
     core_bases: dict,
 ) -> BasedComplex:
-    """Project per-stratum core vectors along the flow of ``W`` and
+    """Project per-stratum core vectors along the stabilized flow and
     re-express ``d``.
 
-    ``W`` is the field from :func:`assemble_field`, built from homotopies
-    that :func:`classify` certified as splittings, and ``k`` is the step
-    count that :func:`iterate_flow` certified for it.  ``core_bases`` maps
+    ``H`` is the homotopy that :func:`iterate_flow` returns for the field
+    ``W`` from :func:`assemble_field`, built from homotopies that
+    :func:`classify` certified as splittings.  The stabilized flow is
+    ``Pi = Phi^k = I - d H - H d``; it is never formed.  ``core_bases`` maps
     poset indices of occupied strata to per-degree lists of scalar column
-    vectors spanning the core ``C_n`` of the stratum splitting.  Their
-    projections ``Pi v`` generate the summand, where ``Pi = Phi^k`` is the
-    stabilized flow of ``Phi = I - d W - W d``; ``Pi`` itself is never
-    formed.
+    vectors spanning the core ``C_n`` of the stratum splitting; a key that
+    is not an occupied stratum raises.  The projections ``Pi v`` of the core
+    vectors generate the summand.
 
     In each degree ``n`` the embedded core vectors are the columns of one
-    matrix ``V``, and :func:`_flow_power` applies
-    ``V <- V - W_{n-1}(d_n V)`` at most ``k`` times.  That is ``Pi V``:
+    matrix ``V``, and ``Pi V = V - H_{n-1}(d_n V)``:
 
     - Each ``D_a`` is a splitting, so ``D_a = D_a d D_a``.  A core vector
       lies in ``Ker d ∩ Ker dD`` of its stratum, so
       ``D_a v = D_a(d D_a v) = 0``; ``W`` is block-diagonal over the
-      strata, so ``W v = 0``.
-    - :func:`assemble_field` certified ``W^2 = 0``, so every step keeps
-      ``W u = 0``: ``W(u - W d u) = W u``.  Hence along the orbit
-      ``Phi u = u - d(W u) - W(d u) = u - W(d u)``.
-    - :func:`iterate_flow` certified ``Phi^{k+1} = Phi^k``, so ``k`` steps
-      give ``Phi^k V = Pi V``, and a zero step means every later step is
-      zero too.
+      strata, so ``W V = 0``.
+    - ``H`` is a sum of terms ``Phi^i W``, so ``H V = 0`` too, and
+      ``Pi V = V - d(H V) - H(d V) = V - H(d V)``.  When ``H(d V) = 0``,
+      ``d V`` serves as ``d Pi V``.
 
     The induced differential ``C`` solves ``G_{n-1} C = d_n G_n`` for the
     generator matrices ``G``, one stratum block at a time down the stratum
@@ -477,6 +428,9 @@ def extract_minimal_summand(
     ring = c.ring
     field = ring.field
     poset = s.poset
+    for ai in core_bases:
+        if ai not in s.members:
+            raise InputError(f"no occupied stratum {ai!r} for a core basis")
     order = sorted(core_bases, key=lambda i: (poset.depth(i), i))
     strata: list = []   # per degree, the stratum of each generator
     diffs = []
@@ -499,7 +453,12 @@ def extract_minimal_summand(
                 for i, row in enumerate(emb):
                     row.append(entries.get(i, field.zero))
         V = RingMatrix.from_scalar_rows(ring, emb, ncols=len(strata[n]))
-        G_n, R = _flow_power(dmat(c, n), W.D(n - 1), V, k)
+        d = dmat(c, n)
+        G_n, R = V, d @ V
+        step = H.D(n - 1) @ R
+        if not step.is_zero():
+            G_n = V - step
+            R = d @ G_n
         if n:
             C = RingMatrix.zeros(ring, G.ncols, R.ncols)
             for start, rows, inv in reversed(blocks):

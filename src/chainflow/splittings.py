@@ -644,9 +644,9 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
                                    poset, s_base.strata)
 
     W = assemble_field(s_work, {ai: splittings[tag] for ai, tag in tags.items()})
-    _, iterations = iterate_flow(s_work, W)
+    _, iterations, H = iterate_flow(s_work, W)
     resolution = extract_minimal_summand(
-        s_work, W, iterations, {ai: cores[tag] for ai, tag in tags.items()})
+        s_work, H, {ai: cores[tag] for ai, tag in tags.items()})
     verification = verify(resolution)
     if not verification["ok"]:
         raise VerificationError(

@@ -2,9 +2,14 @@
 
 import json
 from importlib import resources
+from unittest import mock
 
+from chainflow.flows import extract_minimal_summand
+from chainflow.linalg import RingMatrix
 from chainflow.serialize import complex_from_json, complex_to_json, dumps
 from chainflow.splittings import _splitting_mode, split_strata
+
+from oracles import flow
 
 
 def split_one_stratum(c, characteristic, mode, tag="a"):
@@ -48,6 +53,35 @@ def assert_same_summand(got, want):
             for x, y in zip(grow, wrow):
                 assert x.eq(y)
                 assert x.render() == y.render()
+
+
+def assert_stable_flow(s, H, Pi):
+    """``I - d H - H d`` equals the dense stabilized flow ``Pi`` in every
+    degree of ``s``."""
+    got = flow(s.complex, H)
+    assert len(got) == len(Pi)
+    for n, (g, want) in enumerate(zip(got, Pi)):
+        assert g.eq(want), n
+
+
+def extract_counting_projections(s, H, cores):
+    """``extract_minimal_summand(s, H, cores)``, and per degree ``n >= 1``
+    with cores the number of its ``RingMatrix`` products with ``d_n`` or
+    ``H_{n-1}`` on the left, the products that project the core vectors."""
+    lefts = []
+    matmul = RingMatrix.__matmul__
+
+    def spy(a, b):
+        if b.ncols:   # a product in a degree with cores
+            lefts.append(a)
+        return matmul(a, b)
+
+    with mock.patch.object(RingMatrix, "__matmul__", spy):
+        out = extract_minimal_summand(s, H, cores)
+    c = s.complex
+    counts = {n: sum(a is c.d(n) or a is H.D(n - 1) for a in lefts)
+              for n in range(1, c.top + 1)}
+    return out, {n: m for n, m in counts.items() if m}
 
 
 def assert_resolution_reads_back(path):

@@ -3,6 +3,7 @@ projection ``Pi v`` of the stabilized flow."""
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from chainflow import flows, splittings
 from chainflow.cli import main
 from chainflow.complexes import BasedComplex, Poset, StratifiedComplex, scalar_ring
-from chainflow.errors import VerificationError
+from chainflow.errors import InputError, VerificationError
 from chainflow.flows import (
     Homotopy, assemble_field, classify, extract_minimal_summand, iterate_flow,
     moore_penrose,
@@ -21,7 +22,8 @@ from chainflow.scalars import QQ
 from chainflow.splittings import stratum_core
 
 from helpers import (
-    assert_resolution_reads_back, assert_same_summand, fixture_ideal,
+    assert_resolution_reads_back, assert_same_summand, assert_stable_flow,
+    extract_counting_projections, fixture_ideal,
 )
 from oracles import (
     betti_euler_characteristic, dense_extract_minimal_summand,
@@ -60,20 +62,21 @@ def test_matches_dense_projection(job, monkeypatch, tmp_path):
 
     def iterate(s, W):
         out = flows.iterate_flow(s, W)
-        seen.append((out[1], dense_iterate_flow(s, W)))
+        seen.append((out, dense_iterate_flow(s, W)))
         return out
 
-    def extract(s, W, k, cores):
-        out = flows.extract_minimal_summand(s, W, k, cores)
-        seen.append((s, k, cores, out))
+    def extract(s, H, cores):
+        out = flows.extract_minimal_summand(s, H, cores)
+        seen.append((s, H, cores, out))
         return out
 
     monkeypatch.setattr(splittings, "iterate_flow", iterate)
     monkeypatch.setattr(splittings, "extract_minimal_summand", extract)
     path = tmp_path / "art.json"
     assert main(job.split() + ["--out", str(path)]) == 0
-    (k, (Pi, dense_k)), (s, extract_k, cores, got) = seen
-    assert k == dense_k == extract_k
+    ((_, k, H), (Pi, dense_k)), (s, extract_H, cores, got) = seen
+    assert k == dense_k and extract_H is H
+    assert_stable_flow(s, H, Pi)
     assert_same_summand(got, dense_extract_minimal_summand(s, Pi, cores))
     assert_reference_artifact(job, path)
     assert_resolution_reads_back(path)
@@ -119,19 +122,22 @@ def test_two_step_orbit_matches_dense_projection():
         cores[ai] = stratum_core(c, D)
     W = assemble_field(s, splittings)
     Pi, dense_k = dense_iterate_flow(s, W)
-    assert iterate_flow(s, W) == ([2, 2], 2)
-    assert dense_k == 2
-    got = extract_minimal_summand(s, W, 2, cores)
-    assert got.ranks == [0, 1]
-    # the orbit of the core vector e is e -> e - b -> e - b + f
+    indices, k, H = iterate_flow(s, W)
+    assert (indices, k, dense_k) == ([2, 2], 2, 2)
+    assert_stable_flow(s, H, Pi)
+    # the orbit of the core vector e is e -> e - b -> e - b + f; W reads
+    # only its first step, H = W + Phi W the whole of it
     e = RingMatrix.from_scalar_rows(
         s.complex.ring, [[Fraction(1)], [Fraction(0)], [Fraction(0)]])
-    g, dg = flows._flow_power(s.complex.d(1), W.D(0), e, 2)
-    assert [x.render() for row in g.rows for x in row] == ["1", "-1", "1"]
-    assert dg.is_zero()
-    g, dg = flows._flow_power(s.complex.d(1), W.D(0), e, 1)
-    assert [x.render() for row in g.rows for x in row] == ["1", "-1", "0"]
-    assert [x.render() for row in dg.rows for x in row] == ["0", "-1"]
+    de = s.complex.d(1) @ e
+    assert [x.render() for row in (e - W.D(0) @ de).rows
+            for x in row] == ["1", "-1", "0"]
+    assert [x.render() for row in (e - H.D(0) @ de).rows
+            for x in row] == ["1", "-1", "1"]
+    # d e, H(d e) and d of the projection, whatever k is
+    got, projections = extract_counting_projections(s, H, cores)
+    assert projections == {1: 3}
+    assert got.ranks == [0, 1]
     assert_same_summand(got, dense_extract_minimal_summand(s, Pi, cores))
 
 
@@ -142,6 +148,20 @@ def test_cores_off_the_projection_raise():
     s = StratifiedComplex(c, Poset([0], [frozenset()]), [[0], [0]])
     # b is offered as a core vector with no core in degree 0, so nothing
     # spans d b = a.
-    W = Homotopy(c, [RingMatrix.zeros(ring, 1, 1)])
+    H = Homotopy(c, [RingMatrix.zeros(ring, 1, 1)])
     with pytest.raises(VerificationError, match="inconsistent with flow"):
-        extract_minimal_summand(s, W, 1, {0: [[], [[Fraction(1)]]]})
+        extract_minimal_summand(s, H, {0: [[], [[Fraction(1)]]]})
+
+
+@pytest.mark.parametrize("key", [5, 1, (0,)])
+def test_cores_off_the_occupied_strata_raise(key):
+    # 5 and (0,) are no poset index; 1 is one, of an unoccupied stratum
+    ring = scalar_ring(QQ)
+    c = BasedComplex(ring, [["a"], ["b"]], [[None], [None]],
+                     [RingMatrix(ring, [[ring.one()]])])
+    poset = Poset([0, 1], [frozenset(), frozenset({0})])
+    s = StratifiedComplex(c, poset, [[0], [0]])
+    H = Homotopy(c, [RingMatrix.zeros(ring, 1, 1)])
+    with pytest.raises(InputError,
+                       match=re.escape(f"no occupied stratum {key!r}")):
+        extract_minimal_summand(s, H, {0: [[], []], key: [[], []]})

@@ -11,16 +11,19 @@ from chainflow.complexes import (
 )
 from chainflow.errors import InputError, VerificationError
 from chainflow.flows import (
-    Homotopy, affine_combination, assemble_field, classify,
-    extract_minimal_summand, hat, iterate_flow, moore_penrose,
+    Homotopy, affine_combination, assemble_field, classify, hat,
+    iterate_flow, moore_penrose,
 )
 from chainflow.linalg import PolyRing, RingMatrix
 from chainflow.monomial import order_complex_resolution
 from chainflow.scalars import GF, QQ, FunctionField
 from chainflow.splittings import stratum_core
-from chainflow import cyclefam
+from chainflow import cyclefam, flows
 import golden_data as G
-from helpers import assert_same_summand, split_one_stratum
+from helpers import (
+    assert_same_summand, assert_stable_flow, extract_counting_projections,
+    split_one_stratum,
+)
 from oracles import (
     dense_degree_indices, dense_extract_minimal_summand, dense_iterate_flow,
     flow, flow_is_chain_map, mp_identities_hold, weak_partial_decomposition,
@@ -176,7 +179,7 @@ class TestClassify:
         ranks, diffs, maps, want = FLAG_CASES[case]
         R = PolyRing(QQ, ["x"])
         c, D = conjugate(*int_complex(R, ranks, diffs, maps), R.var("x"))
-        assert not (c.is_scalar() and D.is_scalar())
+        assert not (c.is_scalar() and all(m.is_scalar() for m in D.mats))
         cls = classify(c, D)
         assert (cls.is_pre_vector_field, cls.is_vector_field,
                 cls.is_partial_splitting, cls.is_splitting) == want
@@ -310,6 +313,13 @@ class TestAssembleField:
         with pytest.raises(InputError, match="not on its stratum complex"):
             assemble_field(s, {0: Homotopy(c, [])})
 
+    def test_homotopy_off_the_occupied_strata_raises(self):
+        # the one stratum is 0; 5 used to be dropped, leaving W = 0
+        s = one_stratum(two_term(1))
+        D = moore_penrose(s.stratum(0))
+        with pytest.raises(InputError, match="no occupied stratum 5"):
+            assemble_field(s, {5: D})
+
 
 class TestFlowAndIteration:
     def test_flow_is_chain_map(self, hexagon):
@@ -341,10 +351,11 @@ class TestFlowAndIteration:
 
     # Seeds 0..399 give 364 fields with k = 1, 33 with k = 2, 3 with k = 3.
     RANDOM_SEEDS = range(400)
-    # How the flow gets E = W - W delta W (see iterate_flow): from the
-    # products that classify memoized, from the block products that
-    # assemble_field forms for raw splittings, or from ambient products in
-    # iterate_flow, for a copy of the field that carries no memo.
+    # How the flow learns whether every block of W is a partial splitting
+    # (see iterate_flow): from the products that classify memoized, from
+    # the block products that assemble_field forms for raw splittings, or
+    # not at all, for a copy of the field that carries no memo and so takes
+    # the plain step.
     ROUTES = ("certified", "raw", "ambient")
 
     @classmethod
@@ -355,7 +366,7 @@ class TestFlowAndIteration:
 
         With ``twist``, each splitting that :func:`harmonic_twist` changes
         is replaced by its twist, a vector field that is not a partial
-        splitting, so ``E != 0``; ``None`` when no splitting changes."""
+        splitting; ``None`` when no splitting changes."""
         s, _ = random_stratified_complex(random.Random(seed), max_rank=6,
                                          max_strata=5)
         splits, twisted = {}, set()
@@ -387,17 +398,20 @@ class TestFlowAndIteration:
         seen = Counter()
         for seed in self.RANDOM_SEEDS:
             s, fields, _ = self._random_fields(seed)
-            _, dense_k = dense_iterate_flow(s, fields["raw"])
+            Pi, dense_k = dense_iterate_flow(s, fields["raw"])
             want = (dense_degree_indices(s, fields["raw"]), dense_k)
             for route, W in fields.items():
-                assert iterate_flow(s, W) == want, (route, seed)
+                *got, H = iterate_flow(s, W)
+                assert tuple(got) == want, (route, seed)
+                assert_stable_flow(s, H, Pi)
             seen[dense_k] += 1
         assert seen == {1: 364, 2: 33, 3: 3}
 
     def test_random_vector_fields_with_excess_match_dense_powers(self):
         # Twisted fields keep W^2 = 0 and each diagonal block of the flow,
-        # but E != 0, so the flow carries the E Y term.  Some stabilize and
-        # some do not; iterate_flow must agree with dense powers on both.
+        # but have excess W - W delta W != 0, so the flow takes the plain
+        # step.  Some stabilize and some do not; iterate_flow must agree
+        # with dense powers on both.
         seen = Counter()
         for seed in self.RANDOM_SEEDS:
             twisted = self._random_fields(seed, twist=True)
@@ -405,7 +419,7 @@ class TestFlowAndIteration:
                 continue
             s, fields, _ = twisted
             try:
-                _, dense_k = dense_iterate_flow(s, fields["raw"])
+                Pi, dense_k = dense_iterate_flow(s, fields["raw"])
             except VerificationError:
                 dense_k = None
             for route, W in fields.items():
@@ -414,8 +428,10 @@ class TestFlowAndIteration:
                                        match="stabilization bound exceeded"):
                         iterate_flow(s, W)
                 else:
-                    assert iterate_flow(s, W) == (
+                    *got, H = iterate_flow(s, W)
+                    assert tuple(got) == (
                         dense_degree_indices(s, W), dense_k), (route, seed)
+                    assert_stable_flow(s, H, Pi)
             seen[dense_k] += 1
         # 226 seeds twist a splitting: 135 of those fields stabilize with
         # k = 1, 10 with k = 2, 1 with k = 3, and 80 never do
@@ -449,8 +465,40 @@ class TestFlowAndIteration:
             Pi, dense_k = dense_iterate_flow(s, fields["raw"])
             want = dense_extract_minimal_summand(s, Pi, cores)
             for W in fields.values():
-                _, k = iterate_flow(s, W)
-                assert_same_summand(extract_minimal_summand(s, W, k, cores),
-                                    want)
+                got, projections = extract_counting_projections(
+                    s, iterate_flow(s, W)[2], cores)
+                assert_same_summand(got, want)
+                # d V, H(d V) and d of the projection, whatever k is
+                assert all(m <= 3 for m in projections.values())
             seen[dense_k] += 1
         assert seen == {1: 364, 2: 33, 3: 3}
+
+    def test_only_partial_fields_step_on_nu_alone(self, monkeypatch):
+        # A field of partial splittings takes the step W(-nu X) every time;
+        # the copy of it without a memo, and every twisted field, never do.
+        calls = []
+        nu_step = flows._nu_step
+
+        def spy(*args):
+            calls.append(None)
+            return nu_step(*args)
+
+        monkeypatch.setattr(flows, "_nu_step", spy)
+        steps = Counter()
+        for seed in self.RANDOM_SEEDS:
+            s, fields, _ = self._random_fields(seed)
+            for route, W in fields.items():
+                calls.clear()
+                taken = max(iterate_flow(s, W)[0])
+                assert len(calls) == (0 if route == "ambient" else taken)
+                steps[route] += taken
+            twisted = self._random_fields(seed, twist=True)
+            calls.clear()
+            for W in (twisted[1].values() if twisted else ()):
+                try:
+                    iterate_flow(twisted[0], W)
+                except VerificationError:
+                    pass
+            assert not calls, seed
+        # 377 steps on each route over the 400 seeds
+        assert steps == {route: 377 for route in self.ROUTES}

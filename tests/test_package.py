@@ -2,16 +2,20 @@
 no code that the package itself never uses."""
 
 import ast
+import cProfile
 import importlib
+import inspect
 import re
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import chainflow
-from chainflow import scalars
+from chainflow import flows, scalars
+from chainflow.cli import main
 
 SOURCES = sorted(Path(chainflow.__file__).parent.glob("*.py"))
 EXPORTING = [m.__name__ for m in (
@@ -290,6 +294,55 @@ def test_unused_definition_check_sees_planted_def(tmp_path):
         "def probe():\n    return run\n")
     assert sorted(unreferenced_definitions([used, caller])) == [
         ("used.py", 4, "dead"), ("used.py", 11, "spare")]
+
+
+# Functions of flows.py that none of TRAFFIC_JOBS runs, and why they stay.
+FLOWS_IDLE_ALLOWED = {
+    "affine_combination": "wrapped by the benchmark tracer",
+}
+# The Taylor start averaged over F_3(y), the lcm start split by
+# Moore-Penrose over Q, and the bar start of a semigroup piece over F_2(y).
+TRAFFIC_JOBS = [
+    "resolve --fixture cycle3 --char 3 --start taylor",
+    "resolve --fixture cycle2 --char 0 --start lcm --mode mp",
+    "toric-resolve --fixture semigroup23 --char 2",
+]
+
+
+def defined_functions(module):
+    """Code objects of the functions, methods and lambdas that the source
+    file of ``module`` defines, nested ones included; comprehensions are
+    left out."""
+    def walk(code):
+        yield code
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType) and (
+                    const.co_name == "<lambda>"
+                    or not const.co_name.startswith("<")):
+                yield from walk(const)
+
+    owners = [module] + [v for v in vars(module).values()
+                         if inspect.isclass(v)]
+    for owner in owners:
+        for f in vars(owner).values():
+            if (inspect.isfunction(f)
+                    and f.__code__.co_filename == module.__file__):
+                yield from walk(f.__code__)
+
+
+def test_every_flows_function_runs_in_a_resolve(tmp_path):
+    # A route that no pipeline takes cannot creep back into flows.py unseen.
+    profile = cProfile.Profile()
+    for job in TRAFFIC_JOBS:
+        profile.enable()
+        try:
+            assert main(job.split() + ["--out", str(tmp_path / "a.json")]) == 0
+        finally:
+            profile.disable()
+    ran = {entry.code for entry in profile.getstats()}
+    idle = {code.co_name for code in defined_functions(flows)
+            if code not in ran}
+    assert idle == set(FLOWS_IDLE_ALLOWED)
 
 
 def field_protocol():

@@ -24,7 +24,7 @@ from chainflow.monomial import MonomialIdeal, resolve_minimal
 from chainflow.scalars import FunctionField
 from chainflow.serialize import complex_from_json, complex_to_json, dumps
 
-from helpers import assert_same_summand
+from helpers import assert_same_summand, assert_stable_flow
 from oracles import dense_extract_minimal_summand, dense_iterate_flow
 
 RESOLVES = [(char, mode, start)
@@ -54,13 +54,14 @@ def _resolve(I, char, mode, start):
 def test_resolves_agree(I):
     tables = []
     for char, mode, start in RESOLVES:
-        res, (s, W, k, cores) = _resolve(I, char, mode, start)
+        res, (s, H, cores) = _resolve(I, char, mode, start)
         tables.append(res.report["betti"])
         text = dumps(complex_to_json(res.resolution))
         assert dumps(complex_to_json(complex_from_json(json.loads(text)))) == text
         if res.report["critical_strata"]:
-            Pi, dense_k = dense_iterate_flow(s, W)
-            assert dense_k == k
+            Pi, dense_k = dense_iterate_flow(s, res.homotopy)
+            assert dense_k == res.report["iterations"]
+            assert_stable_flow(s, H, Pi)
             assert_same_summand(res.resolution,
                                 dense_extract_minimal_summand(s, Pi, cores))
     assert all(t == tables[0] for t in tables)

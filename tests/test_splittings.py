@@ -420,7 +420,8 @@ class TestMatroidalAverage:
     def test_assembly_and_flow_reuse_the_classify_products(self, monkeypatch):
         # classify forms each stratum's D_{n+1} D_n and D_n d D_n once;
         # assemble_field reads both and multiplies nothing, and the flow
-        # takes E = 0 from the assembly instead of forming it again.
+        # takes from the assembly that every block is a partial splitting,
+        # so it never takes the plain step.
         formed = Counter()
         square = flows.Homotopy.square
 
@@ -444,15 +445,28 @@ class TestMatroidalAverage:
             finally:
                 stage.pop()
 
-        def boom(*args, **kwargs):
-            raise AssertionError("the flow formed E from ambient products")
+        nu_steps = []
+        nu_step = flows._nu_step
+
+        def spy_nu_step(*args):
+            nu_steps.append(None)
+            return nu_step(*args)
+
+        flowed = []
+
+        def iterate(s, W):
+            flowed.append(flows.iterate_flow(s, W))
+            return flowed[-1]
 
         monkeypatch.setattr(flows.Homotopy, "square", spy_square)
         monkeypatch.setattr(RingMatrix, "__matmul__", spy_matmul)
         monkeypatch.setattr(splittings, "assemble_field", assemble)
-        monkeypatch.setattr(flows, "_excess", boom)
+        monkeypatch.setattr(flows, "_nu_step", spy_nu_step)
+        monkeypatch.setattr(splittings, "iterate_flow", iterate)
         res = resolve_minimal(cyclefam.build_Ip(3).ideal, 3, start="taylor")
         assert _verified(res)
+        (indices, _, _), = flowed
+        assert len(nu_steps) == max(indices) == 1
         assert products["assemble_field"] == 0 and products[None] > 0
         assert formed and set(formed.values()) == {1}
         assert len({h for h, _ in formed}) == len(res.start.occupied())
