@@ -26,7 +26,7 @@ import heapq
 
 from .errors import InputError, InternalError
 from .keys import monomial_text
-from .linalg import MultiPoly, PolyRing, RingMatrix, s_rank
+from .linalg import PolyRing, RingMatrix, s_rank
 
 
 class Poset:
@@ -314,8 +314,7 @@ class StratifiedComplex:
         (given as a poset element or index), sliced through ``members``."""
         ai = a if isinstance(a, int) else self.poset.index[a]
         c = self.complex
-        field = c.ring.field
-        sring = scalar_ring(field)
+        sring = scalar_ring(c.ring.field)
         indices = self.members.get(ai, [])
         labels = [[c.labels[n][j] for j in idx] for n, idx in enumerate(indices)]
         mdegs = [[c.multidegrees[n][j] for j in idx]
@@ -323,13 +322,8 @@ class StratifiedComplex:
         diffs = []
         for n in range(1, len(indices)):
             mat = c.d(n)
-            rows = []
-            for i in indices[n - 1]:
-                row = []
-                for j in indices[n]:
-                    ct = mat.rows[i][j].constant_term()
-                    row.append(MultiPoly(sring, {0: ct} if not field.is_zero(ct) else {}))
-                rows.append(row)
+            rows = [[sring.const(mat.rows[i][j].constant_term())
+                     for j in indices[n]] for i in indices[n - 1]]
             diffs.append(RingMatrix(sring, rows, ncols=len(indices[n])))
         return BasedComplex(sring, labels, mdegs, diffs)
 
@@ -379,8 +373,7 @@ def strand(c, target):
     ``target``: basis elements are (label, monomial) pairs whose total
     degree is ``target``; returns a scalar BasedComplex."""
     target = tuple(target)
-    field = c.ring.field
-    sring = scalar_ring(field)
+    sring = scalar_ring(c.ring.field)
     identity_grading = c.deg_map is None
     members = []  # members[n] = list of (j, exps)
     for n in range(c.top + 1):
@@ -412,16 +405,10 @@ def strand(c, target):
             row = []
             for (j, ua) in members[n]:
                 diffexp = tuple(x - y for x, y in zip(ub, ua))
-                if any(x < 0 for x in diffexp):
-                    val = field.zero
-                else:
-                    val = mat.rows[i][j].coefficient(diffexp)
-                row.append(MultiPoly(sring, {0: val} if not field.is_zero(val) else {}))
+                row.append(sring.zero() if any(x < 0 for x in diffexp) else
+                           sring.const(mat.rows[i][j].coefficient(diffexp)))
             rows.append(row)
-        if members[n - 1] and members[n]:
-            diffs.append(RingMatrix(sring, rows))
-        else:
-            diffs.append(RingMatrix.zeros(sring, len(members[n - 1]), len(members[n])))
+        diffs.append(RingMatrix(sring, rows, ncols=len(members[n])))
     return BasedComplex(sring, labels, [[None] * len(l) for l in labels], diffs)
 
 

@@ -95,30 +95,21 @@ class Homotopy:
 
     def square(self, n: int) -> RingMatrix:
         """``D_{n+1} D_n``, formed once."""
-        return self._memoized(
-            ("square", n), lambda: _kept(self.D(n + 1) @ self.D(n)))
+        return self._memoized(("square", n), lambda: self.D(n + 1) @ self.D(n))
 
     def sandwich(self, n: int) -> RingMatrix:
-        """``D_n d_{n+1} D_n`` on this homotopy's complex, formed once."""
-        return self._memoized(("sandwich", n), lambda: _kept(
-            (self.D(n) @ dmat(self.complex, n + 1)) @ self.D(n), self.D(n)))
+        """``D_n d_{n+1} D_n`` on this homotopy's complex, formed once; when it
+        equals ``D_n``, ``D_n`` itself is kept."""
+        def form():
+            Dn = self.D(n)
+            m = (Dn @ dmat(self.complex, n + 1)) @ Dn
+            return Dn if m.eq(Dn) else m
+        return self._memoized(("sandwich", n), form)
 
     def _memoized(self, key, form):
         if key not in self._memo:
             self._memo[key] = form()
         return self._memo[key]
-
-
-def _kept(m: RingMatrix, like: RingMatrix | None = None) -> RingMatrix:
-    """``m``, cheap to keep: ``like`` itself when equal to it, and with one
-    shared zero entry when it is zero."""
-    if like is not None and m.eq(like):
-        return like
-    if m.is_zero():
-        zero = m.ring.zero()
-        return RingMatrix(m.ring, [[zero] * m.ncols for _ in m.rows],
-                          ncols=m.ncols)
-    return m
 
 
 @dataclass
@@ -236,11 +227,9 @@ def _nu_step(W: Homotopy, minus_nu: list, X: list) -> list:
 
 def _minus_nu(s: StratifiedComplex, n: int) -> RingMatrix:
     """``-nu_n``: ``-d_n`` with only its entries between basis elements of
-    two strata kept; the other entries share one zero."""
+    two strata kept."""
     ring = s.complex.ring
-    zero = ring.zero()
-    rows = [[-e if a != b and not e.is_zero() else zero
-             for b, e in zip(s.strata[n], row)]
+    rows = [[-e if a != b else ring.zero() for b, e in zip(s.strata[n], row)]
             for a, row in zip(s.strata[n - 1], s.complex.d(n).rows)]
     return RingMatrix(ring, rows, ncols=s.complex.rank(n))
 
@@ -342,8 +331,8 @@ def assemble_field(s: StratifiedComplex, splittings: dict) -> Homotopy:
     """
     c = s.complex
     ring = c.ring
-    rows = [[[ring.zero() for _ in range(c.rank(n))]
-             for _ in range(c.rank(n + 1))] for n in range(c.top)]
+    mats = [RingMatrix.zeros(ring, c.rank(n + 1), c.rank(n))
+            for n in range(c.top)]
     partial = True
     for a, D in splittings.items():
         indices = s.members.get(a)
@@ -353,10 +342,9 @@ def assemble_field(s: StratifiedComplex, splittings: dict) -> Homotopy:
         for n in range(D.complex.top):
             if not D.square(n).is_zero():
                 raise VerificationError("assembled field does not square to zero")
-            _place(rows[n], ring, D.D(n), indices[n + 1], indices[n])
+            _place(mats[n], D.D(n), indices[n + 1], indices[n])
             partial = partial and D.sandwich(n).eq(D.D(n))
-    W = Homotopy(c, [RingMatrix(ring, r, ncols=c.rank(n))
-                     for n, r in enumerate(rows)])
+    W = Homotopy(c, mats)
     W._memo[_partial_key(s)] = partial
     return W
 
@@ -375,13 +363,12 @@ def _check_slice(s: StratifiedComplex, a: int, stratum: BasedComplex):
             f"the homotopy for stratum {a} is not on its stratum complex")
 
 
-def _place(rows: list, ring, block: RingMatrix, up: list, dn: list):
-    """Write the scalar ``block`` into ``rows`` at rows ``up`` and columns
-    ``dn``, as constants of ``ring``."""
+def _place(m: RingMatrix, block: RingMatrix, up: list, dn: list):
+    """Write the scalar ``block`` into ``m`` at rows ``up`` and columns
+    ``dn``, as constants of ``m``'s ring."""
     for gi, brow in zip(up, block.scalar_rows()):
         for gj, v in zip(dn, brow):
-            if not ring.field.is_zero(v):
-                rows[gi][gj] = ring.const(v)
+            m.rows[gi][gj] = m.ring.const(v)
 
 
 def _rows(m: RingMatrix, idx: list) -> RingMatrix:

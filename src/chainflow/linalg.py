@@ -6,12 +6,23 @@ A PolyRing is field + named variables; MultiPoly stores terms in a dict
 keyed by packed exponents (see :mod:`chainflow.keys`).  RingMatrix is a dense
 matrix of MultiPoly entries; it carries its shape, so products with a zero
 dimension are plain zero matrices, and it is the one matrix type of the
-homotopy algebra in ``flows``.  Scalar row lists (plain lists of lists of
-field values) exist only for elimination: ``rref``, ``pivot_columns``,
-``s_rank``, ``solve``, ``kernel`` and ``s_inverse`` take a RingMatrix's
-``scalar_rows()``, and the pseudoinverse works on them throughout.  Over Q,
-elimination and the pseudoinverse run on integer rows and build each
-Fraction once, at the end.
+homotopy algebra in ``flows``.
+
+Entries are values.  A MultiPoly and its term dict are shared between
+matrices and never mutated; every operation builds a new one or returns an
+operand.  Each PolyRing holds one zero, which ``zero()``, ``const`` and
+``monomial`` with a zero coefficient, ``RingMatrix.zeros``, negation and
+every zero entry of a product or sum return.  A sum with a zero operand is
+the other operand itself (``0 - p`` is ``-p``), so summing sparse matrices
+copies no entry that the other summand leaves alone.  The field values
+inside the terms (F_p(Y) fractions in ``scalars``) are outside this rule.
+
+Scalar row lists (plain lists of lists of field values) exist only for
+elimination: ``rref``, ``pivot_columns``, ``s_rank``, ``solve``, ``kernel``
+and ``s_inverse`` take a RingMatrix's ``scalar_rows()``, and the
+pseudoinverse works on them throughout.  Over Q, elimination and the
+pseudoinverse run on integer rows and build each Fraction once, at the
+end.
 
 ``solve``, ``kernel`` and ``s_inverse`` read the entries of the reduced row
 echelon form, so they call ``rref``, which runs Gauss-Jordan elimination.
@@ -54,18 +65,16 @@ class PolyRing:
         self.nvars = len(self.names)
         self.index = {nm: i for i, nm in enumerate(self.names)}
         self.keys = ring_keys(self.names)
+        self._zero = MultiPoly(self, {})
 
     def zero(self):
-        return MultiPoly(self, {})
+        return self._zero
 
     def one(self):
         return MultiPoly(self, {0: self.field.one})
 
     def const(self, c):
-        return MultiPoly(self, {0: c} if not self.field.is_zero(c) else {})
-
-    def from_int(self, n):
-        return self.const(self.field.from_int(n))
+        return self._zero if self.field.is_zero(c) else MultiPoly(self, {0: c})
 
     def var(self, name_or_index, exp=1):
         i = self.index[name_or_index] if isinstance(name_or_index, str) else name_or_index
@@ -74,8 +83,13 @@ class PolyRing:
     def monomial(self, exps, coeff=None):
         c = coeff if coeff is not None else self.field.one
         if self.field.is_zero(c):
-            return self.zero()
+            return self._zero
         return MultiPoly(self, {self.keys.pack(exps): c})
+
+    def poly(self, terms):
+        """The polynomial with the term dict ``terms``, which it keeps: the
+        ring's one zero when ``terms`` is empty."""
+        return MultiPoly(self, terms) if terms else self._zero
 
     def __repr__(self):
         return f"PolyRing({self.field!r}, {list(self.names)})"
@@ -100,45 +114,45 @@ class MultiPoly:
         return self.terms.get(0, self.ring.field.zero)
 
     def __add__(self, other):
-        f = self.ring.field
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = f.add(out.get(k, f.zero), c)
-            if f.is_zero(v):
-                out.pop(k, None)
-            else:
-                out[k] = v
-        return MultiPoly(self.ring, out)
+        return self._combine(other, False)
 
     def __sub__(self, other):
+        return self._combine(other, True)
+
+    def _combine(self, other, subtract):
+        """``self + other``, or ``self - other`` when ``subtract``.  A zero
+        operand gives the other one itself, or its negation for ``0 - p``."""
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other if subtract else other
         f = self.ring.field
+        op = f.sub if subtract else f.add
         out = dict(self.terms)
         for k, c in other.terms.items():
-            v = f.sub(out.get(k, f.zero), c)
+            v = op(out.get(k, f.zero), c)
             if f.is_zero(v):
                 out.pop(k, None)
             else:
                 out[k] = v
-        return MultiPoly(self.ring, out)
+        return self.ring.poly(out)
 
     def __neg__(self):
         f = self.ring.field
-        return MultiPoly(self.ring, {k: f.neg(c) for k, c in self.terms.items()})
+        return self.ring.poly({k: f.neg(c) for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        return MultiPoly(self.ring, _poly_dot(
+        return self.ring.poly(_poly_dot(
             self.ring.field, [(self.terms, other.terms)]))
 
     def scale(self, c):
         f = self.ring.field
-        if f.is_zero(c):
-            return MultiPoly(self.ring, {})
         out = {}
         for k, v in self.terms.items():
             w = f.mul(c, v)
             if not f.is_zero(w):
                 out[k] = w
-        return MultiPoly(self.ring, out)
+        return self.ring.poly(out)
 
     def eq(self, other):
         f = self.ring.field
@@ -160,7 +174,7 @@ class MultiPoly:
     def permute_vars(self, perm):
         """Apply x_i -> x_{perm[i]}; perm is a list with perm[i] = image index."""
         keys = self.ring.keys
-        return MultiPoly(self.ring, {
+        return self.ring.poly({
             sum(keys.var(perm[i], e) for i, e in keys.factors(k)): c
             for k, c in self.terms.items()})
 
@@ -171,7 +185,7 @@ class MultiPoly:
             v = fn(c)
             if not f.is_zero(v):
                 out[k] = v
-        return MultiPoly(new_ring, out)
+        return new_ring.poly(out)
 
     def render(self):
         if not self.terms:
@@ -268,7 +282,7 @@ class RingMatrix:
 
     @classmethod
     def zeros(cls, ring, nrows, ncols):
-        return cls(ring, [[ring.zero() for _ in range(ncols)] for _ in range(nrows)],
+        return cls(ring, [[ring.zero()] * ncols for _ in range(nrows)],
                    ncols=ncols)
 
     @classmethod
@@ -296,7 +310,7 @@ class RingMatrix:
         field = ring.field
         if ring.nvars:
             def entry(pairs):
-                return MultiPoly(ring, _poly_dot(field, pairs))
+                return ring.poly(_poly_dot(field, pairs))
         else:
             # Constant entries: every term has key 0, so the coefficient
             # pairs go straight to one field.dot, with no grouping by key.
@@ -311,21 +325,17 @@ class RingMatrix:
         return RingMatrix(ring, rows, ncols=other.ncols)
 
     def __add__(self, other):
-        if self.shape != other.shape:
-            raise InternalError(f"matrix add shape mismatch {self.shape} vs {other.shape}")
-        return RingMatrix(self.ring, [[a + b for a, b in zip(r1, r2)]
-                                      for r1, r2 in zip(self.rows, other.rows)],
-                          ncols=self.ncols)
+        return self._entrywise(other, MultiPoly.__add__)
 
     def __sub__(self, other):
+        return self._entrywise(other, MultiPoly.__sub__)
+
+    def _entrywise(self, other, op):
         if self.shape != other.shape:
-            raise InternalError(f"matrix sub shape mismatch {self.shape} vs {other.shape}")
-        return RingMatrix(self.ring, [[a - b for a, b in zip(r1, r2)]
+            raise InternalError(f"matrix shape mismatch {self.shape} vs {other.shape}")
+        return RingMatrix(self.ring, [list(map(op, r1, r2))
                                       for r1, r2 in zip(self.rows, other.rows)],
                           ncols=self.ncols)
-
-    def __neg__(self):
-        return RingMatrix(self.ring, [[-a for a in r] for r in self.rows], ncols=self.ncols)
 
     def scale(self, c):
         return RingMatrix(self.ring, [[a.scale(c) for a in r] for r in self.rows],
@@ -542,11 +552,10 @@ def solve(field, a, b):
         x[c] = red[r][nc]
     return x
 
-def kernel(field, a):
-    """Basis of the right kernel of A, in reduced echelon form (canonical)."""
-    nc = len(a[0]) if a else 0
-    if nc == 0:
-        return []
+def kernel(field, a, nc):
+    """Basis of the right kernel of the matrix A with ``nc`` columns, in
+    reduced echelon form (canonical).  A matrix with no rows, or a zero one,
+    has the unit vectors e_0..e_{nc-1} as its basis."""
     red, pivots = rref(field, a)
     basis = []
     pivset = set(pivots)

@@ -72,7 +72,7 @@ def entry_from_map(ring: PolyRing, m: dict) -> MultiPoly:
         v = field.parse(cs)
         if not field.is_zero(v):
             terms[ring.keys.pack(exps)] = v
-    return MultiPoly(ring, terms)
+    return ring.poly(terms)
 
 
 def matrix_to_json(mat: RingMatrix) -> list:

@@ -509,32 +509,11 @@ def stratum_core(c: BasedComplex, D: Homotopy) -> list:
     out = []
     for n in range(0, c.top + 1):
         r = c.rank(n)
-        if r == 0:
-            out.append([])
-            continue
-        dn, _, _ = _scalar_diff(c, n)
-        dn1up, _, _ = _scalar_diff(c, n + 1)
-        Dn = D.D(n).scalar_rows()
-        if dn and any(not field.is_zero(x) for row in dn for x in row):
-            ker = kernel(field, dn)
-        else:
-            ker = [[field.one if i == j else field.zero for i in range(r)]
-                   for j in range(r)]
-        if not ker:
-            out.append([])
-            continue
+        ker = kernel(field, dmat(c, n).scalar_rows(), r)
         # Restrict d D to Ker d and take its kernel there.
-        B = s_mul(field, dn1up, Dn) if dn1up and Dn else []
-        if not B:
-            combos = [[field.one if i == j else field.zero
-                       for i in range(len(ker))] for j in range(len(ker))]
-        else:
-            kmat = [[ker[j][i] for j in range(len(ker))] for i in range(r)]
-            bk = s_mul(field, B, kmat)
-            combos = kernel(field, bk)
-            if not combos:
-                out.append([])
-                continue
+        B = (dmat(c, n + 1) @ D.D(n)).scalar_rows()
+        kmat = [[v[i] for v in ker] for i in range(r)]
+        combos = kernel(field, s_mul(field, B, kmat), len(ker))
         vecs = s_mul(field, combos, ker)
         clear = getattr(field, "clear_vector_denominators", None)
         if clear is not None:

@@ -54,7 +54,7 @@ def weak_partial_decomposition(c: BasedComplex, D: Homotopy):
         B = dmat(c, n + 1) @ D.D(n)      # d D on F_n
         a_rows, b_rows = A.scalar_rows(), B.scalar_rows()
         n_cols, m_cols = image_basis(b_rows), image_basis(a_rows)
-        c_cols = [list(v) for v in kernel(field, a_rows + b_rows)] if r else []
+        c_cols = [list(v) for v in kernel(field, a_rows + b_rows, r)] if r else []
         joint = [[col[i] for col in n_cols + c_cols + m_cols]
                  for i in range(r)]
         if len(n_cols) + len(c_cols) + len(m_cols) != r or (

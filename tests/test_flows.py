@@ -22,7 +22,7 @@ from chainflow import cyclefam, flows
 import golden_data as G
 from helpers import (
     assert_same_summand, assert_stable_flow, extract_counting_projections,
-    split_one_stratum,
+    fixture_ideal, split_one_stratum,
 )
 from oracles import (
     dense_degree_indices, dense_extract_minimal_summand, dense_iterate_flow,
@@ -50,7 +50,8 @@ def int_complex(ring, ranks, diffs, maps):
     """A complex with the given ranks and a homotopy on it, both from
     integer rows: ``diffs[n]`` is d_{n+1} and ``maps[n]`` is D_n."""
     def mat(rows, ncols):
-        return RingMatrix(ring, [[ring.from_int(v) for v in r] for r in rows],
+        return RingMatrix(ring, [[ring.const(ring.field.from_int(v)) for v in r]
+                                 for r in rows],
                           ncols=ncols)
     c = BasedComplex(ring, [[f"e{n}.{i}" for i in range(r)]
                             for n, r in enumerate(ranks)],
@@ -348,6 +349,24 @@ class TestFlowAndIteration:
             assert (Pi[n] @ Pi[n]).eq(Pi[n])
             assert (Pi[n] @ phi[n]).eq(Pi[n])
         assert flow_is_chain_map(c, Pi)
+
+    def test_flow_homotopy_keeps_entries_that_later_steps_leave_alone(self):
+        # H = X_0 + X_1 with X_0 = W: wherever X_1 is zero, H holds W's own
+        # entry object, and a new one only where X_1 adds to it.
+        from chainflow.monomial import MonomialIdeal, resolve_minimal
+        doc = fixture_ideal("cycle2")
+        I = MonomialIdeal(doc["variables"], doc["generators"])
+        res = resolve_minimal(I, 0, "lcm", "moore_penrose")
+        W = res.homotopy
+        _, k, H = iterate_flow(res.start, W)
+        assert k == 2
+        kept = Counter()
+        for h_mat, w_mat in zip(H.mats, W.mats):
+            for h_row, w_row in zip(h_mat.rows, w_mat.rows):
+                for h, w in zip(h_row, w_row):
+                    assert (h is w) == (h - w).is_zero()
+                    kept[h is w] += 1
+        assert kept[True] and kept[False]
 
     # Seeds 0..399 give 364 fields with k = 1, 33 with k = 2, 3 with k = 3.
     RANDOM_SEEDS = range(400)

@@ -126,11 +126,19 @@ class TestEliminationOracle:
         for _ in range(12):
             nr, nc = rng.randint(1, 5), rng.randint(1, 5)
             a = rand_matrix(rng, nr, nc)
-            ker = kernel(QQ, a)
+            ker = kernel(QQ, a, nc)
             assert len(ker) == nc - to_sympy(a).rank()
             for v in ker:
                 out = [sum(row[j] * v[j] for j in range(nc)) for row in a]
                 assert all(x == 0 for x in out)
+
+    @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
+    def test_kernel_of_no_rows_or_zeros_is_the_unit_basis(self, field):
+        unit = [[field.one if i == j else field.zero for i in range(3)]
+                for j in range(3)]
+        assert kernel(field, [], 3) == unit
+        assert kernel(field, [[field.zero] * 3] * 2, 3) == unit
+        assert kernel(field, [], 0) == []
 
     def test_solve(self):
         rng = random.Random(103)
@@ -349,6 +357,68 @@ class TestPolyRing:
         assert m.is_scalar()
         m2 = RingMatrix(R, [[R.var("x")]])
         assert not m2.is_scalar()
+
+
+class TestSharedValues:
+    """Entries are shared values: one zero per ring, and a sum with a zero
+    operand is the other operand itself."""
+
+    def setup_method(self):
+        self.R = PolyRing(GF(5), ["x", "y"])
+
+    def test_one_zero_per_ring(self):
+        R = self.R
+        zero = R.zero()
+        assert R.zero() is zero
+        assert R.const(R.field.zero) is zero
+        assert R.monomial([1, 2], R.field.zero) is zero
+        assert -zero is zero
+        assert all(e is zero for row in RingMatrix.zeros(R, 2, 3).rows
+                   for e in row)
+        assert PolyRing(R.field, R.names).zero() is not zero
+
+    def test_sums_with_zero_return_the_operand(self):
+        R = self.R
+        p = R.var("x") + R.const(2)
+        zero = R.zero()
+        assert p + zero is p
+        assert zero + p is p
+        assert p - zero is p
+        assert (zero - p).eq(-p) and (zero - p).render() == "4*x + 3"
+        assert p - p is zero
+        assert p + -p is zero
+
+    @pytest.mark.parametrize("names", [["x", "y"], []], ids=["poly", "const"])
+    def test_zero_entries_of_a_product_are_the_ring_zero(self, names):
+        R = PolyRing(GF(5), names)
+        a = R.var("x") if names else R.const(2)
+        b = R.var("y") if names else R.const(3)
+        # row 0 cancels (a b - b a), row 1 has no factor pairs
+        A = RingMatrix(R, [[a, b], [R.zero(), R.zero()]])
+        B = RingMatrix(R, [[b, R.zero()], [-a, a]])
+        P = A @ B
+        assert P.rows[0][0] is R.zero()
+        assert not P.rows[0][1].is_zero()
+        assert all(e is R.zero() for e in P.rows[1])
+        empty = RingMatrix(R, [], ncols=2) @ B
+        assert empty.shape == (0, 2)
+        assert all(e is R.zero() for row in (B @ RingMatrix.zeros(R, 2, 3)).rows
+                   for e in row)
+
+    def test_sum_with_a_zero_matrix_reuses_the_entries(self):
+        # The flow homotopy H = X_0 + ... + X_{k-1} is such a sum: where a
+        # later X_i is zero, H keeps the entry of the earlier one.
+        R = self.R
+        x, y = R.var("x"), R.var("y")
+        A = RingMatrix(R, [[x, R.const(3)], [R.zero(), y]])
+        Z = RingMatrix.zeros(R, 2, 2)
+        for S in (A + Z, Z + A, A - Z):
+            assert all(s is a for srow, arow in zip(S.rows, A.rows)
+                       for s, a in zip(srow, arow))
+        X = RingMatrix(R, [[R.zero(), x], [R.zero(), R.zero()]])
+        H = A + X
+        assert H.rows[0][0] is x and H.rows[1][1] is y
+        assert H.rows[0][1].render() == "x + 3"
 
 
 # ---------------------------------------------------------------------------

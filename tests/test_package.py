@@ -3,8 +3,11 @@ no code that the package itself never uses."""
 
 import ast
 import cProfile
+import hashlib
 import importlib
+import importlib.util
 import inspect
+import json
 import re
 import sys
 import types
@@ -14,8 +17,9 @@ from pathlib import Path
 import pytest
 
 import chainflow
-from chainflow import flows, scalars
+from chainflow import scalars
 from chainflow.cli import main
+from chainflow.linalg import MultiPoly, PolyRing
 
 SOURCES = sorted(Path(chainflow.__file__).parent.glob("*.py"))
 EXPORTING = [m.__name__ for m in (
@@ -296,10 +300,6 @@ def test_unused_definition_check_sees_planted_def(tmp_path):
         ("used.py", 4, "dead"), ("used.py", 11, "spare")]
 
 
-# Functions of flows.py that none of TRAFFIC_JOBS runs, and why they stay.
-FLOWS_IDLE_ALLOWED = {
-    "affine_combination": "wrapped by the benchmark tracer",
-}
 # The Taylor start averaged over F_3(y), the lcm start split by
 # Moore-Penrose over Q, and the bar start of a semigroup piece over F_2(y).
 TRAFFIC_JOBS = [
@@ -307,42 +307,156 @@ TRAFFIC_JOBS = [
     "resolve --fixture cycle2 --char 0 --start lcm --mode mp",
     "toric-resolve --fixture semigroup23 --char 2",
 ]
+# Those, plus one job of every other subcommand and a resolve that also
+# writes its field, homotopy and stratification.
+GUARD_JOBS = TRAFFIC_JOBS + [
+    "lattice --fixture cycle2",
+    "matroidal --fixture cycle3 --start taylor",
+    "counterexample --prime 2",
+    "resolve --fixture cycle3 --char 5 --with-field",
+]
+
+# Why a package function that none of GUARD_JOBS runs may stay.
+TRACER = "the benchmark tracer wraps it, or only such a function calls it"
+READER = "a public JSON reader or a field's parse, or a helper of one"
+ERROR = "an error path, or the text of an error message"
+ORACLE = "test oracles compute with it"
+# Each function, method and lambda of the package that none of GUARD_JOBS
+# runs, by module and qualified name, with its reason.
+IDLE_ALLOWED = {
+    "flows.affine_combination": TRACER,
+    "splittings.enumerate_matroidal": TRACER,
+    "splittings._degree_options": TRACER,
+    "splittings._build_homotopy": TRACER,
+    "linalg.solve": TRACER,                 # only _degree_options
+    "linalg.RingMatrix.scale": TRACER,      # only affine_combination
+    "linalg.MultiPoly.scale": TRACER,       # only RingMatrix.scale
+    "serialize.complex_from_json": READER,
+    "serialize.homotopy_from_json": READER,
+    "serialize.stratified_from_json": READER,
+    "serialize.matrix_from_json": READER,
+    "serialize.entry_from_map": READER,
+    "serialize._integer": READER,
+    "serialize._string": READER,
+    "serialize._strings": READER,
+    "scalars.field_from_descriptor": READER,
+    "scalars.Rationals.parse": READER,
+    "scalars.PrimeField.parse": READER,
+    "scalars.FunctionField.parse": READER,
+    "scalars.FunctionField._read_pd": READER,
+    "keys.KeyLayout._range_error": ERROR,
+    "linalg.MultiPoly.render": ERROR,       # StratifiedComplex.validate
+    "linalg._renders_atomic": ERROR,        # only MultiPoly.render
+    "linalg.PolyRing.var": ORACLE,
+    "scalars.Rationals.mul": ORACLE,        # the add/mul fold of test_linalg
+}
+MODULES = [importlib.import_module(
+    "chainflow" if p.stem == "__init__" else f"chainflow.{p.stem}")
+    for p in SOURCES]
+BENCH_REFERENCE = (Path(__file__).resolve().parent.parent / "bench"
+                   / "reference.json")
+
+
+def _functions(attr):
+    """The plain functions behind a module or class attribute: the
+    attribute itself, the function of a static or class method, or the
+    accessors of a property."""
+    if isinstance(attr, (staticmethod, classmethod)):
+        attr = attr.__func__
+    if isinstance(attr, property):
+        return [f for f in (attr.fget, attr.fset, attr.fdel) if f is not None]
+    return [attr] if inspect.isfunction(attr) else []
 
 
 def defined_functions(module):
-    """Code objects of the functions, methods and lambdas that the source
-    file of ``module`` defines, nested ones included; comprehensions are
-    left out."""
-    def walk(code):
-        yield code
+    """``(qualified name, code object)`` of the functions, methods and
+    lambdas that the source file of ``module`` defines, nested ones
+    included; comprehensions are left out."""
+    def walk(name, code):
+        yield name, code
         for const in code.co_consts:
             if isinstance(const, types.CodeType) and (
                     const.co_name == "<lambda>"
                     or not const.co_name.startswith("<")):
-                yield from walk(const)
+                yield from walk(f"{name}.<locals>.{const.co_name}", const)
 
     owners = [module] + [v for v in vars(module).values()
                          if inspect.isclass(v)]
     for owner in owners:
-        for f in vars(owner).values():
-            if (inspect.isfunction(f)
-                    and f.__code__.co_filename == module.__file__):
-                yield from walk(f.__code__)
+        for attr in vars(owner).values():
+            for f in _functions(attr):
+                if f.__code__.co_filename == module.__file__:
+                    yield from walk(f.__qualname__, f.__code__)
 
 
-def test_every_flows_function_runs_in_a_resolve(tmp_path):
-    # A route that no pipeline takes cannot creep back into flows.py unseen.
+def idle_functions(modules, run):
+    """``module.qualname`` of every function, method and lambda of
+    ``modules`` that ``run()`` never enters.  Dunder methods are called by
+    the language and are skipped, as in :func:`unreferenced_definitions`;
+    the package prefix ``chainflow.`` is dropped."""
     profile = cProfile.Profile()
-    for job in TRAFFIC_JOBS:
-        profile.enable()
-        try:
-            assert main(job.split() + ["--out", str(tmp_path / "a.json")]) == 0
-        finally:
-            profile.disable()
+    profile.enable()
+    try:
+        run()
+    finally:
+        profile.disable()
     ran = {entry.code for entry in profile.getstats()}
-    idle = {code.co_name for code in defined_functions(flows)
-            if code not in ran}
-    assert idle == set(FLOWS_IDLE_ALLOWED)
+    return {f"{m.__name__.removeprefix('chainflow.')}.{name}"
+            for m in modules for name, code in defined_functions(m)
+            if code not in ran
+            and not (code.co_name.startswith("__")
+                     and code.co_name.endswith("__"))}
+
+
+def test_every_package_function_runs_in_a_job(tmp_path):
+    # A route that no job takes cannot creep into the package unseen.
+    def run():
+        for job in GUARD_JOBS:
+            assert main(job.split() + ["--out", str(tmp_path / "a.json")]) == 0
+
+    idle = idle_functions(MODULES, run)
+    assert sorted(idle - set(IDLE_ALLOWED)) == []
+    # An allowance for a function that now runs goes.
+    assert sorted(set(IDLE_ALLOWED) - idle) == []
+    assert set(IDLE_ALLOWED.values()) <= {TRACER, READER, ERROR, ORACLE}
+
+
+def test_traffic_guard_sees_planted_idle_functions(tmp_path):
+    path = tmp_path / "planted.py"
+    path.write_text(
+        "def used():\n    return Box.size(), (lambda: 0)()\n"
+        "def idle():\n    return (lambda: 1)()\n"
+        "class Box:\n"
+        "    def __repr__(self):\n        return 'Box'\n"
+        "    @staticmethod\n    def size():\n        return 2\n"
+        "    @property\n    def spare(self):\n        return 3\n"
+        "    @classmethod\n    def make(cls):\n"
+        "        def inner():\n            return cls\n"
+        "        return inner\n")
+    spec = importlib.util.spec_from_file_location("planted", path)
+    planted = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(planted)
+    assert sorted(idle_functions([planted], planted.used)) == [
+        "planted.Box.make", "planted.Box.make.<locals>.inner",
+        "planted.Box.spare", "planted.idle", "planted.idle.<locals>.<lambda>"]
+
+
+def test_jobs_reproduce_their_artifacts_with_read_only_terms(
+        tmp_path, monkeypatch):
+    # Entries are shared values, so no code may write into a term dict.
+    digests = json.loads(BENCH_REFERENCE.read_text())
+    init = MultiPoly.__init__
+
+    def read_only(self, ring, terms):
+        init(self, ring, types.MappingProxyType(terms))
+
+    monkeypatch.setattr(MultiPoly, "__init__", read_only)
+    assert isinstance(PolyRing(scalars.QQ, ()).one().terms,
+                      types.MappingProxyType)
+    for job in TRAFFIC_JOBS:
+        out = tmp_path / "a.json"
+        assert main(job.split() + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[job]
 
 
 def field_protocol():
