@@ -18,12 +18,12 @@ all core vectors of a degree, the columns of one matrix ``V``, as
 ``Pi V = V - H(d V)``, which holds because ``W V = 0`` for core vectors.
 Neither forms ``Phi`` or a power of it.
 
-The field ``W`` is block-diagonal over the strata.  A :class:`Homotopy`
-keeps the products ``D_{n+1} D_n`` and ``D_n d D_n`` that :func:`classify`
-forms to certify a stratum splitting.  :func:`assemble_field` reads them to
-certify ``W^2 = 0`` block by block and to record whether every block is a
-partial splitting; for such a ``W``, :func:`iterate_flow` multiplies ``W``
-only by the cross-stratum part of ``d X_k``.
+The field ``W`` is block-diagonal over the strata.  A homotopy carries
+its complex, and :func:`classify` keeps on it the verdict that certifies a
+stratum splitting.  :func:`assemble_field` reads each block's verdict to
+certify ``W^2 = 0`` block by block, and records on ``W`` whether every
+block is a partial splitting; for such a ``W``, :func:`iterate_flow`
+multiplies ``W`` only by the cross-stratum part of ``d X_k``.
 
 Every homotopy identity and correction is one ``RingMatrix`` computation,
 whatever the entries are (field constants on the stratum complexes,
@@ -61,31 +61,30 @@ def dmat(c: BasedComplex, n: int) -> RingMatrix:
 
 
 class Homotopy:
-    """A degree ``+1`` system of maps ``D_n : F_n -> F_{n+1}`` on a complex.
+    """A degree ``+1`` system of maps ``D_n : F_n -> F_{n+1}`` on a complex,
+    one for each ``0 <= n < top``; any other count raises.
 
-    :meth:`square` and :meth:`sandwich` form the products behind the
-    identities ``D^2 = 0`` and ``D d D = D`` once and keep them, so that
-    :func:`classify` and :func:`assemble_field` share them.  ``mats`` is a
-    tuple, so a kept product cannot go stale.
+    ``verdict`` is the :class:`ClassifyResult` that :func:`classify` keeps
+    once it has decided the identities of ``D`` on ``complex``; ``mats`` is
+    a tuple, so the verdict cannot go stale.  ``partial_over`` is the
+    stratified complex on which :func:`assemble_field` built ``D`` from
+    partial splittings only, and ``None`` otherwise.
     """
 
     def __init__(self, complex: BasedComplex, mats: list[RingMatrix]):
         self.complex = complex
-        top = complex.top
-        if len(mats) > max(top, 0):
+        top = max(complex.top, 0)
+        if len(mats) != top:
             raise InputError(
-                f"homotopy has {len(mats)} maps but the complex supports {top}")
-        mats = list(mats)
+                f"homotopy has {len(mats)} maps but the complex needs {top}")
         for n, m in enumerate(mats):
             want = (complex.rank(n + 1), complex.rank(n))
             if m.shape != want:
                 raise InputError(
                     f"homotopy map at degree {n} has shape {m.shape}, expected {want}")
-        for n in range(len(mats), max(top, 0)):
-            mats.append(
-                RingMatrix.zeros(complex.ring, complex.rank(n + 1), complex.rank(n)))
         self.mats = tuple(mats)
-        self._memo: dict = {}
+        self.verdict: ClassifyResult | None = None
+        self.partial_over: StratifiedComplex | None = None
 
     def D(self, n: int) -> RingMatrix:
         if 0 <= n < len(self.mats):
@@ -93,26 +92,8 @@ class Homotopy:
         return RingMatrix.zeros(
             self.complex.ring, self.complex.rank(n + 1), self.complex.rank(n))
 
-    def square(self, n: int) -> RingMatrix:
-        """``D_{n+1} D_n``, formed once."""
-        return self._memoized(("square", n), lambda: self.D(n + 1) @ self.D(n))
 
-    def sandwich(self, n: int) -> RingMatrix:
-        """``D_n d_{n+1} D_n`` on this homotopy's complex, formed once; when it
-        equals ``D_n``, ``D_n`` itself is kept."""
-        def form():
-            Dn = self.D(n)
-            m = (Dn @ dmat(self.complex, n + 1)) @ Dn
-            return Dn if m.eq(Dn) else m
-        return self._memoized(("sandwich", n), form)
-
-    def _memoized(self, key, form):
-        if key not in self._memo:
-            self._memo[key] = form()
-        return self._memo[key]
-
-
-@dataclass
+@dataclass(frozen=True)
 class ClassifyResult:
     is_pre_vector_field: bool
     is_vector_field: bool
@@ -120,8 +101,8 @@ class ClassifyResult:
     is_splitting: bool
 
 
-def classify(c: BasedComplex, D: Homotopy) -> ClassifyResult:
-    """Decide exactly which homotopy identities hold for ``D`` on ``c``.
+def classify(D: Homotopy) -> ClassifyResult:
+    """Decide exactly which homotopy identities hold for ``D`` on its complex.
 
     Flags: pre-vector field (``D D d = d D D`` degreewise), vector field
     (``D^2 = 0``), partial splitting (vector field with ``D d D = D``), and
@@ -130,24 +111,25 @@ def classify(c: BasedComplex, D: Homotopy) -> ClassifyResult:
     identity is tested with ``RingMatrix`` products, so entries may be
     polynomials.  Each ``D_{n+1} D_n`` is formed once and serves both the
     ``D^2 = 0`` test and the ``D D d = d D D`` test, which holds with no
-    further product when every ``D_{n+1} D_n`` vanishes.  The products
-    ``D_{n+1} D_n`` and ``D_n d_{n+1} D_n`` stay memoized on ``D``
-    (:meth:`Homotopy.square`, :meth:`Homotopy.sandwich`), where
-    :func:`assemble_field` reads them; when ``D`` lives on another complex
-    object than ``c``, its maps are first put on ``c``.
+    further product when every ``D_{n+1} D_n`` vanishes.
+
+    The verdict is formed once and kept on ``D`` as ``D.verdict``; later
+    calls, such as those of :func:`assemble_field`, return it.
     """
-    if D.complex is not c:
-        D = Homotopy(c, D.mats)
+    if D.verdict is not None:
+        return D.verdict
+    c = D.complex
     top = c.top
     d = [dmat(c, n) for n in range(top + 3)]
-    DD = {n: D.square(n) for n in range(-1, top + 1)}
+    DD = {n: D.D(n + 1) @ D.D(n) for n in range(-1, top + 1)}
     is_vf = all(DD[n].is_zero() for n in range(top + 1))
     is_pre = is_vf or all((DD[n - 1] @ d[n]).eq(d[n + 2] @ DD[n])
                           for n in range(top + 1))
-    is_partial = is_vf and all(D.sandwich(n).eq(D.D(n))
+    is_partial = is_vf and all(((D.D(n) @ d[n + 1]) @ D.D(n)).eq(D.D(n))
                                for n in range(top + 1))
-    is_split = is_partial and _satisfies_pdp(c, D)
-    return ClassifyResult(is_pre, is_vf, is_partial, is_split)
+    is_split = is_partial and _satisfies_pdp(D)
+    D.verdict = ClassifyResult(is_pre, is_vf, is_partial, is_split)
+    return D.verdict
 
 
 def iterate_flow(s: StratifiedComplex, W: Homotopy):
@@ -167,14 +149,14 @@ def iterate_flow(s: StratifiedComplex, W: Homotopy):
       ``H = X_0 + ... + X_{k-1}``, so ``Phi^k = I - d H - H d``.
 
     When every block of ``W`` is a partial splitting (``D d D = D``, which
-    :func:`classify` certifies and :func:`assemble_field` records on ``W``
-    for the stratification ``s.strata``), the step needs only the part
-    ``nu`` of ``d`` between basis elements of two strata.  The rest,
-    ``delta``, is the slice ``d_a`` on each stratum, where ``D_a`` lives, so
+    :func:`classify` certifies and :func:`assemble_field` records as
+    ``W.partial_over is s``), the step needs only the part ``nu`` of ``d``
+    between basis elements of two strata.  The rest, ``delta``, is the
+    slice ``d_a`` on each stratum, where ``D_a`` lives, so
     ``W delta W = W``; with ``X_k = W Phi^k`` that gives
     ``W delta X_k = X_k``, and the step is ``X_{k+1} = W (-nu X_k)``.  Any
-    other ``W``, such as one on another complex object than ``s.complex``,
-    takes the plain step.
+    other ``W``, one that carries no such record for this ``s``, takes the
+    plain step.
 
     Neither ``Phi`` nor any power of it is formed.  Returns
     ``(indices, k, H)``: ``indices[n]`` is the smallest ``k`` for which the
@@ -186,12 +168,10 @@ def iterate_flow(s: StratifiedComplex, W: Homotopy):
     ``1 + dim P`` over the occupied strata; exceeding the bound raises.
     """
     c = s.complex
-    if W.complex is not c:
-        W = Homotopy(c, W.mats)
     top = c.top
     bound = 1 + max(s.occupied_dimension(), 0)
     minus_nu = ([_minus_nu(s, n + 1) for n in range(top)]
-                if W._memo.get(_partial_key(s)) else None)
+                if W.partial_over is s else None)
     X = list(W.mats)
     H = None   # X_0 + ... + X_{k-1}
     indices: list = [None] * (top + 1)
@@ -234,11 +214,7 @@ def _minus_nu(s: StratifiedComplex, n: int) -> RingMatrix:
     return RingMatrix(ring, rows, ncols=s.complex.rank(n))
 
 
-def _partial_key(s: StratifiedComplex):
-    return ("partial", tuple(map(tuple, s.strata)))
-
-
-def hat(c: BasedComplex, D: Homotopy) -> Homotopy:
+def hat(D: Homotopy) -> Homotopy:
     """The corrected homotopy ``D d D (I - D d)`` degreewise, formed as
     ``(D_n d_{n+1}) (D_n - D_n (D_{n-1} d_n))``.
 
@@ -247,6 +223,7 @@ def hat(c: BasedComplex, D: Homotopy) -> Homotopy:
     ``d D d = d``.  Those postconditions are not checked here: the caller
     certifies the result with :func:`classify`.
     """
+    c = D.complex
     mats = []
     for n in range(0, c.top):
         Dn = D.D(n)
@@ -254,8 +231,9 @@ def hat(c: BasedComplex, D: Homotopy) -> Homotopy:
     return Homotopy(c, mats)
 
 
-def _satisfies_pdp(c: BasedComplex, D: Homotopy) -> bool:
-    """Whether ``d D d = d`` holds degreewise."""
+def _satisfies_pdp(D: Homotopy) -> bool:
+    """Whether ``d D d = d`` holds degreewise on ``D``'s complex."""
+    c = D.complex
     for n in range(1, c.top + 1):
         if not ((dmat(c, n) @ D.D(n - 1)) @ dmat(c, n)).eq(dmat(c, n)):
             return False
@@ -305,7 +283,7 @@ def affine_combination(c: BasedComplex, weighted: list[tuple]) -> Homotopy:
             acc = acc + D.D(n).scale(w)
         mats.append(acc)
     out = Homotopy(c, mats)
-    if not _satisfies_pdp(c, out):
+    if not _satisfies_pdp(out):
         raise VerificationError("affine combination lost d D d = d")
     return out
 
@@ -322,12 +300,11 @@ def assemble_field(s: StratifiedComplex, splittings: dict) -> Homotopy:
 
     No ambient product is formed.  The basis positions of distinct strata
     are disjoint, so ``W_{n+1} W_n`` is block-diagonal with blocks
-    ``D_{n+1} D_n``: ``W^2 = 0`` exactly when every block square is zero,
-    and each is checked.  Each block's ``D_n d_{n+1} D_n`` is compared with
-    ``D_n``, and whether every block is a partial splitting is left
-    memoized on ``W`` for :func:`iterate_flow`.  Both block products come
-    from :meth:`Homotopy.square` and :meth:`Homotopy.sandwich`, so a
-    homotopy that :func:`classify` certified is not multiplied again.
+    ``D_{n+1} D_n``: ``W^2 = 0`` exactly when every block is a vector
+    field.  Each block's verdict comes from :func:`classify`, once per
+    stratum, so a homotopy that it already certified is not multiplied
+    again.  When every block is a partial splitting, ``W.partial_over`` is
+    ``s``, which :func:`iterate_flow` reads.
     """
     c = s.complex
     ring = c.ring
@@ -339,13 +316,15 @@ def assemble_field(s: StratifiedComplex, splittings: dict) -> Homotopy:
         if indices is None:
             raise InputError(f"no occupied stratum {a!r} for a homotopy")
         _check_slice(s, a, D.complex)
+        verdict = classify(D)
+        if not verdict.is_vector_field:
+            raise VerificationError("assembled field does not square to zero")
+        partial = partial and verdict.is_partial_splitting
         for n in range(D.complex.top):
-            if not D.square(n).is_zero():
-                raise VerificationError("assembled field does not square to zero")
             _place(mats[n], D.D(n), indices[n + 1], indices[n])
-            partial = partial and D.sandwich(n).eq(D.D(n))
     W = Homotopy(c, mats)
-    W._memo[_partial_key(s)] = partial
+    if partial:
+        W.partial_over = s
     return W
 
 

@@ -400,7 +400,7 @@ def matroidal_average(c_base: BasedComplex, c_work: BasedComplex,
             rows[x][b] = field.dot(pairs)
         mats.append(RingMatrix.from_scalar_rows(c_work.ring, rows, ncols=r_n))
     out = Homotopy(c_work, mats)
-    if not _satisfies_pdp(c_work, out):
+    if not _satisfies_pdp(out):
         raise VerificationError("matroidal average lost d D d = d")
     return out
 
@@ -498,13 +498,15 @@ def coerce_complex(c: BasedComplex, dst_field) -> BasedComplex:
                               dst_field.from_int)
 
 
-def stratum_core(c: BasedComplex, D: Homotopy) -> list:
-    """Per-degree basis of the core ``C_n = Ker(D d) ∩ Ker(d D)``.
+def stratum_core(D: Homotopy) -> list:
+    """Per-degree basis of the core ``C_n = Ker(D d) ∩ Ker(d D)`` on
+    ``D``'s complex.
 
     For a splitting homotopy the core equals ``Ker(d) ∩ Ker(d D)``, which is
     cheaper: the kernel of the (constant) differential is computed first and
     only the composite ``d D`` touches non-constant weight polynomials.
     """
+    c = D.complex
     field = c.ring.field
     out = []
     for n in range(0, c.top + 1):
@@ -568,12 +570,12 @@ def split_strata(complexes: dict, field, mode: str):
             if ws is None:
                 m = counts[tag]
                 ws = [field.inv(field.from_int(m))] * m
-            D = hat(c, matroidal_average(c_base, c, options[tag], ws))
-        if not classify(c, D).is_splitting:
+            D = hat(matroidal_average(c_base, c, options[tag], ws))
+        if not classify(D).is_splitting:
             raise VerificationError(
                 f"stratum {tag}: the {mode} homotopy is not a splitting")
         splittings[tag] = D
-        cores[tag] = stratum_core(c, D)
+        cores[tag] = stratum_core(D)
     return critical, field, splittings, cores
 
 

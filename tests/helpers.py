@@ -4,7 +4,7 @@ import json
 from importlib import resources
 from unittest import mock
 
-from chainflow.flows import extract_minimal_summand
+from chainflow.flows import Homotopy, extract_minimal_summand
 from chainflow.linalg import RingMatrix
 from chainflow.serialize import complex_from_json, complex_to_json, dumps
 from chainflow.splittings import _splitting_mode, split_strata
@@ -25,6 +25,12 @@ def split_one_stratum(c, characteristic, mode, tag="a"):
         {tag: c}, c.ring.field, _splitting_mode(characteristic, mode))
     D = splittings[tag]
     return D, D.complex, critical["counts"][tag]
+
+
+def zero_homotopy(c):
+    """The homotopy on ``c`` whose every map is zero."""
+    return Homotopy(c, [RingMatrix.zeros(c.ring, c.rank(n + 1), c.rank(n))
+                        for n in range(c.top)])
 
 
 def fixture_ideal(name):

@@ -17,10 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from chainflow import monomial, splittings, toric
 from chainflow.cli import main
-from chainflow.flows import Homotopy
 
 import golden_data as G
-from helpers import assert_resolution_reads_back, fixture_ideal
+from helpers import (
+    assert_resolution_reads_back, fixture_ideal, zero_homotopy,
+)
 from oracles import betti_euler_characteristic, euler_characteristic
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -462,8 +463,7 @@ class TestVerificationFailures:
                              ids=["resolve", "toric-resolve"])
     def test_mp_homotopy_not_a_splitting(self, module, job, tag, verifier,
                                          monkeypatch, capsys):
-        monkeypatch.setattr(splittings, "moore_penrose",
-                            lambda c: Homotopy(c, []))
+        monkeypatch.setattr(splittings, "moore_penrose", zero_homotopy)
         rc, _, err = run(job.split(), capsys)
         assert rc == 3
         assert err == ("verification failure: stratum " + tag

@@ -117,9 +117,9 @@ def test_two_step_orbit_matches_dense_projection():
     for ai in s.occupied():
         c = s.stratum(ai)
         D = moore_penrose(c)
-        assert classify(c, D).is_splitting
+        assert classify(D).is_splitting
         splittings[ai] = D
-        cores[ai] = stratum_core(c, D)
+        cores[ai] = stratum_core(D)
     W = assemble_field(s, splittings)
     Pi, dense_k = dense_iterate_flow(s, W)
     indices, k, H = iterate_flow(s, W)

@@ -22,7 +22,7 @@ from chainflow import cyclefam, flows
 import golden_data as G
 from helpers import (
     assert_same_summand, assert_stable_flow, extract_counting_projections,
-    fixture_ideal, split_one_stratum,
+    fixture_ideal, split_one_stratum, zero_homotopy,
 )
 from oracles import (
     dense_degree_indices, dense_extract_minimal_summand, dense_iterate_flow,
@@ -92,7 +92,7 @@ def harmonic_twist(c, D):
     and ``Z D`` vanish, and ``Z`` lives in one degree: ``D + Z`` squares to
     zero and has the flow block of ``D``, but
     ``(D + Z) d (D + Z) = D != D + Z``."""
-    cores = stratum_core(c, D)
+    cores = stratum_core(D)
     ring = c.ring
     for n in range(len(cores) - 1):
         if cores[n] and cores[n + 1]:
@@ -133,11 +133,22 @@ def hexagon():
     return s.stratum(top)
 
 
+class TestHomotopy:
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_wrong_number_of_maps_raises(self, count):
+        # two_term has top 1, so it takes exactly one map D_0
+        c = two_term(3)
+        mats = [RingMatrix.zeros(c.ring, c.rank(1), c.rank(0))] * count
+        with pytest.raises(InputError, match=f"has {count} maps but the "
+                                             "complex needs 1"):
+            Homotopy(c, mats)
+
+
 class TestClassify:
     def test_zero_homotopy(self):
         c = two_term(3)
-        D = Homotopy(c, [])
-        cls = classify(c, D)
+        D = zero_homotopy(c)
+        cls = classify(D)
         assert cls.is_pre_vector_field and cls.is_vector_field
         assert cls.is_partial_splitting      # D d D = 0 = D holds trivially
         assert not cls.is_splitting          # d D d = 0 != d
@@ -145,7 +156,7 @@ class TestClassify:
     def test_splitting_two_term(self):
         c = two_term(2)
         D = scalar_homotopy(c, 0, [[Fraction(1, 2)]])
-        cls = classify(c, D)
+        cls = classify(D)
         assert cls.is_splitting and cls.is_partial_splitting
 
     def test_adjoint_on_hexagon_weak_partial_only(self, hexagon):
@@ -160,7 +171,7 @@ class TestClassify:
         adj = Homotopy(c, mats)
         weak, pieces = weak_partial_decomposition(c, adj)
         assert weak
-        assert not classify(c, adj).is_partial_splitting
+        assert not classify(adj).is_partial_splitting
         # the N+C+M pieces fill every degree
         for n in range(c.top + 1):
             assert sum(len(basis) for basis in pieces[n]) == c.rank(n)
@@ -171,7 +182,7 @@ class TestClassify:
     def test_flags_per_broken_identity(self, case, field):
         ranks, diffs, maps, want = FLAG_CASES[case]
         c, D = int_complex(scalar_ring(field), ranks, diffs, maps)
-        cls = classify(c, D)
+        cls = classify(D)
         assert (cls.is_pre_vector_field, cls.is_vector_field,
                 cls.is_partial_splitting, cls.is_splitting) == want
 
@@ -181,7 +192,7 @@ class TestClassify:
         R = PolyRing(QQ, ["x"])
         c, D = conjugate(*int_complex(R, ranks, diffs, maps), R.var("x"))
         assert not (c.is_scalar() and all(m.is_scalar() for m in D.mats))
-        cls = classify(c, D)
+        cls = classify(D)
         assert (cls.is_pre_vector_field, cls.is_vector_field,
                 cls.is_partial_splitting, cls.is_splitting) == want
 
@@ -189,7 +200,7 @@ class TestClassify:
 class TestHat:
     def test_fixes_splittings(self, hexagon):
         D = moore_penrose(hexagon)
-        H = hat(hexagon, D)
+        H = hat(D)
         for n in range(hexagon.top):
             assert H.D(n).eq(D.D(n))
 
@@ -198,12 +209,12 @@ class TestHat:
         # rejects the hat of a homotopy with dDd = 4d != d.
         c = two_term(2)
         bad = scalar_homotopy(c, 0, [[1]])
-        assert not classify(c, hat(c, bad)).is_splitting
+        assert not classify(hat(bad)).is_splitting
 
     def test_unverified_hat_returns_raw_formula(self):
         c = two_term(2)
         bad = scalar_homotopy(c, 0, [[1]])
-        H = hat(c, bad)
+        H = hat(bad)
         # degree 0: (D_0 d_1 D_0)(I - D_{-1} d_0) = 1*2*1*(1 - 0) = 2
         assert H.D(0).rows[0][0].constant_term() == Fraction(2)
 
@@ -217,7 +228,7 @@ class TestMoorePenrose:
             assert mp_identities_hold(a, ap)
 
     def test_is_splitting(self, hexagon):
-        cls = classify(hexagon, moore_penrose(hexagon))
+        cls = classify(moore_penrose(hexagon))
         assert cls.is_splitting
 
 
@@ -258,7 +269,7 @@ class TestStratumSplittingExamples:
                 D, work, m = split_one_stratum(c, 0, "matroidal_average")
                 col = [e.constant_term() for row in D.D(0).rows for e in row]
                 assert col == [Fraction(1, 2), Fraction(1, 2)]
-                assert classify(work, D).is_splitting
+                assert classify(D).is_splitting
                 assert m == 2
                 return
         pytest.fail("no edge-pair stratum found")
@@ -277,7 +288,7 @@ class TestStratumSplittingExamples:
                        for row in D.D(0).rows for e in row]
                 # first weight eliminated as 1 + y, second is y itself
                 assert col == ["y[epair][1] + 1", "y[epair][1]"]
-                assert classify(work, D).is_splitting
+                assert classify(D).is_splitting
                 return
         pytest.fail("no edge-pair stratum found")
 
@@ -297,7 +308,7 @@ class TestAssembleField:
         # the flag case with D^2 != 0: D_1 D_0 = [[0, 1]]
         ranks, diffs, maps, _ = FLAG_CASES["D^2 != 0"]
         c, D = int_complex(scalar_ring(QQ), ranks, diffs, maps)
-        assert not D.square(0).is_zero()
+        assert not (D.D(1) @ D.D(0)).is_zero()
         with pytest.raises(VerificationError,
                            match="assembled field does not square to zero"):
             assemble_field(one_stratum(c), {0: D})
@@ -312,7 +323,7 @@ class TestAssembleField:
             ring, [["a"], ["b", "c"]], [[None], [None, None]],
             [RingMatrix.zeros(ring, 1, 2)])
         with pytest.raises(InputError, match="not on its stratum complex"):
-            assemble_field(s, {0: Homotopy(c, [])})
+            assemble_field(s, {0: zero_homotopy(c)})
 
     def test_homotopy_off_the_occupied_strata_raises(self):
         # the one stratum is 0; 5 used to be dropped, leaving W = 0
@@ -371,10 +382,10 @@ class TestFlowAndIteration:
     # Seeds 0..399 give 364 fields with k = 1, 33 with k = 2, 3 with k = 3.
     RANDOM_SEEDS = range(400)
     # How the flow learns whether every block of W is a partial splitting
-    # (see iterate_flow): from the products that classify memoized, from
-    # the block products that assemble_field forms for raw splittings, or
-    # not at all, for a copy of the field that carries no memo and so takes
-    # the plain step.
+    # (see iterate_flow): from the verdicts that classify kept before the
+    # assembly, from those that assemble_field has classify form for raw
+    # splittings, or not at all, for a copy of the field that carries no
+    # record and so takes the plain step.
     ROUTES = ("certified", "raw", "ambient")
 
     @classmethod
@@ -400,11 +411,11 @@ class TestFlowAndIteration:
             return None
         fields = {}
         for route in cls.ROUTES:
-            # fresh homotopies, so that no route sees another's memos
+            # fresh homotopies, so that no route sees another's verdicts
             fresh = {ai: Homotopy(D.complex, D.mats) for ai, D in splits.items()}
             if route == "certified":
                 for ai, D in fresh.items():
-                    flags = classify(D.complex, D)
+                    flags = classify(D)
                     assert flags.is_vector_field
                     assert flags.is_partial_splitting is (ai not in twisted)
             W = assemble_field(s, fresh)
@@ -479,7 +490,7 @@ class TestFlowAndIteration:
         seen = Counter()
         for seed in self.RANDOM_SEEDS:
             s, fields, splits = self._random_fields(seed)
-            cores = {ai: stratum_core(s.stratum(ai), D)
+            cores = {ai: stratum_core(D)
                      for ai, D in splits.items()}
             Pi, dense_k = dense_iterate_flow(s, fields["raw"])
             want = dense_extract_minimal_summand(s, Pi, cores)
@@ -494,7 +505,8 @@ class TestFlowAndIteration:
 
     def test_only_partial_fields_step_on_nu_alone(self, monkeypatch):
         # A field of partial splittings takes the step W(-nu X) every time;
-        # the copy of it without a memo, and every twisted field, never do.
+        # the copy of it without the record, and every twisted field, never
+        # do.
         calls = []
         nu_step = flows._nu_step
 

@@ -63,7 +63,7 @@ class TestMatroidalEnumeration:
     def test_each_choice_is_a_splitting(self, cycle3_strata):
         edge = cycle3_strata[G.M12]
         for choice, D in enumerate_matroidal(edge):
-            cls = classify(edge, D)
+            cls = classify(D)
             assert cls.is_splitting, choice
 
 
@@ -192,7 +192,7 @@ class TestCoercion:
                 assert cc.validate() == []
                 for _, D in enumerate_matroidal(c):
                     DD = coerce_homotopy(D, cc)
-                    assert classify(cc, DD).is_splitting
+                    assert classify(DD).is_splitting
                 return
         pytest.fail("no edge-pair stratum found")
 
@@ -202,14 +202,14 @@ class TestStratumCore:
         from chainflow.complexes import homology_ranks
         for tag, c in cycle3_strata.items():
             D, _, _ = split_one_stratum(c, 0, "matroidal_average")
-            cores = stratum_core(c, D)
+            cores = stratum_core(D)
             hom = homology_ranks(c)
             assert [len(v) for v in cores] == hom, tag
 
     def test_core_vectors_are_cycles(self, cycle3_strata):
         hexagon = cycle3_strata[G.MTOP]
         D, _, _ = split_one_stratum(hexagon, 0, "matroidal_average")
-        cores = stratum_core(hexagon, D)
+        cores = stratum_core(D)
         field = hexagon.ring.field
         for n in range(1, hexagon.top + 1):
             d = hexagon.d(n).scalar_rows()
@@ -398,7 +398,7 @@ class TestMatroidalAverage:
                   key=lambda c: sum(c.ranks))
         D, work, m = split_one_stratum(top, 3, "matroidal_average")
         assert m == 18 and isinstance(work.ring.field, FunctionField)
-        assert classify(work, D).is_splitting
+        assert classify(D).is_splitting
 
     def test_pipelines_do_not_form_the_dense_flow(self, monkeypatch):
         # Phi = I - dW - Wd and its powers start from an ambient identity.
@@ -418,17 +418,18 @@ class TestMatroidalAverage:
 
 
     def test_assembly_and_flow_reuse_the_classify_products(self, monkeypatch):
-        # classify forms each stratum's D_{n+1} D_n and D_n d D_n once;
-        # assemble_field reads both and multiplies nothing, and the flow
-        # takes from the assembly that every block is a partial splitting,
-        # so it never takes the plain step.
-        formed = Counter()
-        square = flows.Homotopy.square
+        # classify forms each stratum's verdict once, when split_strata
+        # certifies it; assemble_field asks again, gets the kept verdict and
+        # multiplies nothing, and the flow takes from the assembly that
+        # every block is a partial splitting, so it steps on nu alone.
+        calls, formed = Counter(), Counter()
+        classify = flows.classify
 
-        def spy_square(self, n):
-            if ("square", n) not in self._memo:
-                formed[self, n] += 1
-            return square(self, n)
+        def spy_classify(D):
+            calls[D] += 1
+            if D.verdict is None:
+                formed[D] += 1
+            return classify(D)
 
         products = Counter()
         matmul = RingMatrix.__matmul__
@@ -458,7 +459,8 @@ class TestMatroidalAverage:
             flowed.append(flows.iterate_flow(s, W))
             return flowed[-1]
 
-        monkeypatch.setattr(flows.Homotopy, "square", spy_square)
+        monkeypatch.setattr(flows, "classify", spy_classify)
+        monkeypatch.setattr(splittings, "classify", spy_classify)
         monkeypatch.setattr(RingMatrix, "__matmul__", spy_matmul)
         monkeypatch.setattr(splittings, "assemble_field", assemble)
         monkeypatch.setattr(flows, "_nu_step", spy_nu_step)
@@ -468,8 +470,9 @@ class TestMatroidalAverage:
         (indices, _, _), = flowed
         assert len(nu_steps) == max(indices) == 1
         assert products["assemble_field"] == 0 and products[None] > 0
-        assert formed and set(formed.values()) == {1}
-        assert len({h for h, _ in formed}) == len(res.start.occupied())
+        assert len(formed) == len(res.start.occupied())
+        assert set(formed.values()) == {1}
+        assert calls.keys() == formed.keys() and set(calls.values()) == {2}
 
 
 class TestStratumSlices:
