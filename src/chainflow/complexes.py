@@ -18,11 +18,15 @@ Conventions used throughout the package:
   scalar.  The stratification partitions the basis once, into the
   per-stratum position lists ``members``; every stage reads those lists,
   and :meth:`StratifiedComplex.stratum` slices a stratum complex from them.
+* Every start resolution comes from one builder, :func:`start_resolution`.
+  A start is data: its tiers of tuples (tier n is the degree-n basis), a
+  label and a multidegree for each tuple, and a face rule that lists the
+  faces of a tuple, each with a monomial.  The builder signs face t by
+  (-1)^t, adds faces that coincide, and puts each tuple in the stratum of
+  its multidegree.
 """
 
 from __future__ import annotations
-
-import heapq
 
 from .errors import InputError, InternalError
 from .keys import monomial_text
@@ -65,32 +69,19 @@ class Poset:
                     if leq(elements[i], elements[j]):
                         raise InputError("leq is not antisymmetric on the elements")
                     strictly_below[i].add(j)
-        order = cls._topo_order(n, strictly_below)
+        # the smallest unplaced index whose lower set is already placed
+        order, placed = [], set()
+        while len(order) < n:
+            i = next((i for i in range(n)
+                      if i not in placed and strictly_below[i] <= placed), None)
+            if i is None:
+                raise InputError("relation has cycles; not a poset")
+            order.append(i)
+            placed.add(i)
         newpos = {old: new for new, old in enumerate(order)}
         elems = [elements[old] for old in order]
         below = [frozenset(newpos[j] for j in strictly_below[old]) for old in order]
         return cls(elems, below)
-
-    @staticmethod
-    def _topo_order(n, strictly_below):
-        indeg = [len(s) for s in strictly_below]
-        above = [set() for _ in range(n)]
-        for i, s in enumerate(strictly_below):
-            for j in s:
-                above[j].add(i)
-        ready = [i for i in range(n) if indeg[i] == 0]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            i = heapq.heappop(ready)
-            order.append(i)
-            for k in above[i]:
-                indeg[k] -= 1
-                if indeg[k] == 0:
-                    heapq.heappush(ready, k)
-        if len(order) != n:
-            raise InputError("relation has cycles; not a poset")
-        return order
 
     def __len__(self):
         return len(self.elements)
@@ -329,6 +320,34 @@ class StratifiedComplex:
 
     def __repr__(self):
         return f"StratifiedComplex(ranks={self.complex.ranks}, poset={len(self.poset)})"
+
+
+def start_resolution(ring, poset, tiers, label, multidegree, faces,
+                     deg_map) -> StratifiedComplex:
+    """The stratified start whose degree ``n`` basis is the tier ``tiers[n]``.
+
+    A tuple ``s`` is named ``label(s)``, has multidegree ``multidegree(s)``
+    and sits in the stratum of the poset element equal to it.  ``faces(s)``
+    lists the faces of ``s`` in ``tiers[n - 1]`` for ``t = 0..n``, each with
+    the exponents of its monomial: face ``t`` enters ``d(s)`` with
+    coefficient ``(-1)^t`` times that monomial, and faces that coincide add.
+    """
+    labels = [[label(s) for s in tier] for tier in tiers]
+    multidegrees = [[multidegree(s) for s in tier] for tier in tiers]
+    strata = [[poset.index[m] for m in tier] for tier in multidegrees]
+    field = ring.field
+    signs = (field.one, field.neg(field.one))
+    diffs = []
+    for lower, upper in zip(tiers, tiers[1:]):
+        index_of = {f: i for i, f in enumerate(lower)}
+        rows = [[ring.zero()] * len(upper) for _ in lower]
+        for j, s in enumerate(upper):
+            for t, (f, exps) in enumerate(faces(s)):
+                row = rows[index_of[f]]
+                row[j] = row[j] + ring.monomial(exps, signs[t % 2])
+        diffs.append(RingMatrix(ring, rows, ncols=len(upper)))
+    complex = BasedComplex(ring, labels, multidegrees, diffs, deg_map)
+    return StratifiedComplex(complex, poset, strata)
 
 
 def _enumerate_monomials(deg_map, target):

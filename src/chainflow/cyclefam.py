@@ -306,6 +306,10 @@ def _augmentation_quotient(c: BasedComplex) -> list:
             for k in range(1, c.top + 1)]
 
 
+# The most tuples ``obstruction_search`` tries; 7^7 = 823,543 is within it.
+MAX_OBSTRUCTION_TUPLES = 10 ** 6
+
+
 def obstruction_search(fam: CycleFamily) -> dict:
     """Exhaustive proof that no equivariant scaling exists over ``F_p``.
 
@@ -324,13 +328,22 @@ def obstruction_search(fam: CycleFamily) -> dict:
 
     Every chain-map-compatible tuple fails periodicity in a controlled way:
     ``psi^n(g_0) - g_0`` is a *nonzero* multiple of ``sum_i g_{i,i+1}``;
-    this invariant is asserted and returned.
+    this invariant is asserted and returned.  A search of more than
+    ``MAX_OBSTRUCTION_TUPLES`` tuples is refused at entry; solving the
+    chain-map condition, affine-linear in ``a``, over ``F_p`` would lift
+    that limit.
     """
     n = fam.n
     p = fam.p
     if n % p != 0:
         raise InputError(
             "the obstruction occurs only when the characteristic divides n")
+    if p ** n > MAX_OBSTRUCTION_TUPLES:
+        raise InputError(
+            f"the obstruction search would try {p}^{n} = {p ** n:,} tuples, "
+            f"more than the {MAX_OBSTRUCTION_TUPLES:,} it allows; the "
+            "checks resolution, intrinsic and transcendental still run at "
+            f"p = {p} (pick one with --check)")
     field = GF(p)
     phi1, phi2, phi3 = _augmentation_quotient(explicit_resolution(fam, field))
     # P1 does not depend on the tuple: check the level-1 condition

@@ -1,15 +1,21 @@
 """Monomial ideals, lcm-lattices, start resolutions, minimal resolutions.
 
-The pipeline: build a stratified start resolution (order-complex of the
-lcm-lattice, or Taylor), split every stratum complex canonically
-(Moore-Penrose over the rationals, or the average of all matroidal splittings
-— over a transcendental extension when the characteristic divides a stratum
-count), assemble the splittings into a vector field on the whole resolution,
-iterate its flow to a projection, and extract the projected summand with its
-induced differential.  That construction is the one core
-:func:`~chainflow.splittings.resolve_stratified`, shared with the toric
-front end; :func:`resolve_minimal` supplies the start, monomial tags and
-:func:`verify_resolution`, which checks the result to be a minimal
+Both monomial starts are data for the one start builder,
+:func:`~chainflow.complexes.start_resolution`.  The lcm start's tiers are
+the chains of the lcm-lattice minus its bottom, the Taylor start's the
+nonempty subsets of the generators; a tuple's multidegree is the top of its
+chain or the lcm of its subset.  Both share one face rule: face ``t`` drops
+entry ``t``, with the monomial ``x^(m(s) - m(face))``.
+
+The pipeline splits every stratum complex of the start canonically
+(Moore-Penrose over the rationals, or the average of all matroidal
+splittings — over a transcendental extension when the characteristic
+divides a stratum count), assembles the splittings into a vector field on
+the whole resolution, iterates its flow to a projection, and extracts the
+projected summand with its induced differential.  That construction is the
+one core :func:`~chainflow.splittings.resolve_stratified`, shared with the
+toric front end; :func:`resolve_minimal` supplies the start, monomial tags
+and :func:`verify_resolution`, which checks the result to be a minimal
 resolution by strand-exactness at every lattice degree.
 """
 
@@ -21,8 +27,10 @@ from typing import Optional
 
 from .errors import InputError
 from .keys import monomial_text
-from .linalg import PolyRing, RingMatrix
-from .complexes import BasedComplex, Poset, StratifiedComplex, verify_strands
+from .linalg import PolyRing
+from .complexes import (
+    BasedComplex, Poset, StratifiedComplex, start_resolution, verify_strands,
+)
 from .splittings import ResolveResult, resolve_stratified
 
 __all__ = [
@@ -180,72 +188,42 @@ def lcm_lattice(I: MonomialIdeal) -> LcmLattice:
     return LcmLattice(I, elements, support, poset)
 
 
-def _chain_label(names, chain_elems) -> str:
-    return "[" + " < ".join(render_monomial(names, e) for e in chain_elems) + "]"
-
-
 def _chain_tiers(poset) -> list:
     """Chains ``a_0 < ... < a_n`` of the poset, one tier per degree ``n``,
-    each listed lexicographically by element positions; the empty top tier
-    is dropped."""
-    n_elems = len(poset.elements)
-    chains = [[(i,) for i in range(n_elems)]]
+    each listed lexicographically by element positions."""
+    n = len(poset.elements)
+    chains = [[(i,) for i in range(n)]]
     while chains[-1]:
-        nxt = []
-        for ch in chains[-1]:
-            last = ch[-1]
-            for k in range(last + 1, n_elems):
-                if poset.leq(last, k):
-                    nxt.append(ch + (k,))
-        chains.append(nxt)
+        chains.append([ch + (k,) for ch in chains[-1]
+                       for k in range(ch[-1] + 1, n) if poset.leq(ch[-1], k)])
     chains.pop()
     return chains
 
 
-def _face_differentials(ring, tiers, multidegrees) -> list:
-    """The differentials of a start whose degree ``n`` basis is the tier
-    ``tiers[n]`` of increasing ``(n+1)``-tuples, with multidegrees ``m``.
-
-    Dropping entry ``t`` of ``s`` gives the face ``f`` with coefficient
-    ``(-1)^t x^(m(s) - m(f))``.
-    """
-    field = ring.field
-    signs = (field.one, field.neg(field.one))
-    diffs = []
-    for n in range(1, len(tiers)):
-        index_of = {face: i for i, face in enumerate(tiers[n - 1])}
-        rows = [[ring.zero() for _ in tiers[n]] for _ in tiers[n - 1]]
-        for j, s in enumerate(tiers[n]):
-            for t in range(n + 1):
-                i = index_of[s[:t] + s[t + 1:]]
-                quot = tuple(x - y for x, y in zip(
-                    multidegrees[n][j], multidegrees[n - 1][i]))
-                rows[i][j] = ring.monomial(quot, signs[t % 2])
-        diffs.append(RingMatrix(ring, rows, ncols=len(tiers[n])))
-    return diffs
+def _drop_faces(multidegree):
+    """The face rule of the monomial starts: face ``t`` of ``s`` drops entry
+    ``t``, with monomial ``x^(m(s) - m(face))``."""
+    def faces(s):
+        m = multidegree(s)
+        return [(f, tuple(x - y for x, y in zip(m, multidegree(f))))
+                for f in (s[:t] + s[t + 1:] for t in range(len(s)))]
+    return faces
 
 
 def order_complex_resolution(I: MonomialIdeal, field) -> StratifiedComplex:
-    """Resolution supported on chains of the (bottom-removed) lcm-lattice.
-
-    Degree ``n`` basis: chains ``a_0 < ... < a_n`` in the lattice minus its
-    bottom, listed lexicographically by canonical element positions.  The
-    differential drops one element at a time with alternating signs; dropping
-    the top multiplies by the monomial quotient of the two top elements,
-    every other face has coefficient one.  Stratum and multidegree of a
-    chain: its top.
-    """
+    """The start on chains ``a_0 < ... < a_n`` of the lcm-lattice minus its
+    bottom, labelled ``[a_0 < ... < a_n]``; a chain's multidegree and
+    stratum are its top.  Only dropping the top has a nonunit monomial."""
     L = lcm_lattice(I)
     proper = L.proper()
-    ring = PolyRing(field, I.names)
-    chains = _chain_tiers(L.poset)
-    labels = [[_chain_label(I.names, [proper[i] for i in ch]) for ch in tier]
-              for tier in chains]
-    multidegrees = [[proper[ch[-1]] for ch in tier] for tier in chains]
-    strata = [[ch[-1] for ch in tier] for tier in chains]
-    complex = BasedComplex(ring, labels, multidegrees,
-                           _face_differentials(ring, chains, multidegrees))
-    return StratifiedComplex(complex, L.poset, strata)
+
+    def top(ch):
+        return proper[ch[-1]]
+    return start_resolution(
+        PolyRing(field, I.names), L.poset, _chain_tiers(L.poset),
+        lambda ch: "[" + " < ".join(
+            render_monomial(I.names, proper[i]) for i in ch) + "]",
+        top, _drop_faces(top), None)
 
 
 def _taylor_tiers(r: int) -> list:
@@ -255,29 +233,19 @@ def _taylor_tiers(r: int) -> list:
 
 
 def taylor_resolution(I: MonomialIdeal, field) -> StratifiedComplex:
-    """Taylor resolution: degree ``n`` basis indexed by (n+1)-subsets of the
-    generators, boundary faces signed alternately and scaled by the monomial
-    quotient ``lcm(subset) / lcm(subset minus one)``.  Stratum and
-    multidegree of a subset: its lcm."""
-    poset = lcm_lattice(I).poset
+    """The Taylor start on nonempty subsets of the generators, labelled
+    ``{i,j,...}``; a subset's multidegree and stratum are its lcm, which is
+    computed once per subset."""
     gens = I.generators
-    ring = PolyRing(field, I.names)
     tiers = _taylor_tiers(len(gens))
-    multidegrees = []
+    lcm = {(): (0,) * I.nvars}
     for tier in tiers:
-        layer = []
         for s in tier:
-            e = gens[s[0]]
-            for i in s[1:]:
-                e = _join(e, gens[i])
-            layer.append(e)
-        multidegrees.append(layer)
-    labels = [["{" + ",".join(str(i) for i in s) + "}" for s in tier]
-              for tier in tiers]
-    strata = [[poset.index[e] for e in layer] for layer in multidegrees]
-    complex = BasedComplex(ring, labels, multidegrees,
-                           _face_differentials(ring, tiers, multidegrees))
-    return StratifiedComplex(complex, poset, strata)
+            lcm[s] = _join(lcm[s[:-1]], gens[s[-1]])
+    return start_resolution(
+        PolyRing(field, I.names), lcm_lattice(I).poset, tiers,
+        lambda s: "{" + ",".join(str(i) for i in s) + "}", lcm.__getitem__,
+        _drop_faces(lcm.__getitem__), None)
 
 
 _STARTS = {"lcm": order_complex_resolution, "taylor": taylor_resolution}

@@ -3,15 +3,18 @@ minimal summands.
 
 The input is a finite piece of the divisibility category of a pointed affine
 semigroup ``Q`` inside ``Z^d``: finitely many objects (degree vectors) and
-nonidentity morphisms between them, each labelled by a monomial.  The start
-resolution in degree ``n`` has one basis element per composable sequence of
-``n`` nonidentity morphisms (objects in degree zero); its multidegree is the
-degree of the sequence's terminal object, which is also its stratum.  The
-same core as for monomial ideals,
-:func:`~chainflow.splittings.resolve_stratified`, then extracts the minimal
-summand; strand-exactness is checked at every degree below the resolution's
-degree support, with the expected rank-one contribution exactly at the
-degrees that lie in ``Q``.
+nonidentity morphisms between them, each labelled by a monomial.  The bar
+start is data for the one start builder,
+:func:`~chainflow.complexes.start_resolution`: tier ``n`` holds the
+composable sequences of ``n`` nonidentity morphisms (the objects in degree
+zero), and a sequence's multidegree, which is also its stratum, is the
+degree of its terminal object.  Its face rule drops the first morphism
+(leaving the target object in degree one), composes two consecutive ones,
+or drops the last one, scaled by that morphism's monomial.  The same core
+as for monomial ideals, :func:`~chainflow.splittings.resolve_stratified`,
+then extracts the minimal summand; strand-exactness is checked at every
+degree below the resolution's degree support, with the expected rank-one
+contribution exactly at the degrees that lie in ``Q``.
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ from itertools import product
 from typing import Optional
 
 from .errors import InputError
-from .linalg import PolyRing, RingMatrix
+from .linalg import PolyRing
 from .complexes import (
     BasedComplex,
     Poset,
     StratifiedComplex,
     _enumerate_monomials,
+    start_resolution,
     verify_strands,
 )
 from .splittings import ResolveResult, resolve_stratified
@@ -122,107 +126,50 @@ def _componentwise_leq(a, b):
 
 
 def bar_resolution(data: BettiCategoryData, field) -> StratifiedComplex:
-    """Bar-type resolution of the semigroup ring piece described by ``data``.
-
-    Degree ``n`` basis: composable sequences of ``n`` nonidentity morphisms
-    (objects at ``n = 0``), in lexicographic order by morphism positions.
-    The differential alternates: dropping the first morphism keeps the
-    terminal object; composing two consecutive morphisms is an inner face;
-    dropping the last morphism multiplies by its monomial.  Stratum and
-    multidegree of a sequence: its terminal object.
-    """
-    ring = PolyRing(field, data.names)
-    morph_index = {f: i for i, f in enumerate(data.morphisms)}
-    poset = Poset.from_leq(list(data.objects), _componentwise_leq)
-
-    # seqs[0]: one singleton (object,) per object; seqs[n] for n >= 1: tuples
-    # of morphism indices (f_1, ..., f_n) with target(f_i) = source(f_{i+1}),
-    # in lexicographic order.  The category is pointed, so sequence lengths
-    # are bounded and the construction terminates.
+    """The bar start of the semigroup ring piece described by ``data``:
+    sequences in lexicographic order by morphism positions, labelled
+    ``[m_1|...|m_n]`` by their monomials (objects ``[d]`` by their degree),
+    with the face rule of the module docstring."""
     morphs = data.morphisms
-    seqs = [[(o,) for o in data.objects]]
-    n = 1
-    while True:
-        if n == 1:
-            tier = [(i,) for i in range(len(morphs))]
-        else:
-            tier = []
-            for seq in seqs[n - 1]:
-                last = morphs[seq[-1]]
-                for i, f in enumerate(morphs):
-                    if f.source == last.target:
-                        tier.append(seq + (i,))
-        tier.sort()
-        if not tier:
-            break
-        seqs.append(tier)
-        n += 1
+    # An entry of a tuple is an object (degree 0) or a morphism position;
+    # the tuple's label joins its entries' texts, and its terminal object
+    # is the end of its last entry.  The category is pointed, so sequence
+    # lengths are bounded and the tiers end.
+    text = {o: _render_degree(o) for o in data.objects}
+    end = {o: o for o in data.objects}
+    for i, f in enumerate(morphs):
+        text[i] = render_monomial(data.names, f.monomial)
+        end[i] = f.target
+    tiers = [[(o,) for o in data.objects], [(i,) for i in range(len(morphs))]]
+    while tiers[-1]:
+        tiers.append([seq + (i,) for seq in tiers[-1]
+                      for i, f in enumerate(morphs) if f.source == end[seq[-1]]])
+    tiers.pop()
 
-    obj_index = {o: i for i, o in enumerate(data.objects)}
-    labels = []
-    multidegrees = []
-    strata = []
-    for n, tier in enumerate(seqs):
-        if n == 0:
-            labels.append(["[" + ",".join(str(x) for x in o) + "]"
-                           for (o,) in tier])
-            multidegrees.append([o for (o,) in tier])
-            strata.append([poset.index[o] for (o,) in tier])
-        else:
-            labs = []
-            mdegs = []
-            strat = []
-            for seq in tier:
-                terminal = morphs[seq[-1]].target
-                labs.append("[" + "|".join(
-                    render_monomial(data.names, morphs[i].monomial)
-                    for i in seq) + "]")
-                mdegs.append(terminal)
-                strat.append(poset.index[terminal])
-            labels.append(labs)
-            multidegrees.append(mdegs)
-            strata.append(strat)
+    # every composable pair is a sequence of degree 2, whose inner face
+    # needs the composite
+    morph_index = {f: i for i, f in enumerate(morphs)}
+    composite = {(i, j): morph_index.get(Morphism(f.source, g.target, tuple(
+        a + b for a, b in zip(f.monomial, g.monomial))))
+        for i, f in enumerate(morphs) for j, g in enumerate(morphs)
+        if f.target == g.source}
+    if None in composite.values():
+        raise InputError("the category is not closed under "
+                         "composition of its morphisms")
+    one = (0,) * len(data.names)
 
-    index_of = [
-        {(o,): j for j, (o,) in enumerate(seqs[0])}
-    ] + [{seq: j for j, seq in enumerate(tier)} for tier in seqs[1:]]
+    def faces(seq):
+        first, last = morphs[seq[0]], morphs[seq[-1]]
+        return ([(seq[1:] or (first.target,), one)]
+                + [(seq[:t - 1] + (composite[seq[t - 1:t + 1]],) + seq[t + 1:],
+                    one) for t in range(1, len(seq))]
+                + [(seq[:-1] or (first.source,), last.monomial)])
 
-    diffs = []
-    for n in range(1, len(seqs)):
-        rows = [[ring.zero() for _ in seqs[n]] for _ in seqs[n - 1]]
-        for j, seq in enumerate(seqs[n]):
-            fs = [morphs[i] for i in seq]
-            # face 0: drop the first morphism
-            if n == 1:
-                face_j = index_of[0][(fs[0].target,)]
-            else:
-                face_j = index_of[n - 1][seq[1:]]
-            rows[face_j][j] = rows[face_j][j] + ring.one()
-            # inner faces: compose consecutive morphisms
-            for t in range(1, n):
-                f, g = fs[t - 1], fs[t]
-                comp = morph_index.get(Morphism(f.source, g.target, tuple(
-                    a + b for a, b in zip(f.monomial, g.monomial))))
-                if comp is None:
-                    raise InputError("the category is not closed under "
-                                     "composition of its morphisms")
-                face = seq[:t - 1] + (comp,) + seq[t + 1:]
-                face_j = index_of[n - 1][face]
-                sign = field.one if t % 2 == 0 else field.neg(field.one)
-                rows[face_j][j] = rows[face_j][j] + ring.const(sign)
-            # last face: drop the last morphism, scaled by its monomial
-            if n == 1:
-                face_j = index_of[0][(fs[0].source,)]
-            else:
-                face_j = index_of[n - 1][seq[:-1]]
-            sign = field.one if n % 2 == 0 else field.neg(field.one)
-            rows[face_j][j] = rows[face_j][j] + ring.monomial(
-                fs[-1].monomial, sign)
-        diffs.append(RingMatrix(ring, rows, ncols=len(seqs[n])))
-
-    complex = BasedComplex(ring, labels, multidegrees, diffs,
-                           deg_map=data.deg_map)
-    return StratifiedComplex(complex, poset, strata)
+    return start_resolution(
+        PolyRing(field, data.names),
+        Poset.from_leq(list(data.objects), _componentwise_leq), tiers,
+        lambda seq: "[" + "|".join(text[x] for x in seq) + "]",
+        lambda seq: end[seq[-1]], faces, data.deg_map)
 
 
 def resolve_toric(

@@ -193,6 +193,44 @@ TORIC23_BETTI = {0: {"0": 1}, 1: {"6": 1}}
 TORIC23_ITERATIONS = 1
 
 
+# --------------------------------------------------------------------------
+# Start resolutions: sha256 of ``serialize.dumps(stratified_to_json(start))``,
+# keyed by (input, start, characteristic).  The inputs are the bundled
+# fixtures, ``bench/inputs/cycle11.json`` and the three-object piece of
+# <2, 3> in ``tests/test_toric.py``; they pin every label, tuple order, sign
+# and coefficient of the three starts.
+# --------------------------------------------------------------------------
+
+START_DIGESTS = {
+    ("cycle2", "lcm", 0):
+        "0bba05acd02ee54037dc16e82f76d6b06da515ca02ab7fb8f176101ffcfdddf8",
+    ("cycle2", "lcm", 2):
+        "5cb55436d23e8449fe150a36c79b410a7d6fae008769faab2d30c7f4e57b6234",
+    ("cycle2", "taylor", 0):
+        "32146b36c9e4830cf7532659425ce8001f5af35c373dd10ec7b51f06f0340d18",
+    ("cycle2", "taylor", 2):
+        "f2c25561ca3c2ff963feba6f15db94868fe6d1acb6075afedba9b6e7d55967d1",
+    ("cycle3", "lcm", 0):
+        "d9f68bf1a5d80f7749d86673d72a6a8ee54a9d7ebce4bdc2f522ba04cd457697",
+    ("cycle3", "lcm", 2):
+        "b480cddfced12a39dc22f60c5d3156fd96a07ad08157ef09416ad1c054d090c9",
+    ("cycle3", "taylor", 0):
+        "ce8fca2ab93220940afb6733b4160cb1dc97b04c1d0f4be5655306a37810928f",
+    ("cycle3", "taylor", 2):
+        "9c05b4bb70f1e295e6e4652fdb7c56c6933851fe2643bbc19c2bfe8a6fbfe059",
+    ("cycle11", "lcm", 0):
+        "cc5a147396cc3e136ff22cac65eb912db8d786ea327f414e27a26ed3533e04ac",
+    ("semigroup23", "bar", 0):
+        "b5fdfd8c0c5bc371468e1cff2fd7fe1853928f83f8e2bf41c7ecb722109558b6",
+    ("semigroup23", "bar", 3):
+        "8ee1022ada4476901ba473620e02ed6387e47ab44c2c73a17d7bcbf62600b0e3",
+    ("three_objects", "bar", 0):
+        "674590da4a7a81e7e295c5c2108b82ee4f4078f87b18da0a6c47a5dd79b80798",
+    ("three_objects", "bar", 3):
+        "d6c37a7fd768944d44f8b417dcb580ff0df33743f223c5075c77419ff53f68e1",
+}
+
+
 def render_ring_matrix(mat):
     """Sparse text form of a RingMatrix: {(i, j): ((coeff, monomial), ...)}.
 

@@ -1,12 +1,16 @@
 """Small front ends to package internals that only tests need."""
 
+import hashlib
 import json
 from importlib import resources
+from pathlib import Path
 from unittest import mock
 
 from chainflow.flows import Homotopy, extract_minimal_summand
 from chainflow.linalg import RingMatrix
-from chainflow.serialize import complex_from_json, complex_to_json, dumps
+from chainflow.serialize import (
+    complex_from_json, complex_to_json, dumps, stratified_to_json,
+)
 from chainflow.splittings import _splitting_mode, split_strata
 
 from oracles import flow
@@ -38,6 +42,21 @@ def fixture_ideal(name):
     fixture ``name``."""
     return json.loads(resources.files("chainflow.fixtures")
                       .joinpath(f"{name}.json").read_text())
+
+
+def ideal_doc(name):
+    """The ideal document of the bundled fixture ``name``, or of the
+    benchmark's input ``bench/inputs/cycle11.json`` for ``cycle11``."""
+    if name == "cycle11":
+        return json.loads((Path(__file__).resolve().parent.parent / "bench"
+                           / "inputs" / "cycle11.json").read_text())
+    return fixture_ideal(name)
+
+
+def start_digest(s):
+    """The sha256 of the canonical JSON text of the stratified complex
+    ``s``, as ``golden_data.START_DIGESTS`` records it."""
+    return hashlib.sha256(dumps(stratified_to_json(s)).encode()).hexdigest()
 
 
 def poly(F, text):

@@ -4,6 +4,9 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 
+from sympy import GF, QQ as SQQ
+from sympy.polys.matrices import DomainMatrix
+
 from chainflow.complexes import BasedComplex, StratifiedComplex
 from chainflow.errors import InputError, InternalError, VerificationError
 from chainflow.flows import Homotopy, _stratum_tag, dmat
@@ -658,3 +661,102 @@ def betti_euler_characteristic(names, betti):
             m = tuple(exps)
             out[m] = out.get(m, 0) + (-1) ** int(i) * beta
     return {m: c for m, c in out.items() if c}
+
+
+# Betti tables from simplicial homology (Miller-Sturmfels, *Combinatorial
+# Commutative Algebra*, Thm 1.34 and Thm 9.2).  They share no code with
+# chainflow: a simplicial complex is its faces, sorted tuples of vertices,
+# and ranks come from sympy's DomainMatrix over QQ or GF(p).
+
+
+def _upward_faces(vertices, is_face):
+    """The faces of a simplicial complex, by size, grown from the empty face
+    through faces only: ``is_face`` decides a candidate whose faces of one
+    size less are all known to pass.  The list ends with an empty size; it
+    holds no size at all for the void complex, which lacks even the empty
+    face."""
+    sizes = [[()] if is_face(()) else []]
+    while sizes[-1]:
+        sizes.append([F + (v,) for F in sizes[-1] for v in vertices
+                      if (not F or v > F[-1]) and is_face(F + (v,))])
+    return sizes
+
+
+def _reduced_homology(sizes, characteristic):
+    """``h[m] = dim H̃_{m-1}`` of the complex whose faces of size ``m`` are
+    ``sizes[m]``, over QQ or GF(p)."""
+    K = GF(characteristic) if characteristic else SQQ
+    ranks = [0]
+    for lower, upper in zip(sizes, sizes[1:]):
+        index = {F: i for i, F in enumerate(lower)}
+        rows = [[K.zero] * len(upper) for _ in lower]
+        for j, F in enumerate(upper):
+            for t in range(len(F)):
+                rows[index[F[:t] + F[t + 1:]]][j] = K(-1 if t % 2 else 1)
+        ranks.append(DomainMatrix(rows, (len(lower), len(upper)), K).rank()
+                     if lower and upper else 0)
+    ranks.append(0)
+    return [len(F) - ranks[m] - ranks[m + 1] for m, F in enumerate(sizes)]
+
+
+def _betti_table(degrees, complex_at, characteristic, tag):
+    """``{i: {tag(b): beta}}`` with ``beta = dim H̃_{i-1}`` of
+    ``complex_at(b)``, nonzero entries only, as a report keys its Betti
+    table."""
+    table = {}
+    for b in degrees:
+        for i, beta in enumerate(_reduced_homology(complex_at(b),
+                                                   characteristic)):
+            if beta:
+                table.setdefault(i, {})[tag(b)] = beta
+    return {i: dict(sorted(row.items())) for i, row in sorted(table.items())}
+
+
+def monomial_betti_oracle(names, generators, characteristic):
+    """The Betti table of the monomial ideal with the given generator
+    exponent vectors: ``beta_{i,b} = dim H̃_{i-1}(K^b)`` at each degree ``b``
+    of the lcm lattice, with the upper Koszul complex
+    ``K^b = {squarefree F in supp b : x^(b-F) in I}``."""
+    gens = [tuple(g) for g in generators]
+    lattice = set(gens)
+    for g in gens:
+        lattice |= {tuple(map(max, e, g)) for e in lattice}
+
+    def in_ideal(e):
+        return any(all(x >= y for x, y in zip(e, g)) for g in gens)
+
+    def upper_koszul(b):
+        return _upward_faces(
+            [j for j, x in enumerate(b) if x],
+            lambda F: in_ideal([x - (j in F) for j, x in enumerate(b)]))
+
+    def tag(b):
+        return "*".join(nm if e == 1 else f"{nm}^{e}"
+                        for nm, e in zip(names, b) if e) or "1"
+    return _betti_table(lattice, upper_koszul, characteristic, tag)
+
+
+def toric_betti_oracle(deg_map, top, characteristic):
+    """The Betti table of ``k[Q]``, for ``Q`` the semigroup generated by the
+    columns ``a_j`` of ``deg_map``, at every degree ``0 <= b <= top``:
+    ``beta_{i,b} = dim H̃_{i-1}(Delta_b)`` with the squarefree divisor complex
+    ``Delta_b = {F in [n] : b - sum_{j in F} a_j in Q}``."""
+    cols = [tuple(row[j] for row in deg_map) for j in range(len(deg_map[0]))]
+    member = {}
+
+    def in_semigroup(b):
+        # b = 0, or b - a_j lies in Q for some generator a_j <= b
+        if b not in member:
+            member[b] = not any(b) or any(
+                in_semigroup(tuple(x - y for x, y in zip(b, a)))
+                for a in cols if all(x >= y for x, y in zip(b, a)))
+        return member[b]
+
+    def divisor_complex(b):
+        return _upward_faces(range(len(cols)), lambda F: in_semigroup(tuple(
+            x - sum(cols[j][k] for j in F) for k, x in enumerate(b))))
+
+    def tag(b):
+        return ",".join(str(x) for x in b)
+    return _betti_table(product(*(range(t + 1) for t in top)),
+                        divisor_complex, characteristic, tag)

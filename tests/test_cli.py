@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -325,6 +326,24 @@ class TestCounterexample:
         rc, _, err = run(["counterexample", "--prime", "4"], capsys)
         assert rc == 2
         assert "input error" in err
+
+    def test_search_beyond_the_limit_refused(self, capsys):
+        # 11^11 tuples would take months; the refusal comes at once and
+        # names the checks that still run
+        start = time.perf_counter()
+        rc, out, err = run(["counterexample", "--prime", "11"], capsys)
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (2, "")
+        assert "11^11 = 285,311,670,611 tuples" in err
+        assert "resolution, intrinsic and transcendental" in err
+
+    def test_checks_without_the_search_run_beyond_the_limit(self, capsys):
+        art, err = run_json(
+            ["counterexample", "--prime", "11", "--check", "resolution"],
+            capsys)
+        assert art["n"] == 11 and art["ok"] is True
+        assert "obstruction" not in art
+        assert "all checks passed" in err
 
 
 class TestInputHandling:

@@ -9,8 +9,9 @@ from chainflow.monomial import (
     resolve_minimal, taylor_resolution, verify_resolution,
 )
 from chainflow.scalars import GF, QQ
-from chainflow import cyclefam
+from chainflow import cyclefam, monomial
 import golden_data as G
+from helpers import ideal_doc, start_digest
 from oracles import verify_equivariance
 
 
@@ -91,6 +92,20 @@ class TestStartResolutions:
         for field in (GF(2), GF(5)):
             assert order_complex_resolution(cycle3, field).validate() == []
             assert taylor_resolution(cycle3, field).validate() == []
+
+
+@pytest.mark.parametrize(
+    "name, start, char",
+    [key for key in G.START_DIGESTS if key[1] != "bar"],
+    ids=lambda v: str(v))
+def test_start_bytes(name, start, char):
+    # every label, tuple order, sign and coefficient of the lcm and Taylor
+    # starts, as recorded before the starts shared one builder
+    doc = ideal_doc(name)
+    I = MonomialIdeal(doc["variables"], doc["generators"])
+    field = GF(char) if char else QQ
+    assert start_digest(monomial._STARTS[start](I, field)) == \
+        G.START_DIGESTS[name, start, char]
 
 
 class TestResolveMinimal:

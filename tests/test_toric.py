@@ -16,6 +16,7 @@ from chainflow.toric import (
 )
 
 import golden_data as G
+from helpers import fixture_ideal, start_digest
 
 
 def _semi23():
@@ -106,6 +107,25 @@ class TestBarResolution:
         s = bar_resolution(_semi23(), GF(3))
         assert s.complex.ranks == [2, 2]
         assert s.validate() == []
+
+
+@pytest.mark.parametrize(
+    "name, char",
+    [(key[0], key[2]) for key in G.START_DIGESTS if key[1] == "bar"],
+    ids=lambda v: str(v))
+def test_start_bytes(name, char):
+    # the bar start's labels, signs and coefficients, inner faces included
+    # (only the three-object piece has composable pairs), as recorded before
+    # the starts shared one builder
+    if name == "semigroup23":
+        doc = fixture_ideal(name)
+        data = BettiCategoryData(doc["variables"], doc["deg_map"],
+                                 doc["objects"], doc["morphisms"])
+    else:
+        data = _semi23_three_objects()
+    field = GF(char) if char else QQ
+    assert start_digest(bar_resolution(data, field)) == \
+        G.START_DIGESTS[name, "bar", char]
 
 
 class TestResolveCharZero:
