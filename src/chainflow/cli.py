@@ -191,7 +191,10 @@ def cmd_matroidal(args) -> int:
     counts = {}
     for ai in s.occupied():
         tag = render_monomial(I.names, poset.elements[ai])
-        counts[tag] = matroidal_count(s.stratum(ai))
+        try:
+            counts[tag] = matroidal_count(s.stratum(ai))
+        except InputError as e:
+            raise InputError(f"stratum {tag}: {e}") from None
     analysis = critical_analysis(counts, field_char)
     payload = {
         "start": args.start,

@@ -3,8 +3,8 @@
 Conventions used throughout the package:
 
 * A complex F has degrees 0..top; ``diffs[i]`` is the matrix of
-  d_{i+1}: F_{i+1} -> F_i (so ``len(diffs) == top``).  ``c.d(n)`` returns
-  the matrix of d_n for 1 <= n <= top.
+  d_{i+1}: F_{i+1} -> F_i (so ``len(diffs) == top``).  ``c.d(n)`` is d_n
+  for every n: the zero (rank(n-1), rank(n)) matrix outside 1..top.
 * Basis elements carry string labels and optional multidegrees (tuples in
   an ambient Z^d).  A complex may carry ``deg_map`` assigning a degree
   vector to each ring variable (d x nvars, tuple of tuples); ``None``
@@ -28,7 +28,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from .errors import InputError, InternalError
+from .errors import InputError
 from .keys import monomial_text
 from .linalg import PolyRing, RingMatrix, s_rank
 
@@ -134,10 +134,10 @@ class BasedComplex:
         return len(self.labels[n]) if 0 <= n <= self.top else 0
 
     def d(self, n):
-        """Matrix of d_n: F_n -> F_{n-1} (1 <= n <= top)."""
-        if not 1 <= n <= self.top:
-            raise InternalError(f"no differential d_{n}")
-        return self.diffs[n - 1]
+        """Matrix of d_n: F_n -> F_{n-1}; zero outside 1..top."""
+        if 1 <= n <= self.top:
+            return self.diffs[n - 1]
+        return RingMatrix.zeros(self.ring, self.rank(n - 1), self.rank(n))
 
     def ambient_dim(self):
         if self.deg_map is not None:
@@ -300,10 +300,9 @@ class StratifiedComplex:
     def occupied_dimension(self):
         return self.poset.dimension(self.occupied())
 
-    def stratum(self, a):
-        """The scalar subquotient complex sitting over poset element ``a``
-        (given as a poset element or index), sliced through ``members``."""
-        ai = a if isinstance(a, int) else self.poset.index[a]
+    def stratum(self, ai):
+        """The scalar subquotient complex sitting over the poset element of
+        index ``ai``, sliced through ``members``."""
         c = self.complex
         sring = scalar_ring(c.ring.field)
         indices = self.members.get(ai, [])

@@ -53,13 +53,6 @@ __all__ = [
 ]
 
 
-def dmat(c: BasedComplex, n: int) -> RingMatrix:
-    """Differential ``d_n : F_n -> F_{n-1}``, zero-padded outside 1..top."""
-    if 1 <= n <= c.top:
-        return c.d(n)
-    return RingMatrix.zeros(c.ring, c.rank(n - 1), c.rank(n))
-
-
 class Homotopy:
     """A degree ``+1`` system of maps ``D_n : F_n -> F_{n+1}`` on a complex,
     one for each ``0 <= n < top``; any other count raises.
@@ -120,7 +113,7 @@ def classify(D: Homotopy) -> ClassifyResult:
         return D.verdict
     c = D.complex
     top = c.top
-    d = [dmat(c, n) for n in range(top + 3)]
+    d = [c.d(n) for n in range(top + 3)]
     DD = {n: D.D(n + 1) @ D.D(n) for n in range(-1, top + 1)}
     is_vf = all(DD[n].is_zero() for n in range(top + 1))
     is_pre = is_vf or all((DD[n - 1] @ d[n]).eq(d[n + 2] @ DD[n])
@@ -227,7 +220,7 @@ def hat(D: Homotopy) -> Homotopy:
     mats = []
     for n in range(0, c.top):
         Dn = D.D(n)
-        mats.append((Dn @ dmat(c, n + 1)) @ (Dn - Dn @ (D.D(n - 1) @ dmat(c, n))))
+        mats.append((Dn @ c.d(n + 1)) @ (Dn - Dn @ (D.D(n - 1) @ c.d(n))))
     return Homotopy(c, mats)
 
 
@@ -235,7 +228,7 @@ def _satisfies_pdp(D: Homotopy) -> bool:
     """Whether ``d D d = d`` holds degreewise on ``D``'s complex."""
     c = D.complex
     for n in range(1, c.top + 1):
-        if not ((dmat(c, n) @ D.D(n - 1)) @ dmat(c, n)).eq(dmat(c, n)):
+        if not ((c.d(n) @ D.D(n - 1)) @ c.d(n)).eq(c.d(n)):
             return False
     return True
 
@@ -419,7 +412,7 @@ def extract_minimal_summand(
                 for i, row in enumerate(emb):
                     row.append(entries.get(i, field.zero))
         V = RingMatrix.from_scalar_rows(ring, emb, ncols=len(strata[n]))
-        d = dmat(c, n)
+        d = c.d(n)
         G_n, R = V, d @ V
         step = H.D(n - 1) @ R
         if not step.is_zero():

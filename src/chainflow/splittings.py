@@ -30,23 +30,23 @@ Each ``D_n`` of the average is therefore a sum over the distinct pairs
 times that pair's block; :func:`matroidal_average` inverts each minor once.
 
 :func:`resolve_stratified` is the one resolve core behind the monomial and
-toric entry points: it slices each stratum once, splits them all in one
-step with :func:`split_strata`, assembles the vector field, flows to the
-minimal summand and verifies it.
+toric entry points: it builds the start, splits every stratum with
+:func:`split_strata`, assembles the vector field, flows to the minimal
+summand and verifies it; every stage keys strata by poset index.
 
 Where the field is decided: :func:`~chainflow.scalars.prime_field` turns
 the characteristic into Q or F_p, and the start is built over that field.
 :func:`split_strata` keeps it as the work field unless the mode is the
 matroidal average and :func:`critical_analysis` finds critical strata; then
 :func:`build_extension_field` forms ``F_p(y)`` with their affine weights,
-and the start is coerced to it.
+and :func:`split_strata` coerces the start to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 from typing import Optional
 
 from .errors import InputError, VerificationError
@@ -61,7 +61,6 @@ from .flows import (
     _satisfies_pdp,
     assemble_field,
     classify,
-    dmat,
     extract_minimal_summand,
     hat,
     iterate_flow,
@@ -98,11 +97,6 @@ class MatroidalChoice:
     z_sets: tuple
 
 
-def _scalar_diff(c: BasedComplex, n: int):
-    m = dmat(c, n)
-    return m.scalar_rows(), m.nrows, m.ncols
-
-
 def _degree_options(c: BasedComplex, n: int):
     """All valid (X_n, Z_n) pairs in lexicographic order, with cycle data.
 
@@ -116,8 +110,9 @@ def _degree_options(c: BasedComplex, n: int):
     options with :func:`matroidal_options`.
     """
     field = c.ring.field
-    dn, _, r_n = _scalar_diff(c, n)
-    dn1, _, _ = _scalar_diff(c, n + 1)
+    r_n = c.rank(n)
+    dn = c.d(n).scalar_rows()
+    dn1 = c.d(n + 1).scalar_rows()
     rk_n = s_rank(field, dn)
     rk_n1 = s_rank(field, dn1)
     h = r_n - rk_n - rk_n1
@@ -180,7 +175,7 @@ def _build_homotopy(c: BasedComplex, per_degree) -> Homotopy:
         r_n1 = c.rank(n + 1)
         x_n, z_n, cycles_n = per_degree[n]
         x_up, _, _ = per_degree[n + 1]
-        dn1, _, _ = _scalar_diff(c, n + 1)
+        dn1 = c.d(n + 1).scalar_rows()
         rk1 = len(x_up)
         cols = []
         for x in x_up:
@@ -256,6 +251,11 @@ def _basis_test(field, mat):
     return len(pivots), is_basis
 
 
+# The most pairs (X_n, Z_n) that ``matroidal_options`` walks in a stratum;
+# R7's 437,592 are within it, R6's 1.56e9 are not.
+MAX_OPTION_PAIRS = 10 ** 7
+
+
 def matroidal_options(c: BasedComplex) -> list:
     """Per-degree matroidal options of a scalar complex, degrees 0..top.
 
@@ -277,20 +277,32 @@ def matroidal_options(c: BasedComplex) -> list:
 
     Each differential is therefore row-reduced once, and each candidate is
     decided by the small minor of :func:`_basis_test`; the W-test is
-    memoised per ``W_n``.
+    memoised per ``W_n``.  Degree ``n`` walks at most
+    ``C(r_n, rk_n) C(r_n - rk_n, h_n)`` pairs; when their sum over the
+    degrees exceeds :data:`MAX_OPTION_PAIRS`, the search could not finish,
+    and it raises ``InputError`` before it enumerates any option.
     """
     if not c.is_scalar():
         raise InputError("matroidal enumeration needs a scalar complex")
     field = c.ring.field
-    out = []
+    degrees = []
     for n in range(0, c.top + 1):
-        dn, _, r_n = _scalar_diff(c, n)
-        dn1, _, _ = _scalar_diff(c, n + 1)
-        rk_n, x_is_basis = _basis_test(field, dn)
-        rk_n1, w_is_basis = _basis_test(field, s_transpose(dn1))
+        r_n = c.rank(n)
+        rk_n, x_is_basis = _basis_test(field, c.d(n).scalar_rows())
+        rk_n1, w_is_basis = _basis_test(
+            field, s_transpose(c.d(n + 1).scalar_rows()))
         h = r_n - rk_n - rk_n1
         if h < 0:
             raise InputError("not a complex: negative homology dimension")
+        degrees.append((r_n, rk_n, h, x_is_basis, w_is_basis))
+    pairs = sum(comb(r_n, rk_n) * comb(r_n - rk_n, h)
+                for r_n, rk_n, h, _, _ in degrees)
+    if pairs > MAX_OPTION_PAIRS:
+        raise InputError(
+            f"its matroidal options are a search of {pairs} pairs (X_n, Z_n), "
+            f"above the bound of {MAX_OPTION_PAIRS}")
+    out = []
+    for r_n, rk_n, h, x_is_basis, w_is_basis in degrees:
         w_valid = {}
         options = []
         for x_set in combinations(range(r_n), rk_n):
@@ -377,7 +389,7 @@ def matroidal_average(c_base: BasedComplex, c_work: BasedComplex,
     mats = []
     for n in range(top):
         r_n = c_base.rank(n)
-        dn1, _, _ = _scalar_diff(c_base, n + 1)
+        dn1 = c_base.d(n + 1).scalar_rows()
         cells = {}
         for (w_set, x_up), ws in omega[n].items():
             if not x_up:
@@ -511,9 +523,9 @@ def stratum_core(D: Homotopy) -> list:
     out = []
     for n in range(0, c.top + 1):
         r = c.rank(n)
-        ker = kernel(field, dmat(c, n).scalar_rows(), r)
+        ker = kernel(field, c.d(n).scalar_rows(), r)
         # Restrict d D to Ker d and take its kernel there.
-        B = (dmat(c, n + 1) @ D.D(n)).scalar_rows()
+        B = (c.d(n + 1) @ D.D(n)).scalar_rows()
         kmat = [[v[i] for v in ker] for i in range(r)]
         combos = kernel(field, s_mul(field, B, kmat), len(ker))
         vecs = s_mul(field, combos, ker)
@@ -535,33 +547,43 @@ def _splitting_mode(characteristic: int, mode: Optional[str]) -> str:
     return mode
 
 
-def split_strata(complexes: dict, field, mode: str):
-    """The certified splitting homotopy and core of every stratum.
+def split_strata(s: StratifiedComplex, render, mode: str):
+    """The certified splitting homotopy and core of every stratum of ``s``.
 
-    ``complexes`` maps stratum tags, in stratum order, to the stratum
-    complexes over ``field``, the prime field (or Q) of the resolve.  The
-    options are counted and the critical analysis run at ``field.char``; the
-    work field is a transcendental extension, with affine weights for each
-    critical stratum, only when ``mode`` is the matroidal average and the
-    characteristic divides some count.  Each stratum, coerced to the work
-    field, is split by the pseudoinverse or by ``hat`` of the average with
-    its critical weights or ``1/m`` each; :func:`classify` certifies the
-    split.  Returns ``(critical, field, splittings, cores)``: the critical
-    analysis, whose ``counts`` are the stratum counts, the work field, and
-    the last two keyed by tag; each homotopy's ``complex`` is its stratum
-    over the work field.
+    ``s`` is the start over its prime field (or Q); each occupied stratum is
+    sliced once, and ``render`` of its poset element tags it in text (count
+    keys, weight names, errors).  The options are counted and the critical
+    analysis run at the characteristic; the work field is a transcendental
+    extension, with affine weights for each critical stratum, only when
+    ``mode`` is the matroidal average and the characteristic divides some
+    count.  Each slice, coerced to the work field, is split by the
+    pseudoinverse or by ``hat`` of the average with its critical weights or
+    ``1/m`` each; :func:`classify` certifies the split.  Returns
+    ``(critical, s_work, splittings, cores)``: the critical analysis, whose
+    ``counts`` are the stratum counts, the start over the work field, and
+    the homotopies and cores keyed by poset index; each homotopy's
+    ``complex`` is its stratum over the work field.
     """
-    options = {tag: matroidal_options(c) for tag, c in complexes.items()}
-    counts = {tag: count_choices(opts) for tag, opts in options.items()}
-    critical = critical_analysis(counts, field.char)
-    weights = {}
+    base = s.complex.ring.field
+    slices = {ai: s.stratum(ai) for ai in s.occupied()}
+    tags = {ai: render(s.poset.elements[ai]) for ai in slices}
+    options = {}
+    for ai, c in slices.items():
+        try:
+            options[ai] = matroidal_options(c)
+        except InputError as e:
+            raise InputError(f"stratum {tags[ai]}: {e}") from None
+    counts = {tags[ai]: count_choices(opts) for ai, opts in options.items()}
+    critical = critical_analysis(counts, base.char)
+    field, weights = base, {}
     if mode == "matroidal_average" and critical["critical_strata"]:
         field, weights = build_extension_field(
             {tag: counts[tag] for tag in critical["critical_strata"]},
-            field.char)
+            base.char)
     splittings = {}
     cores = {}
-    for tag, c_base in complexes.items():
+    for ai, c_base in slices.items():
+        tag = tags[ai]
         c = coerce_complex(c_base, field)
         if mode == "moore_penrose":
             D = moore_penrose(c)
@@ -570,13 +592,15 @@ def split_strata(complexes: dict, field, mode: str):
             if ws is None:
                 m = counts[tag]
                 ws = [field.inv(field.from_int(m))] * m
-            D = hat(matroidal_average(c_base, c, options[tag], ws))
+            D = hat(matroidal_average(c_base, c, options[ai], ws))
         if not classify(D).is_splitting:
             raise VerificationError(
                 f"stratum {tag}: the {mode} homotopy is not a splitting")
-        splittings[tag] = D
-        cores[tag] = stratum_core(D)
-    return critical, field, splittings, cores
+        splittings[ai] = D
+        cores[ai] = stratum_core(D)
+    s_work = s if field is base else StratifiedComplex(
+        coerce_complex(s.complex, field), s.poset, s.strata)
+    return critical, s_work, splittings, cores
 
 
 @dataclass
@@ -594,13 +618,13 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
     The one construction behind the monomial and toric entry points.
     ``start(field)`` builds the start over the prime field (or Q) of
     ``characteristic``; it is called after the mode check, and a start that
-    fails :meth:`StratifiedComplex.validate` raises.  Each occupied
-    stratum is sliced once, and :func:`split_strata` splits them all and
-    takes their cores, over a transcendental extension when the mode is the
-    matroidal average and the characteristic divides a stratum count.  The
-    splittings are assembled into a vector field on the start over the work
-    field, whose flow is iterated to a projection, and the projected summand
-    is extracted.  ``render`` turns a multidegree
+    fails :meth:`StratifiedComplex.validate` raises.
+    :func:`split_strata` splits every stratum and takes its core, over a
+    transcendental extension when the mode is the matroidal average and the
+    characteristic divides a stratum count, and hands on the start over the
+    work field.  The splittings are assembled into a vector field on it,
+    whose flow is iterated to a projection, and the projected summand is
+    extracted.  ``render`` turns a multidegree
     into the string that tags strata and keys the Betti table; ``verify``
     checks the extracted complex and returns a dict with ``ok``,
     ``minimal``, ``exactness_ok``, ``checked_degrees``, ``failures`` and
@@ -614,20 +638,10 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
     if issues:
         raise VerificationError(
             "start resolution failed validation: " + "; ".join(issues))
-    poset = s_base.poset
-    tags = {ai: render(poset.elements[ai]) for ai in s_base.occupied()}
-    critical, work_field, splittings, cores = split_strata(
-        {tag: s_base.stratum(ai) for ai, tag in tags.items()},
-        base_field, mode)
-    s_work = s_base
-    if work_field is not base_field:
-        s_work = StratifiedComplex(coerce_complex(s_base.complex, work_field),
-                                   poset, s_base.strata)
-
-    W = assemble_field(s_work, {ai: splittings[tag] for ai, tag in tags.items()})
+    critical, s_work, splittings, cores = split_strata(s_base, render, mode)
+    W = assemble_field(s_work, splittings)
     _, iterations, H = iterate_flow(s_work, W)
-    resolution = extract_minimal_summand(
-        s_work, H, {ai: cores[tag] for ai, tag in tags.items()})
+    resolution = extract_minimal_summand(s_work, H, cores)
     verification = verify(resolution)
     if not verification["ok"]:
         raise VerificationError(
@@ -645,7 +659,7 @@ def resolve_stratified(start, characteristic: int, mode: Optional[str],
     report = {
         "characteristic": characteristic,
         "mode": mode,
-        "field": field_descriptor(work_field),
+        "field": field_descriptor(s_work.complex.ring.field),
         "stratum_counts": critical["counts"],
         "critical_primes": critical["critical_primes"],
         "critical_strata": critical["critical_strata"],

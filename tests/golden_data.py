@@ -231,6 +231,23 @@ START_DIGESTS = {
 }
 
 
+# Ideals in x0..x3 drawn by ``random.Random(k)`` (entries ``randint(0, 3)``,
+# five distinct 4-tuples, then minimalized): R6 and R7.  The top stratum of
+# R6's lcm start needs a search of R6_OPTION_PAIRS pairs (X_n, Z_n), above
+# ``splittings.MAX_OPTION_PAIRS``; R7's largest stratum needs 437,592.
+R6_GENERATORS = [[0, 1, 3, 2], [0, 3, 2, 0], [1, 3, 0, 1], [2, 0, 2, 3],
+                 [2, 0, 3, 2]]
+R7_GENERATORS = [[0, 0, 2, 0], [1, 0, 0, 3], [3, 0, 0, 1], [3, 0, 1, 0]]
+R6_OPTION_PAIRS = 1556884050
+
+# The six-vertex triangulation of the real projective plane, vertices
+# x1..x6 numbered from 0; its Stanley-Reisner ideal's top lcm stratum needs
+# a search of RP2_OPTION_PAIRS pairs.
+RP2_FACETS = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+              (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+RP2_OPTION_PAIRS = 673132974506580171230097
+
+
 def render_ring_matrix(mat):
     """Sparse text form of a RingMatrix: {(i, j): ((coeff, monomial), ...)}.
 

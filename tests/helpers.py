@@ -6,6 +6,7 @@ from importlib import resources
 from pathlib import Path
 from unittest import mock
 
+from chainflow.complexes import Poset, StratifiedComplex
 from chainflow.flows import Homotopy, extract_minimal_summand
 from chainflow.linalg import RingMatrix
 from chainflow.serialize import (
@@ -19,15 +20,18 @@ from oracles import flow
 def split_one_stratum(c, characteristic, mode, tag="a"):
     """The per-stratum step of ``resolve_stratified`` on one scalar complex.
 
+    ``c`` is wrapped as a start with one stratum, tagged ``tag``.
     ``characteristic`` defaults and checks ``mode`` as a resolve does; the
     split runs over the field of ``c``.  Returns ``(D, work, m)``: the
     certified splitting homotopy, the complex over the work field (a
     transcendental extension when the characteristic divides the number
     ``m`` of matroidal splittings) and ``m``.
     """
+    s = StratifiedComplex(c, Poset([0], [frozenset()]),
+                          [[0] * r for r in c.ranks])
     critical, _, splittings, _ = split_strata(
-        {tag: c}, c.ring.field, _splitting_mode(characteristic, mode))
-    D = splittings[tag]
+        s, lambda _: tag, _splitting_mode(characteristic, mode))
+    D = splittings[0]
     return D, D.complex, critical["counts"][tag]
 
 

@@ -9,7 +9,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from chainflow.complexes import BasedComplex, StratifiedComplex
 from chainflow.errors import InputError, InternalError, VerificationError
-from chainflow.flows import Homotopy, _stratum_tag, dmat
+from chainflow.flows import Homotopy, _stratum_tag
 from chainflow.linalg import (
     RingMatrix, kernel, rref, s_identity, s_inverse, s_mul, s_rank,
     s_transpose, s_zeros,
@@ -53,8 +53,8 @@ def weak_partial_decomposition(c: BasedComplex, D: Homotopy):
     pieces = []
     for n in range(c.top + 1):
         r = c.rank(n)
-        A = D.D(n - 1) @ dmat(c, n)      # D d on F_n
-        B = dmat(c, n + 1) @ D.D(n)      # d D on F_n
+        A = D.D(n - 1) @ c.d(n)      # D d on F_n
+        B = c.d(n + 1) @ D.D(n)      # d D on F_n
         a_rows, b_rows = A.scalar_rows(), B.scalar_rows()
         n_cols, m_cols = image_basis(b_rows), image_basis(a_rows)
         c_cols = [list(v) for v in kernel(field, a_rows + b_rows, r)] if r else []
@@ -147,7 +147,7 @@ def flow(c: BasedComplex, D: Homotopy) -> list:
     mats = []
     for n in range(0, c.top + 1):
         I = RingMatrix.identity(c.ring, c.rank(n))
-        mats.append(I - (dmat(c, n + 1) @ D.D(n)) - (D.D(n - 1) @ dmat(c, n)))
+        mats.append(I - (c.d(n + 1) @ D.D(n)) - (D.D(n - 1) @ c.d(n)))
     return mats
 
 
@@ -372,7 +372,7 @@ def verify_equivariance(I: MonomialIdeal, variable_perm,
     # The signed basis permutation, degree by degree.  Basis labels are not
     # consulted: positions are recovered through each start's combinatorics.
     if result.report["start"] == "lcm":
-        perm_pairs = _lcm_basis_action(poset, elem_map)
+        perm_pairs = _lcm_basis_action(poset, elem_map, poset)
     else:
         perm_pairs = _taylor_basis_action(len(I.generators), gen_map)
     minus_one = field.neg(field.one)
@@ -403,13 +403,16 @@ def verify_equivariance(I: MonomialIdeal, variable_perm,
     return {"d_commutes": d_ok, "field_commutes": w_ok, "ok": d_ok and w_ok}
 
 
-def _lcm_basis_action(poset, elem_map):
-    """Per-degree (target, source, sign) triples of the chain basis: every
-    chain element is permuted and chain order is kept, so the sign is +1."""
-    tiers = _chain_tiers(poset)
-    index_of = [{ch: j for j, ch in enumerate(tier)} for tier in tiers]
+def _lcm_basis_action(poset, elem_map, image_poset):
+    """Per-degree (target, source, sign) triples from the chain basis of
+    ``poset`` to that of ``image_poset``: every chain element is mapped,
+    and the image chain is sorted into the order of ``image_poset``, a
+    linear extension, so the sign is +1."""
+    index_of = [{ch: j for j, ch in enumerate(tier)}
+                for tier in _chain_tiers(image_poset)]
     return [[(index_of[n][tuple(sorted(elem_map[i] for i in ch))], j, +1)
-             for j, ch in enumerate(tier)] for n, tier in enumerate(tiers)]
+             for j, ch in enumerate(tier)]
+            for n, tier in enumerate(_chain_tiers(poset))]
 
 
 def _taylor_basis_action(r, gen_map):
@@ -427,6 +430,43 @@ def _taylor_basis_action(r, gen_map):
                           _sort_parity(imgs)))
         perm_pairs.append(pairs)
     return perm_pairs
+
+
+def relabelling_action(I: MonomialIdeal, J: MonomialIdeal, perm,
+                       s: StratifiedComplex, t: StratifiedComplex,
+                       start: str) -> list:
+    """The signed bijection of start bases that relabelling induces.
+
+    ``J`` is ``I`` with variable ``i`` moved to position ``perm[i]``, its
+    generators listed in any order; ``s`` and ``t`` are their starts of
+    kind ``start``.  Returns per-degree (target, source, sign) triples from
+    the basis of ``s`` to that of ``t``: lcm chains go to their sorted image
+    chains, and Taylor subsets to the sorted image of their generators,
+    signed by the parity of that sort.
+    """
+    if start == "lcm":
+        return _lcm_basis_action(
+            s.poset, _relabel(s.poset.elements, t.poset.index, perm), t.poset)
+    return _taylor_basis_action(len(I.generators), _relabel(
+        I.generators, {g: i for i, g in enumerate(J.generators)}, perm))
+
+
+def fields_correspond(W: Homotopy, V: Homotopy, action) -> bool:
+    """Whether ``V`` is ``W`` carried along ``action``, the signed basis
+    bijection of :func:`relabelling_action`: entry ``(i, j)`` of ``W_n``
+    times the signs of ``i`` and ``j`` is entry ``(sigma i, sigma j)`` of
+    ``V_n``, entry for entry over the field of ``W``."""
+    field = W.complex.ring.field
+    if W.complex.ranks != V.complex.ranks:
+        return False
+    for n in range(W.complex.top):
+        w, v = W.D(n).scalar_rows(), V.D(n).scalar_rows()
+        for ti, si, sign_i in action[n + 1]:
+            for tj, sj, sign_j in action[n]:
+                want = w[si][sj] if sign_i == sign_j else field.neg(w[si][sj])
+                if not field.eq(v[ti][tj], want):
+                    return False
+    return True
 
 
 def _sort_parity(seq) -> int:

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 from importlib import resources
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,60 @@ class TestMatroidal:
             ["matroidal", "--fixture", "cycle3", "--char", "5"], capsys)
         assert art["critical_strata"] == []
         assert art["transcendence_degree"] == 0
+
+
+R6 = {"variables": ["x0", "x1", "x2", "x3"], "generators": G.R6_GENERATORS}
+R7 = {"variables": ["x0", "x1", "x2", "x3"], "generators": G.R7_GENERATORS}
+# The Stanley-Reisner ideal of RP^2: its minimal nonfaces are the triangles
+# that are not facets, as test_rp2_facets_form_a_surface shows.
+RP2 = {"variables": [f"x{i}" for i in range(1, 7)],
+       "generators": [[int(i in t) for i in range(6)]
+                      for t in combinations(range(6), 3)
+                      if t not in G.RP2_FACETS]}
+
+
+class TestOptionBound:
+    """A stratum whose matroidal option search could not finish is refused
+    before any option of it is enumerated, naming the stratum and the
+    number of pairs (X_n, Z_n) the search would walk."""
+
+    def test_rp2_facets_form_a_surface(self):
+        # Each of the 15 edges lies in exactly two of the 10 triangles.  So
+        # every edge is a face, and as no four vertices span four facets,
+        # the minimal nonfaces are the 10 triangles that are not facets.
+        facets = set(G.RP2_FACETS)
+        assert len(facets) == 10 and len(RP2["generators"]) == 10
+        for e in combinations(range(6), 2):
+            assert sum(set(e) <= set(f) for f in facets) == 2, e
+        for q in combinations(range(6), 4):
+            assert len(facets & set(combinations(q, 3))) < 4, q
+
+    @pytest.mark.parametrize("argv, doc, tag, pairs", [
+        (["resolve", "--char", "3"], R6, "x0^2*x1^3*x2^3*x3^3",
+         G.R6_OPTION_PAIRS),
+        (["resolve", "--char", "0", "--mode", "mp"], RP2,
+         "x1*x2*x3*x4*x5*x6", G.RP2_OPTION_PAIRS),
+        (["matroidal", "--char", "3", "--start", "lcm"], R6,
+         "x0^2*x1^3*x2^3*x3^3", G.R6_OPTION_PAIRS),
+    ])
+    def test_refused_at_once(self, argv, doc, tag, pairs, tmp_path, capsys):
+        f = tmp_path / "ideal.json"
+        f.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        rc, out, err = run(argv + ["--in", str(f)], capsys)
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (2, "")
+        assert f"stratum {tag}: " in err
+        assert f"a search of {pairs} pairs" in err
+        assert f"above the bound of {splittings.MAX_OPTION_PAIRS}" in err
+
+    def test_within_the_bound_still_counts(self, tmp_path, capsys):
+        f = tmp_path / "ideal.json"
+        f.write_text(json.dumps(R7))
+        art, _ = run_json(["matroidal", "--char", "3", "--start", "lcm",
+                           "--in", str(f)], capsys)
+        assert len(art["counts"]) == 11
+        assert art["critical_strata"] == []
 
 
 class TestToricResolve:

@@ -7,6 +7,11 @@ start.  With at most three variables the Koszul complexes have no torsion,
 so the Betti table cannot depend on the characteristic and all eight must
 agree.
 
+The construction is canonical: an ideal and its relabelled copy, with the
+variables permuted and the generators listed in another order, get vector
+fields W that correspond entry for entry through the induced bijection of
+start bases.
+
 Values of F_p(y) with weight names like ``y[v0^2*v1][1]`` parse back from
 their rendered text, and a one-character edit of that text parses or raises
 ``InputError``, never another exception.
@@ -16,16 +21,19 @@ import json
 from itertools import product
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from chainflow import flows, splittings
 from chainflow.errors import InputError
-from chainflow.monomial import MonomialIdeal, resolve_minimal
-from chainflow.scalars import FunctionField
+from chainflow.monomial import _STARTS, MonomialIdeal, resolve_minimal
+from chainflow.scalars import FunctionField, prime_field
 from chainflow.serialize import complex_from_json, complex_to_json, dumps
 
 from helpers import assert_same_summand, assert_stable_flow
-from oracles import dense_extract_minimal_summand, dense_iterate_flow
+from oracles import (
+    _permute_exps, dense_extract_minimal_summand, dense_iterate_flow,
+    fields_correspond, relabelling_action,
+)
 
 RESOLVES = [(char, mode, start)
             for char, mode in [(0, "moore_penrose"), (0, "matroidal_average"),
@@ -65,6 +73,60 @@ def test_resolves_agree(I):
             assert_same_summand(res.resolution,
                                 dense_extract_minimal_summand(s, Pi, cores))
     assert all(t == tables[0] for t in tables)
+
+
+CANONICITY_RUNS = [(0, "moore_penrose"), (0, "matroidal_average"),
+                   (5, None), (7, None)]
+# Draws are kept to starts whose every stratum has at most MAX_CHOICES
+# matroidal choices, found in a search of at most MAX_PAIRS pairs
+# (X_n, Z_n): R7's 136,360 choices take seconds to average.
+MAX_CHOICES = 500
+MAX_PAIRS = 10 ** 4
+
+
+@st.composite
+def relabelled_ideals(draw):
+    """An ideal I, its copy J with variable i moved to position perm[i] and
+    the generators listed in another order, and perm."""
+    nvars = draw(st.integers(2, 4))
+    monomials = [e for e in product(range(4), repeat=nvars) if any(e)]
+    gens = draw(st.lists(st.sampled_from(monomials), min_size=2,
+                         max_size=5, unique=True))
+    perm = draw(st.permutations(range(nvars)))
+    order = draw(st.permutations(range(len(gens))))
+    names = "wxyz"[:nvars]
+    return (MonomialIdeal(names, gens),
+            MonomialIdeal(names, [_permute_exps(gens[k], perm) for k in order]),
+            perm)
+
+
+def _counts(I, start, char):
+    """The stratum counts of a start, or None past the drawing bounds."""
+    s = _STARTS[start](I, prime_field(char))
+    try:
+        with mock.patch.object(splittings, "MAX_OPTION_PAIRS", MAX_PAIRS):
+            counts = [splittings.matroidal_count(s.stratum(a))
+                      for a in s.occupied()]
+    except InputError:
+        return None
+    return counts if max(counts) <= MAX_CHOICES else None
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(relabelled_ideals(), st.sampled_from(["lcm", "taylor"]))
+def test_vector_field_is_canonical_under_relabelling(ijp, start):
+    I, J, perm = ijp
+    assume(len(I.generators) > 1 and _counts(I, start, 0) is not None)
+    for char, mode in CANONICITY_RUNS:
+        counts = _counts(I, start, char)
+        if char and (counts is None or any(m % char == 0 for m in counts)):
+            event(f"critical in characteristic {char}: skipped")
+            continue
+        a = resolve_minimal(I, char, start=start, mode=mode)
+        b = resolve_minimal(J, char, start=start, mode=mode)
+        assert not a.report["critical_strata"]
+        action = relabelling_action(I, J, perm, a.start, b.start, start)
+        assert fields_correspond(a.homotopy, b.homotopy, action), (char, mode)
 
 
 # Stratum labels of the shape the weight names carry; ``v0`` starts ``v0^2``

@@ -113,10 +113,10 @@ class TestExtensionField:
         # 5 divides no cycle3 count: the work field is the prime field
         I = cyclefam.build_Ip(3).ideal
         s = order_complex_resolution(I, GF(5))
-        critical, field, splits, _ = split_strata(
-            {a: s.stratum(a) for a in s.occupied()}, GF(5),
-            "matroidal_average")
-        assert field is GF(5)
+        critical, s_work, splits, _ = split_strata(
+            s, lambda m: render_monomial(I.names, m), "matroidal_average")
+        assert s_work is s
+        assert s_work.complex.ring.field is GF(5)
         assert critical["critical_strata"] == []
         assert all(D.complex.ring.field is GF(5) for D in splits.values())
 
