@@ -31,7 +31,7 @@ from .monomial import (
     render_monomial,
     resolve_minimal,
 )
-from .splittings import critical_analysis, matroidal_count
+from .splittings import MAX_OPTION_PAIRS, critical_analysis, matroidal_count
 from .toric import BettiCategoryData, resolve_toric
 from . import cyclefam
 from . import serialize
@@ -131,14 +131,21 @@ def _emit_resolution(args, res, extra: dict, *lines):
         **extra,
     })
     rep = res.report
+    counts = rep["stratum_counts"]
+    uncounted = sum(m is None for m in counts.values())
+    primes = rep["critical_primes"]
     _say(
         f"minimal resolution over {json.dumps(rep['field'])}: "
         f"ranks {rep['ranks']}",
         rep["stabilization"],
-        f"critical primes {rep['critical_primes']}; "
+        f"critical primes {'unknown' if primes is None else primes}; "
         f"transcendence degree {rep['transcendence_degree']}",
         *lines,
     )
+    if uncounted:
+        _say(f"{uncounted} of {len(counts)} strata not counted: their "
+             f"matroidal option search is above the bound of "
+             f"{MAX_OPTION_PAIRS} pairs")
 
 
 # -- subcommands -------------------------------------------------------------

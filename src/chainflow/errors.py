@@ -13,6 +13,10 @@ class InputError(ChainflowError):
     """Malformed or unsupported input (bad JSON, wrong characteristic, ...)."""
 
 
+class SearchBoundError(InputError):
+    """Valid input whose exhaustive search would exceed its bound."""
+
+
 class VerificationError(ChainflowError):
     """A requested check failed (non-exact strand, broken identity, ...)."""
 

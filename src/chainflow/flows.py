@@ -25,6 +25,30 @@ certify ``W^2 = 0`` block by block, and records on ``W`` whether every
 block is a partial splitting; for such a ``W``, :func:`iterate_flow`
 multiplies ``W`` only by the cross-stratum part of ``d X_k``.
 
+Over a function field F_p(y), the critical case, :func:`classify`
+certifies the output of :func:`hat` on its factors.  ``hat`` forms
+``Dh_n = P_n Q_n`` from a homotopy ``A``, with ``P_n = A_n d_{n+1}`` and
+``Q_n = A_n - A_n A_{n-1} d_n``.  Products are associative, so
+
+- ``Dh_{n+1} Dh_n = P_{n+1} (Q_{n+1} P_n) Q_n``, and
+  ``Q_{n+1} P_n = A_{n+1} P_n - A_{n+1} (A_n d_{n+1}) P_n
+  = A_{n+1} (P_n - P_n^2)``;
+- ``Dh_n d_{n+1} Dh_n = P_n (Q_n d_{n+1} P_n) Q_n``, and
+  ``Q_n d_{n+1} P_n = P_n^2 - A_n A_{n-1} (d_n d_{n+1}) P_n``.
+
+So ``P_n^2 = P_n`` in every degree gives ``Dh^2 = 0``, and with
+``d_n d_{n+1} = 0`` also ``Dh d Dh = P_n P_n Q_n = Dh``.  ``classify``
+tests exactly these: one product of degree 2 in the weights per degree,
+and one product of constants, where the full products reach degree 6.
+``d^2 = 0`` is tested because a :class:`BasedComplex` does not check it
+when it is built.  ``P_n^2 = P_n`` holds whenever ``d A d = d``, which the
+matroidal average certifies: ``P_n^2 = A_n (d_{n+1} A_n d_{n+1}) = P_n``.
+When a test fails, ``classify`` forms the full products, so it decides
+every flag exactly on either route.  Over Q and F_p the entries are
+constants and the full products are cheap, so :func:`hat` keeps its
+factors only over a function field, and the other runs form the products
+they always formed.
+
 Every homotopy identity and correction is one ``RingMatrix`` computation,
 whatever the entries are (field constants on the stratum complexes,
 polynomials elsewhere).  Scalar row lists appear only where elimination
@@ -38,6 +62,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, VerificationError
 from .linalg import RingMatrix, mp_inverse, pivot_columns, s_inverse
+from .scalars import FunctionField
 from .complexes import BasedComplex, StratifiedComplex
 
 __all__ = [
@@ -61,7 +86,10 @@ class Homotopy:
     once it has decided the identities of ``D`` on ``complex``; ``mats`` is
     a tuple, so the verdict cannot go stale.  ``partial_over`` is the
     stratified complex on which :func:`assemble_field` built ``D`` from
-    partial splittings only, and ``None`` otherwise.
+    partial splittings only, and ``None`` otherwise.  ``factors`` is the
+    pair of lists ``(P, Q)`` with ``D_n = P_n Q_n`` that :func:`hat` keeps
+    over a function field, until :func:`classify` has used them, and
+    ``None`` otherwise.
     """
 
     def __init__(self, complex: BasedComplex, mats: list[RingMatrix]):
@@ -78,6 +106,7 @@ class Homotopy:
         self.mats = tuple(mats)
         self.verdict: ClassifyResult | None = None
         self.partial_over: StratifiedComplex | None = None
+        self.factors: tuple | None = None
 
     def D(self, n: int) -> RingMatrix:
         if 0 <= n < len(self.mats):
@@ -106,23 +135,42 @@ def classify(D: Homotopy) -> ClassifyResult:
     ``D^2 = 0`` test and the ``D D d = d D D`` test, which holds with no
     further product when every ``D_{n+1} D_n`` vanishes.
 
-    The verdict is formed once and kept on ``D`` as ``D.verdict``; later
-    calls, such as those of :func:`assemble_field`, return it.
+    When ``D`` carries the ``factors`` of :func:`hat`, ``P_n^2 = P_n`` and
+    ``d^2 = 0`` are tested first; together they prove ``D^2 = 0`` and
+    ``D d D = D`` (see the module docstring).  If they hold, ``D`` is a
+    partial splitting; if not, the full products decide the flags.
+
+    The verdict is formed once and kept on ``D`` as ``D.verdict``, and the
+    factors are dropped; later calls, such as those of
+    :func:`assemble_field`, return the verdict.
     """
     if D.verdict is not None:
         return D.verdict
-    c = D.complex
-    top = c.top
-    d = [c.d(n) for n in range(top + 3)]
-    DD = {n: D.D(n + 1) @ D.D(n) for n in range(-1, top + 1)}
-    is_vf = all(DD[n].is_zero() for n in range(top + 1))
-    is_pre = is_vf or all((DD[n - 1] @ d[n]).eq(d[n + 2] @ DD[n])
-                          for n in range(top + 1))
-    is_partial = is_vf and all(((D.D(n) @ d[n + 1]) @ D.D(n)).eq(D.D(n))
-                               for n in range(top + 1))
-    is_split = is_partial and _satisfies_pdp(D)
-    D.verdict = ClassifyResult(is_pre, is_vf, is_partial, is_split)
+    if D.factors is not None and _factored_partial(D):
+        is_pre = is_vf = is_partial = True
+    else:
+        c = D.complex
+        top = c.top
+        d = [c.d(n) for n in range(top + 3)]
+        DD = {n: D.D(n + 1) @ D.D(n) for n in range(-1, top + 1)}
+        is_vf = all(DD[n].is_zero() for n in range(top + 1))
+        is_pre = is_vf or all((DD[n - 1] @ d[n]).eq(d[n + 2] @ DD[n])
+                              for n in range(top + 1))
+        is_partial = is_vf and all(
+            ((D.D(n) @ d[n + 1]) @ D.D(n)).eq(D.D(n)) for n in range(top + 1))
+    D.factors = None
+    D.verdict = ClassifyResult(is_pre, is_vf, is_partial,
+                               is_partial and _satisfies_pdp(D))
     return D.verdict
+
+
+def _factored_partial(D: Homotopy) -> bool:
+    """Whether ``P_n^2 = P_n`` for the factors ``P`` of ``D`` and
+    ``d_n d_{n+1} = 0``, which certify ``D^2 = 0`` and ``D d D = D``."""
+    c = D.complex
+    P, _ = D.factors
+    return (all((p @ p).eq(p) for p in P)
+            and all((c.d(n) @ c.d(n + 1)).is_zero() for n in range(1, c.top)))
 
 
 def iterate_flow(s: StratifiedComplex, W: Homotopy):
@@ -214,14 +262,21 @@ def hat(D: Homotopy) -> Homotopy:
     Applied to a suitable pre-vector field this produces a partial
     splitting, and a full splitting when the input also satisfied
     ``d D d = d``.  Those postconditions are not checked here: the caller
-    certifies the result with :func:`classify`.
+    certifies the result with :func:`classify`.  Over a function field the
+    result keeps the factors ``P_n = D_n d_{n+1}`` and
+    ``Q_n = D_n - D_n (D_{n-1} d_n)`` as ``factors``, on which
+    :func:`classify` certifies it.
     """
     c = D.complex
-    mats = []
+    P, Q = [], []
     for n in range(0, c.top):
         Dn = D.D(n)
-        mats.append((Dn @ c.d(n + 1)) @ (Dn - Dn @ (D.D(n - 1) @ c.d(n))))
-    return Homotopy(c, mats)
+        P.append(Dn @ c.d(n + 1))
+        Q.append(Dn - Dn @ (D.D(n - 1) @ c.d(n)))
+    out = Homotopy(c, [p @ q for p, q in zip(P, Q)])
+    if isinstance(c.ring.field, FunctionField):
+        out.factors = (P, Q)
+    return out
 
 
 def _satisfies_pdp(D: Homotopy) -> bool:

@@ -19,6 +19,10 @@ guard.  Every map of a resolution is homogeneous of degree 0, so each term
 of a product entry has the exponent of a difference of two multidegrees of
 basis elements, and :meth:`KeyLayout.pack` bounded those when the complex
 was built or read.
+
+:meth:`KeyLayout.text` renders each distinct key once and keeps the text on
+the layout.  An F_p(Y) artifact writes many terms over few monomials: the
+1 MB critical-case artifact writes 9,087 terms with 3,783 distinct keys.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ class KeyLayout:
         self.nvars = len(self.names)
         self.bits, self.mask = bits, (1 << bits) - 1
         self.guard = sum(1 << (bits * i + bits - 1) for i in range(self.nvars))
+        self._texts = {}
 
     def _range_error(self, i, e):
         side = "below" if e < 0 else "above"
@@ -80,19 +85,23 @@ class KeyLayout:
             i += 1
 
     def text(self, key):
-        """The monomial of ``key`` as ``x^2*y``; the empty string for 1.  It
-        walks the fields itself: a generator step per factor made rendering
-        an artifact a third slower."""
-        names, bits, mask = self.names, self.bits, self.mask
-        out = []
-        i = 0
-        while key:
-            e = key & mask
-            if e:
-                out.append(names[i] if e == 1 else f"{names[i]}^{e}")
-            key >>= bits
-            i += 1
-        return "*".join(out)
+        """The monomial of ``key`` as ``x^2*y``; the empty string for 1.
+        Each key is rendered once and its text kept.  The rendering walks
+        the fields itself: a generator step per factor made rendering an
+        artifact a third slower."""
+        text = self._texts.get(key)
+        if text is None:
+            names, bits, mask = self.names, self.bits, self.mask
+            out = []
+            i, k = 0, key
+            while k:
+                e = k & mask
+                if e:
+                    out.append(names[i] if e == 1 else f"{names[i]}^{e}")
+                k >>= bits
+                i += 1
+            text = self._texts[key] = "*".join(out)
+        return text
 
     def used(self, keys):
         """The indices of the variables that occur in some of ``keys``."""

@@ -371,7 +371,7 @@ class FunctionField:
 
     def pd_reduce(self, acc):
         p = self.p
-        return {k: v % p for k, v in acc.items() if v % p}
+        return {k: r for k, v in acc.items() if (r := v % p)}
 
     def pd_render(self, a):
         if not a:

@@ -49,7 +49,7 @@ from itertools import combinations, product
 from math import comb, prod
 from typing import Optional
 
-from .errors import InputError, VerificationError
+from .errors import InputError, SearchBoundError, VerificationError
 from .scalars import FunctionField, field_descriptor, prime_field
 from .linalg import (
     PolyRing, RingMatrix, kernel, rref, s_inverse, s_mul, s_rank,
@@ -280,7 +280,7 @@ def matroidal_options(c: BasedComplex) -> list:
     memoised per ``W_n``.  Degree ``n`` walks at most
     ``C(r_n, rk_n) C(r_n - rk_n, h_n)`` pairs; when their sum over the
     degrees exceeds :data:`MAX_OPTION_PAIRS`, the search could not finish,
-    and it raises ``InputError`` before it enumerates any option.
+    and it raises :class:`SearchBoundError` before it enumerates any option.
     """
     if not c.is_scalar():
         raise InputError("matroidal enumeration needs a scalar complex")
@@ -298,7 +298,7 @@ def matroidal_options(c: BasedComplex) -> list:
     pairs = sum(comb(r_n, rk_n) * comb(r_n - rk_n, h)
                 for r_n, rk_n, h, _, _ in degrees)
     if pairs > MAX_OPTION_PAIRS:
-        raise InputError(
+        raise SearchBoundError(
             f"its matroidal options are a search of {pairs} pairs (X_n, Z_n), "
             f"above the bound of {MAX_OPTION_PAIRS}")
     out = []
@@ -441,18 +441,28 @@ def critical_analysis(counts: dict, characteristic: int) -> dict:
     The report also gives the critical strata and transcendence degree at
     ``characteristic``, read from its ``per_prime`` entry; in characteristic
     0, or when ``characteristic`` divides no count, there are none.
+
+    A count of ``None`` is a stratum that was not counted.  Then the
+    critical primes are unknown, ``critical_primes`` is ``None`` and
+    ``per_prime`` is empty; that is allowed in characteristic 0 only, which
+    has no critical strata.
     """
+    uncounted = None in counts.values()
+    if uncounted and characteristic:
+        raise InputError("the critical strata at a prime need every count")
     primes = set()
     for m in counts.values():
+        if m is None:
+            continue
         if m <= 0:
             raise InputError("stratum with no matroidal splittings")
         primes.update(_prime_factors(m))
     report = {
         "counts": dict(counts),
-        "critical_primes": sorted(primes),
+        "critical_primes": None if uncounted else sorted(primes),
         "per_prime": {},
     }
-    for p in sorted(primes):
+    for p in [] if uncounted else sorted(primes):
         crit = [a for a, m in counts.items() if m % p == 0]
         report["per_prime"][p] = {
             "critical_strata": crit,
@@ -563,6 +573,11 @@ def split_strata(s: StratifiedComplex, render, mode: str):
     ``counts`` are the stratum counts, the start over the work field, and
     the homotopies and cores keyed by poset index; each homotopy's
     ``complex`` is its stratum over the work field.
+
+    In Moore-Penrose mode the counts feed only the report, so a stratum
+    whose option search exceeds :data:`MAX_OPTION_PAIRS` is left uncounted,
+    with count ``None``; the matroidal average needs every option and
+    raises.
     """
     base = s.complex.ring.field
     slices = {ai: s.stratum(ai) for ai in s.occupied()}
@@ -572,8 +587,11 @@ def split_strata(s: StratifiedComplex, render, mode: str):
         try:
             options[ai] = matroidal_options(c)
         except InputError as e:
-            raise InputError(f"stratum {tags[ai]}: {e}") from None
-    counts = {tags[ai]: count_choices(opts) for ai, opts in options.items()}
+            if mode != "moore_penrose" or not isinstance(e, SearchBoundError):
+                raise type(e)(f"stratum {tags[ai]}: {e}") from None
+            options[ai] = None
+    counts = {tags[ai]: None if opts is None else count_choices(opts)
+              for ai, opts in options.items()}
     critical = critical_analysis(counts, base.char)
     field, weights = base, {}
     if mode == "matroidal_average" and critical["critical_strata"]:

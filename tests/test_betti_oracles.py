@@ -1,13 +1,17 @@
 """Full Betti tables of the resolve pipelines against simplicial homology
 that shares no code with the package (``tests/oracles.py``)."""
 
+import re
+
 import pytest
 
+from chainflow.errors import SearchBoundError
 from chainflow.monomial import MonomialIdeal, resolve_minimal
 from chainflow.toric import BettiCategoryData, resolve_toric
 
 from helpers import fixture_ideal, ideal_doc
 from oracles import monomial_betti_oracle, toric_betti_oracle
+from test_cli import RP2
 from test_toric import _semi23_three_objects
 
 # cycle2 with the Taylor start over F_5 is left out: 5 divides the 6960
@@ -57,3 +61,25 @@ def test_oracles_on_known_tables():
     table = toric_betti_oracle([[3, 4, 5]], [14], 0)
     assert {i: sum(row.values()) for i, row in table.items()} == \
         {0: 1, 1: 3, 2: 2}
+
+
+def test_rp2_tables_and_the_characteristic_2_frontier():
+    # RP^2 has H~_1 = F_2 over F_2 and 0 over Q and F_3, so its
+    # Stanley-Reisner ideal has one more syzygy module in characteristic 2:
+    # an extra Betti number at x1...x6 in homological degrees 2 and 3.  The
+    # resolve over Q matches the oracle (test_cli); over F_2 the matroidal
+    # average needs the top stratum's count, and its option search is
+    # refused at once.
+    names, gens = RP2["variables"], RP2["generators"]
+    q = monomial_betti_oracle(names, gens, 0)
+    assert {i: sum(row.values()) for i, row in q.items()} == \
+        {0: 10, 1: 15, 2: 6}
+    assert monomial_betti_oracle(names, gens, 3) == q
+    f2 = monomial_betti_oracle(names, gens, 2)
+    assert {i: sum(row.values()) for i, row in f2.items()} == \
+        {0: 10, 1: 15, 2: 7, 3: 1}
+    top = "x1*x2*x3*x4*x5*x6"
+    assert f2[0] == q[0] and f2[1] == q[1]
+    assert f2[2] == {**q[2], top: 1} and f2[3] == {top: 1}
+    with pytest.raises(SearchBoundError, match=re.escape(f"stratum {top}: ")):
+        resolve_minimal(MonomialIdeal(names, gens), 2)

@@ -24,7 +24,9 @@ import golden_data as G
 from helpers import (
     assert_resolution_reads_back, fixture_ideal, zero_homotopy,
 )
-from oracles import betti_euler_characteristic, euler_characteristic
+from oracles import (
+    betti_euler_characteristic, euler_characteristic, monomial_betti_oracle,
+)
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 BENCH_REFERENCE = (Path(__file__).resolve().parent.parent / "bench"
@@ -218,7 +220,9 @@ RP2 = {"variables": [f"x{i}" for i in range(1, 7)],
 class TestOptionBound:
     """A stratum whose matroidal option search could not finish is refused
     before any option of it is enumerated, naming the stratum and the
-    number of pairs (X_n, Z_n) the search would walk."""
+    number of pairs (X_n, Z_n) the search would walk, wherever the run
+    needs its count.  Moore-Penrose mode needs the counts only for the
+    report, so there the stratum is reported as not counted."""
 
     def test_rp2_facets_form_a_surface(self):
         # Each of the 15 edges lies in exactly two of the 10 triangles.  So
@@ -234,8 +238,8 @@ class TestOptionBound:
     @pytest.mark.parametrize("argv, doc, tag, pairs", [
         (["resolve", "--char", "3"], R6, "x0^2*x1^3*x2^3*x3^3",
          G.R6_OPTION_PAIRS),
-        (["resolve", "--char", "0", "--mode", "mp"], RP2,
-         "x1*x2*x3*x4*x5*x6", G.RP2_OPTION_PAIRS),
+        (["resolve", "--char", "3"], RP2, "x1*x2*x3*x4*x5*x6",
+         G.RP2_OPTION_PAIRS),
         (["matroidal", "--char", "3", "--start", "lcm"], R6,
          "x0^2*x1^3*x2^3*x3^3", G.R6_OPTION_PAIRS),
     ])
@@ -249,6 +253,32 @@ class TestOptionBound:
         assert f"stratum {tag}: " in err
         assert f"a search of {pairs} pairs" in err
         assert f"above the bound of {splittings.MAX_OPTION_PAIRS}" in err
+
+    def test_moore_penrose_reports_an_uncounted_stratum(self, tmp_path,
+                                                        capsys):
+        # The top stratum is not counted, so the critical primes are
+        # unknown; the resolution is minimal and exact, with the Betti
+        # table of the simplicial-homology oracle.
+        f = tmp_path / "ideal.json"
+        f.write_text(json.dumps(RP2))
+        art, err = run_json(["resolve", "--char", "0", "--mode", "mp",
+                             "--in", str(f)], capsys)
+        rep = art["report"]
+        assert rep["ranks"] == [10, 15, 6]
+        assert rep["verification"]["minimal"] and rep["verification"]["exact"]
+        counts = rep["stratum_counts"]
+        assert [t for t, m in counts.items() if m is None] == \
+            ["x1*x2*x3*x4*x5*x6"]
+        assert len(counts) == 32
+        assert rep["critical_primes"] is None
+        assert rep["critical_strata"] == []
+        assert rep["transcendence_degree"] == 0
+        oracle = monomial_betti_oracle(RP2["variables"], RP2["generators"], 0)
+        assert rep["betti"] == {str(i): row for i, row in oracle.items()}
+        assert "critical primes unknown" in err
+        assert (f"1 of 32 strata not counted: their matroidal option search "
+                f"is above the bound of {splittings.MAX_OPTION_PAIRS} pairs"
+                in err)
 
     def test_within_the_bound_still_counts(self, tmp_path, capsys):
         f = tmp_path / "ideal.json"

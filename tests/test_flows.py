@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -15,9 +16,12 @@ from chainflow.flows import (
     iterate_flow, moore_penrose,
 )
 from chainflow.linalg import PolyRing, RingMatrix
-from chainflow.monomial import order_complex_resolution
+from chainflow.monomial import order_complex_resolution, taylor_resolution
 from chainflow.scalars import GF, QQ, FunctionField
-from chainflow.splittings import stratum_core
+from chainflow.splittings import (
+    build_extension_field, coerce_complex, count_choices, matroidal_average,
+    matroidal_options, stratum_core,
+)
 from chainflow import cyclefam, flows
 import golden_data as G
 from helpers import (
@@ -28,7 +32,7 @@ from oracles import (
     dense_degree_indices, dense_extract_minimal_summand, dense_iterate_flow,
     flow, flow_is_chain_map, mp_identities_hold, weak_partial_decomposition,
 )
-from randgen import random_stratified_complex
+from randgen import random_rational_complex, random_stratified_complex
 
 
 def two_term(entry):
@@ -217,6 +221,154 @@ class TestHat:
         H = hat(bad)
         # degree 0: (D_0 d_1 D_0)(I - D_{-1} d_0) = 1*2*1*(1 - 0) = 2
         assert H.D(0).rows[0][0].constant_term() == Fraction(2)
+
+
+def full_verdict(D):
+    """The verdict of the full products on the maps of ``D``, without the
+    factors that :func:`hat` keeps."""
+    return classify(Homotopy(D.complex, list(D.mats)))
+
+
+def classify_watching_products(D):
+    """``classify(D)``, and whether it formed a product with a map of ``D``
+    on the left, as the full ``D_{n+1} D_n`` and ``(D_n d) D_n`` are."""
+    lefts = []
+    matmul = RingMatrix.__matmul__
+
+    def spy(a, b):
+        lefts.append(a)
+        return matmul(a, b)
+
+    with mock.patch.object(RingMatrix, "__matmul__", spy):
+        verdict = classify(D)
+    return verdict, any(a is m for a in lefts for m in D.mats)
+
+
+def perturbed(A, n, i, j, value):
+    """``A`` with ``value`` added to entry ``(i, j)`` of ``A_n``."""
+    ring = A.complex.ring
+    mats = list(A.mats)
+    rows = [list(r) for r in mats[n].rows]
+    rows[i][j] = rows[i][j] + ring.const(value)
+    mats[n] = RingMatrix(ring, rows, ncols=mats[n].ncols)
+    return Homotopy(A.complex, mats)
+
+
+@pytest.fixture(scope="module")
+def cycle3_critical_average():
+    """The generic average ``A`` of the top stratum of cycle3's Taylor
+    start over F_3(y), before ``hat``: 18 choices, 17 transcendentals."""
+    s = taylor_resolution(cyclefam.build_Ip(3).ideal, GF(3))
+    c = s.stratum(s.occupied()[-1])
+    options = matroidal_options(c)
+    m = count_choices(options)
+    assert m == 18
+    F, weights = build_extension_field({"top": m}, 3)
+    return matroidal_average(c, coerce_complex(c, F), options, weights["top"])
+
+
+class TestFactoredCertificate:
+    """Over F_p(y), ``classify`` certifies ``hat(A)`` on its factors
+    ``P_n = A_n d_{n+1}`` and ``Q_n``: ``P_n^2 = P_n`` and ``d^2 = 0`` prove
+    ``D^2 = 0`` and ``D d D = D``; when a test fails, the full products
+    decide."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(5), FunctionField(5, ["y"])],
+                             ids=["Q", "F5", "F5(y)"])
+    def test_hat_keeps_its_factors_over_a_function_field(self, field):
+        ranks, diffs, maps, _ = FLAG_CASES["splitting"]
+        c, A = int_complex(scalar_ring(field), ranks, diffs, maps)
+        D = hat(A)
+        if not isinstance(field, FunctionField):
+            assert D.factors is None
+            return
+        P, Q = D.factors
+        assert all((p @ q).eq(m) for p, q, m in zip(P, Q, D.mats))
+        verdict, full = classify_watching_products(D)
+        assert verdict.is_splitting and not full
+        assert D.factors is None and classify(D) is verdict
+
+    @pytest.mark.parametrize("case", FLAG_CASES)
+    def test_flag_cases_through_hat(self, case):
+        ranks, diffs, maps, _ = FLAG_CASES[case]
+        c, A = int_complex(scalar_ring(FunctionField(5, ["y"])),
+                           ranks, diffs, maps)
+        D = hat(A)
+        assert classify(D) == full_verdict(D)
+
+    def test_average_takes_the_factored_route(self, cycle3_critical_average):
+        D = hat(cycle3_critical_average)
+        verdict, full = classify_watching_products(D)
+        assert verdict.is_splitting and not full
+        assert verdict == full_verdict(D)
+
+    def test_broken_average_falls_back(self, cycle3_critical_average):
+        # Adding a transcendental to one entry of A_1 breaks d A d = d.
+        # The hat still carries factors; P_n^2 = P_n fails on them, and the
+        # full products find that hat(A) is no splitting.
+        A = cycle3_critical_average
+        F = A.complex.ring.field
+        bad = perturbed(A, 1, 0, 0, F.var(0))
+        assert not flows._satisfies_pdp(bad)
+        D = hat(bad)
+        assert D.factors is not None
+        verdict, full = classify_watching_products(D)
+        assert full and not verdict.is_splitting
+        assert verdict == full_verdict(D)
+
+    def test_a_non_complex_needs_the_square_test(self):
+        # d_1 d_2 = 2 != 0, and P_n^2 = P_n holds on both factors, yet
+        # hat(A) d hat(A) != hat(A): without the test of d^2 = 0 the
+        # factors would certify a partial splitting.
+        ring = scalar_ring(FunctionField(3, ["y"]))
+        c, A = int_complex(ring, [1, 2, 1], [[[0, 1]], [[0], [2]]],
+                           [[[0], [1]], [[1, 2]]])
+        assert not (c.d(1) @ c.d(2)).is_zero()
+        D = hat(A)
+        assert all((p @ p).eq(p) for p in D.factors[0])
+        verdict, full = classify_watching_products(D)
+        assert full and not verdict.is_partial_splitting
+        assert verdict == full_verdict(D)
+
+    def test_random_small_homotopies_agree(self):
+        # Derandomized complexes of rank at most 3 over F_3(y1, y2), each
+        # with an affine average of its matroidal splittings, that average
+        # with one entry moved, and a homotopy of random entries.  Both
+        # routes run, and the verdicts equal those of the full products.
+        F = FunctionField(3, ["y1", "y2"])
+        values = [F.zero, F.one, F.from_int(2), F.var(0),
+                  F.add(F.var(1), F.one)]
+        rng = random.Random(20191909)
+        routes, splits = Counter(), 0
+        for _ in range(40):
+            c3 = random_rational_complex(rng, max_rank=3, max_top=3) \
+                .map_coefficients(scalar_ring(GF(3)), lambda v: int(v) % 3)
+            c = coerce_complex(c3, F)
+            ring = c.ring
+            homotopies = [Homotopy(c, [RingMatrix(
+                ring, [[ring.const(rng.choice(values))
+                        for _ in range(c.rank(n))]
+                       for _ in range(c.rank(n + 1))], ncols=c.rank(n))
+                for n in range(c.top)])]
+            options = matroidal_options(c3)
+            m = count_choices(options)
+            if m:
+                ws = [rng.choice(values) for _ in range(m - 1)]
+                ws.append(F.sub(F.one, F.dot([(w, F.one) for w in ws])))
+                A = matroidal_average(c3, c, options, ws)
+                homotopies.append(A)
+                n = rng.choice([k for k in range(c.top) if A.D(k).nrows
+                                and A.D(k).ncols])
+                homotopies.append(perturbed(
+                    A, n, rng.randrange(A.D(n).nrows),
+                    rng.randrange(A.D(n).ncols), F.var(0)))
+            for A in homotopies:
+                D = hat(A)
+                verdict, full = classify_watching_products(D)
+                routes[full] += 1
+                splits += verdict.is_splitting
+                assert verdict == full_verdict(D)
+        assert routes[True] and routes[False] and splits
 
 
 class TestMoorePenrose:

@@ -9,8 +9,10 @@ tuples at the edge of the 8-bit range, where a sum of exponents can reach
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chainflow import cyclefam
 from chainflow.errors import InputError, InternalError
 from chainflow.keys import field_keys, monomial_text, ring_keys
+from chainflow.monomial import resolve_minimal
 from chainflow.scalars import FunctionField
 
 from oracles import (
@@ -163,3 +165,36 @@ def test_content_matches_the_oracle(data):
     F, (t,) = field_and_polys(data, 1)
     want = exponent_key(tuple_content(list(t)))
     assert F.keys.content(list(packed(t))) == want
+
+
+@pytest.fixture(scope="module")
+def critical_artifact_keys():
+    """The transcendentals, and every monomial key of the F_3(y) entries,
+    of the critical-case resolution: cycle3 over F_3 with the Taylor
+    start."""
+    res = resolve_minimal(cyclefam.build_Ip(3).ideal, 3, start="taylor")
+    F = res.resolution.ring.field
+    keys = set()
+    for m in res.resolution.diffs:
+        for row in m.rows:
+            for entry in row:
+                for num, den in entry.terms.values():
+                    keys.update(num)
+                    keys.update(den or ())
+    return F, sorted(keys)
+
+
+@pytest.mark.parametrize("layout", [field_keys, ring_keys],
+                         ids=["8-bit", "16-bit"])
+def test_kept_texts_match_a_fresh_layout(layout, critical_artifact_keys):
+    # Each key is rendered once; asked again, the layout returns the kept
+    # text, and every text equals a fresh layout's and monomial_text's.
+    F, keys = critical_artifact_keys
+    assert len(keys) > 1000
+    kept = layout(F.names)
+    exps = [F.keys.unpack(k) for k in keys]
+    packed_keys = [kept.pack(e) for e in exps]
+    texts = [kept.text(k) for k in packed_keys]
+    assert all(kept.text(k) is t for k, t in zip(packed_keys, texts))
+    for k, e, t in zip(packed_keys, exps, texts):
+        assert t == layout(F.names).text(k) == monomial_text(F.names, e)

@@ -8,8 +8,8 @@ from itertools import product
 
 import pytest
 
-from chainflow.errors import InputError, VerificationError
-from chainflow.flows import affine_combination, classify
+from chainflow.errors import InputError, SearchBoundError, VerificationError
+from chainflow.flows import Homotopy, affine_combination, classify, hat
 from chainflow.complexes import BasedComplex, StratifiedComplex, scalar_ring
 from chainflow.linalg import RingMatrix, s_identity, s_mul, s_rank
 from chainflow.monomial import (
@@ -85,6 +85,38 @@ class TestCriticalAnalysis:
         crit5 = critical_analysis(dict(G.MATROIDAL_COUNTS), 5)
         assert crit5["critical_strata"] == []
         assert crit5["transcendence_degree"] == 0
+
+    def test_uncounted_stratum_leaves_the_primes_unknown(self):
+        counts = {**G.MATROIDAL_COUNTS, "top": None}
+        crit = critical_analysis(counts, 0)
+        assert crit["counts"] == counts
+        assert crit["critical_primes"] is None and crit["per_prime"] == {}
+        assert crit["critical_strata"] == []
+        assert crit["transcendence_degree"] == 0
+        with pytest.raises(InputError, match="need every count"):
+            critical_analysis(counts, 3)
+
+
+class TestMoorePenroseCounts:
+    """Moore-Penrose mode leaves a stratum uncounted when its option search
+    is over the bound; any other failure of the search still raises."""
+
+    def test_over_the_bound_is_left_uncounted(self, monkeypatch,
+                                              cycle3_strata):
+        monkeypatch.setattr(splittings, "MAX_OPTION_PAIRS", 10)
+        c = cycle3_strata[G.MTOP]
+        D, _, m = split_one_stratum(c, 0, "moore_penrose", tag="top")
+        assert m is None and classify(D).is_splitting
+        with pytest.raises(SearchBoundError, match="stratum top: "):
+            split_one_stratum(c, 0, "matroidal_average", tag="top")
+
+    def test_negative_homology_still_raises(self):
+        ring = scalar_ring(QQ)
+        one = RingMatrix.from_scalar_rows(ring, [[Fraction(1)]], ncols=1)
+        c = BasedComplex(ring, [["a"], ["b"], ["c"]], [[None]] * 3,
+                         [one, one])
+        with pytest.raises(InputError, match="negative homology"):
+            split_one_stratum(c, 0, "moore_penrose")
 
 
 class TestExtensionField:
@@ -473,6 +505,82 @@ class TestMatroidalAverage:
         assert len(formed) == len(res.start.occupied())
         assert set(formed.values()) == {1}
         assert calls.keys() == formed.keys() and set(calls.values()) == {2}
+
+    @pytest.mark.parametrize("k, p, start, factored, products", [
+        (3, 3, "taylor", 8, 20),
+        (2, 7, "taylor", 0, 80),
+        (11, 0, "lcm", 0, 161),
+    ], ids=["cycle3-F3(y)", "cycle2-F7", "cycle11-Q"])
+    def test_classify_multiplies_factors_only_over_function_fields(
+            self, monkeypatch, k, p, start, factored, products):
+        # Over F_3(y) every stratum's hat carries factors, and classify
+        # forms no product with a map of the homotopy on the left, as the
+        # full D_{n+1} D_n and (D_n d) D_n are.  Over F_7 and Q nothing
+        # carries factors, and classify forms the 80 and 161 products it
+        # formed before the factored route.  Over F_3(y) it formed 62 then.
+        calls = []   # per verdict: factors?, the maps, the left operands
+        lefts = None
+        classify = flows.classify
+        matmul = RingMatrix.__matmul__
+
+        def spy_matmul(a, b):
+            if lefts is not None:
+                lefts.append(a)
+            return matmul(a, b)
+
+        def spy_classify(D):
+            nonlocal lefts
+            calls.append((D.factors is not None, D.mats, []))
+            lefts = calls[-1][2]
+            try:
+                return classify(D)
+            finally:
+                lefts = None
+
+        monkeypatch.setattr(splittings, "classify", spy_classify)
+        monkeypatch.setattr(RingMatrix, "__matmul__", spy_matmul)
+        res = resolve_minimal(cyclefam.build_Ip(k).ideal, p, start=start)
+        assert _verified(res)
+        assert sum(f for f, _, _ in calls) == factored
+        assert not any(a is m for f, mats, ops in calls if f
+                       for a in ops for m in mats)
+        assert sum(len(ops) for _, _, ops in calls) == products
+
+    # Critical strata with more than 18 choices are left out: over their
+    # 71 (cycle3 lcm) or 127 (cycle2 lcm over F_2) transcendentals the full
+    # products, or already hat, take most of a minute or more, and the 6960
+    # choices of cycle2's Taylor top stratum do not average in minutes.
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("kind, start, left_out", [
+        ("cycle2", "lcm", {2: 1, 3: 0}), ("cycle2", "taylor", {2: 1, 3: 1}),
+        ("cycle3", "lcm", {2: 1, 3: 1}), ("cycle3", "taylor", {2: 0, 3: 0}),
+    ], ids=["cycle2-lcm", "cycle2-taylor", "cycle3-lcm", "cycle3-taylor"])
+    def test_factored_verdicts_agree_on_fixture_strata(
+            self, kind, start, left_out, p):
+        # Every stratum over F_p(y): generic affine weights where p divides
+        # its count m, 1/m otherwise.
+        s = _start(kind, start, GF(p))
+        skipped = 0
+        for a in s.occupied():
+            c = s.stratum(a)
+            options = matroidal_options(c)
+            m = count_choices(options)
+            if m % p == 0 and m > 18:
+                skipped += 1
+                continue
+            if m % p == 0:
+                field, weights = build_extension_field({"a": m}, p)
+                weights = weights["a"]
+            else:
+                field = FunctionField(p, ["y"])
+                weights = [field.inv(field.from_int(m))] * m
+            work = coerce_complex(c, field)
+            D = hat(matroidal_average(c, work, options, weights))
+            assert D.factors is not None
+            verdict = classify(D)
+            assert verdict.is_splitting
+            assert verdict == classify(Homotopy(work, list(D.mats)))
+        assert skipped == left_out[p]
 
 
 class TestStratumSlices:
